@@ -55,7 +55,13 @@ def _add_common(sp: argparse.ArgumentParser, level: bool = True) -> None:
     sp.add_argument("--prec", type=int, default=40, help="target z-precision")
     sp.add_argument("--tdeg", type=int, default=12, help="t-truncation degree")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--enum-budget", type=int, default=10**6)
+    sp.add_argument(
+        "--enum-budget",
+        type=int,
+        default=10**6,
+        help="cap on monic polynomials or tuples an enumeration oracle may visit "
+        "(the suite's brute-force checks); zeta values never enumerate",
+    )
     sp.add_argument("--format", choices=("text", "json"), default="json")
     sp.add_argument("--timings", action="store_true", help="report real runtimes (non-deterministic)")
 

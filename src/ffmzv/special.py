@@ -4,30 +4,45 @@ multiple polylogarithms, all as exact truncated z-series.
 The depth-d zeta value at level l is the sum of 1/(a_1^{s_1}...a_d^{s_d})
 over monic tuples with strictly decreasing degrees; it is assembled from the
 degree-d power sums S_d(s) = sum(a^-s, a monic of degree d) by dynamic
-programming over degree tuples, with the brute-force tuple enumeration
-retained as a test oracle.  Stopping criteria use exact a-priori valuation
-bounds, never floating estimates: a surviving monomial of the expansion of
-S_d(s) must contain every one of the d free coefficients with exponent a
-positive multiple of q-1, which gives
+programming over degree tuples.
+
+Power sums come in closed form, never by enumeration.  Write a monic of
+degree d as theta^d (1 + X) with u = 1/theta = -z^(q-1) and
+X = sum_{j=1..d} b_j u^j, the b_j running over F_q.  Expanding
+(1 + X)^-s = sum_k (-1)^k C(s+k-1, k) X^k and summing each coefficient with
+sum_{c in F_q} c^e = -1 when e > 0 and (q-1) | e, and 0 otherwise, gives
+
+    S_d(s) = (-1)^d u^{ds} sum_e (-1)^K C(s+K-1, K) multinomial(K; e) u^D,
+
+over exponent vectors e = (e_1..e_d) of positive multiples of q-1, with
+K = sum e_j and D = sum j e_j.  Every coefficient lies in F_p, so a dynamic
+program over j with state (K, D) and Lucas binomials mod p computes S_d(s)
+to any precision in time polynomial in the precision, independent of q^d.
+The same expansion gives the certified valuation bound
 
     v_z(S_d(s)) >= (q-1) * (d*s + (q-1)*d*(d+1)/2),
 
-quadratic in d, so enumeration budgets stay at desk scale (the linear bound
-(q-1)*d*s holds a fortiori).
+quadratic in d, which stops the degree-tuple summations.  Stopping criteria
+use exact a-priori bounds, never floating estimates.  Enumeration is the
+oracle: the q^d-term power-sum loop and the brute-force tuple sum are kept,
+under the context's enumeration budget, as test and suite references.
 
 Anderson-Thakur polynomials come from inverting the generating series
 1 - sum_i (prod_j (t^{q^i}-theta^{q^j}) / prod_j (t^{q^i}-t^{q^j})) x^{q^i}
 as a power series in x and scaling slot s by Gamma_{s+1}|_{theta=t}.  The
 extraction convention is the plain x^s coefficient slot: it is the one that
 reproduces H_s = 1 for 0 <= s <= q-1 and is validated operationally by the
-period identity against the convention-free monic-sum path.  All checked
-identities are printed with this convention note.
+period identity against the convention-free monic-sum path, which never
+touches the H polynomials.  All checked identities are printed with this
+convention note.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from .carlitz import CarlitzContext, carlitz_factorial
 from .errors import BudgetError, ConventionError
@@ -109,14 +124,60 @@ def _monic_coeff_lists(q: int, d: int):
         yield coeffs + [1]
 
 
+@lru_cache(maxsize=1 << 16)
+def _binom_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p by Lucas's theorem, digit by digit in base p."""
+    r = 1
+    while k:
+        n, a = divmod(n, p)
+        k, b = divmod(k, p)
+        if b > a:
+            return 0
+        r = r * comb(a, b) % p
+    return r
+
+
 def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int | None = None) -> LaurentSeries:
-    """S_d(s) = sum of a^-s over the q^d monic polynomials of degree d."""
+    """S_d(s) = sum of a^-s over the q^d monic polynomials of degree d,
+    from the exponent-vector closed form (see the module docstring)."""
     if s < 1 or d < 0:
         raise ValueError("need s >= 1 and d >= 0")
     prec = ctx.prec if prec is None else prec
     key = ("S", d, s, prec)
     if key in ctx._cache:
         return ctx._cache[key]
+    q, p = ctx.q, ctx.p
+    step = q - 1
+    # u^N is the z-monomial of exponent step*N; N = d*s + D must stay below prec
+    top = (prec - 1) // step - d * s
+    # DP over j = d..1: (K, D) -> sum over e_j..e_d of the multinomial, mod p;
+    # `reserve` is the least D that e_1..e_{j-1} must still add
+    states = {(0, 0): 1} if top >= 0 else {}
+    for j in range(d, 0, -1):
+        reserve = step * j * (j - 1) // 2
+        nxt: dict[tuple[int, int], int] = {}
+        for (k, dd), w in states.items():
+            e = step
+            while dd + j * e + reserve <= top:
+                c = _binom_mod_p(k + e, e, p)
+                if c:
+                    st = (k + e, dd + j * e)
+                    nxt[st] = (nxt.get(st, 0) + w * c) % p
+                e += step
+        states = nxt
+    # F_p coefficients: the field encoding of c in F_p is c itself
+    coeffs = [0] * (step * (top + d * s) + 1) if states else []
+    for (k, dd), w in states.items():
+        c = w * _binom_mod_p(s + k - 1, k, p)
+        n = d * s + dd
+        coeffs[step * n] += -c if (d + k + n) % 2 else c
+    acc = LaurentSeries(ctx.field, q, 0, [c % p for c in coeffs], prec)
+    ctx._cache[key] = acc
+    return acc
+
+
+def _monic_power_sum_enum(ctx: CarlitzContext, d: int, s: int, prec: int) -> LaurentSeries:
+    """S_d(s) by enumerating and inverting all q^d monic polynomials (oracle)."""
     q, fld = ctx.q, ctx.field
     if q**d > ctx.enum_budget:
         raise BudgetError(f"{q**d} monic polynomials exceed budget {ctx.enum_budget}")
@@ -126,7 +187,6 @@ def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int | None = None
         for _ in range(s - 1):
             a_pow = dense_theta_mul(fld, a_pow, coeffs)
         acc = acc + from_rational(fld, q, {0: 1}, {k: c for k, c in enumerate(a_pow)}, prec)
-    ctx._cache[key] = acc
     return acc
 
 
@@ -215,6 +275,14 @@ def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) ->
     q, fld = ctx.q, ctx.field
     entries = s.entries
     d = len(entries)
+    # a degree tuple holds q^(sum of degrees) monic tuples; stop counting at the cap
+    count = 0
+    for tup in _all_decreasing_tuples(d, max_degree):
+        count += q ** sum(tup)
+        if count > ctx.enum_budget:
+            raise BudgetError(
+                f"more than {ctx.enum_budget} monic tuples up to degree {max_degree}"
+            )
     acc = ls_zero(fld, q, prec + 2)
     for tup in _all_decreasing_tuples(d, max_degree):
         pools = [list(_monic_coeff_lists(q, dv)) for dv in tup]

@@ -96,10 +96,17 @@ def test_group_commands(capsys):
 
 
 def test_budget_cap_reported(capsys):
-    code, _, err = run_cli(
+    # zeta values never enumerate; the budget binds the suite's oracle checks
+    code, _, _ = run_cli(
         capsys, "mzv", "--p", "3", "--l", "1", "--index", "1", "--enum-budget", "2"
     )
-    assert code == 1 and "budget" in err.lower()
+    assert code == 0
+    code, out, _ = run_cli(capsys, "suite", "--enum-budget", "2")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    for name in ("carlitz-tower-oracle", "mzv-bruteforce-equivalence"):
+        assert checks[name]["status"] == "fail"
+        assert "BudgetError" in checks[name]["detail"]
 
 
 def test_worker_env_var(capsys, monkeypatch):

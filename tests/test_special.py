@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffmzv import tate
 from ffmzv.carlitz import CarlitzContext
@@ -12,6 +13,7 @@ from ffmzv.laurent import compare_to_precision, from_rational, one as ls_one, ze
 from ffmzv.poly import BivarPoly
 from ffmzv.special import (
     CmplSpec,
+    _monic_power_sum_enum,
     Index,
     anderson_thakur_polynomials,
     at_arguments,
@@ -101,9 +103,80 @@ def test_power_sum_valuation_bound():
 
 
 def test_power_sum_budget():
+    # the budget bounds the enumeration oracle; the closed form ignores it
     ctx = CarlitzContext(3, 1, enum_budget=8)
     with pytest.raises(BudgetError):
-        monic_power_sum(ctx, 2, 1, 20)
+        _monic_power_sum_enum(ctx, 2, 1, 20)
+    assert monic_power_sum(ctx, 2, 1, 20).prec == 20
+
+
+_ORACLE_LEVELS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
+
+
+@st.composite
+def _power_sum_case(draw):
+    p, l = draw(st.sampled_from(_ORACLE_LEVELS))
+    q = p**l
+    d_max = 0
+    while q ** (d_max + 1) <= 5000:
+        d_max += 1
+    return p, l, draw(st.integers(0, d_max)), draw(st.integers(1, 7)), draw(st.integers(1, 90))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_power_sum_case())
+def test_power_sum_matches_enumeration(case):
+    p, l, d, s, prec = case
+    ctx = CarlitzContext(p, l)
+    got = monic_power_sum(ctx, d, s, prec)
+    want = _monic_power_sum_enum(ctx, d, s, prec)
+    assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
+def test_power_sum_val_bound_beyond_enumeration():
+    # Carlitz: S_d(1) = 1/l_d with l_d = prod_{i=1..d} (theta - theta^{q^i}),
+    # so v_z(S_d(1)) = q(q^d - 1); at q = 2, d = 12 that is 8190
+    for p, d_exact in [(2, 6), (3, 3)]:
+        ctx = CarlitzContext(p, 1)
+        q, neg = ctx.q, ops(ctx.field).neg
+        for d in range(1, 13):
+            v_true = q * (q**d - 1)
+            assert power_sum_val_bound(q, d, 1) <= v_true
+            for s in range(1, 6):
+                bound = power_sum_val_bound(q, d, s)
+                got = monic_power_sum(ctx, d, s, bound + 40)
+                assert got.is_zero() or got.val >= bound
+            if d <= d_exact:
+                ell = BivarPoly.one(ctx.field)
+                for i in range(1, d + 1):
+                    ell = ell * BivarPoly(ctx.field, {(0, 1): 1, (0, q**i): neg[1]})
+                den = {k: c for (_, k), c in ell.terms.items()}
+                prec = v_true + 10
+                want = from_rational(ctx.field, q, {0: 1}, den, prec)
+                got = monic_power_sum(ctx, d, 1, prec)
+                assert got.val == v_true
+                assert (got.val, got.coeffs) == (want.val, want.coeffs)
+            else:
+                assert monic_power_sum(ctx, d, 1, 200).is_zero()
+
+
+def test_mzv_bruteforce_budget():
+    ctx = CarlitzContext(2, 1, enum_budget=1000)
+    with pytest.raises(BudgetError):
+        mzv_bruteforce(ctx, Index((2, 1)), 10**6, 20)
+
+
+def test_mzv_enumerates_nothing():
+    for p in (2, 3):
+        starved = CarlitzContext(p, 1, enum_budget=1)
+        full = CarlitzContext(p, 1)
+        for entries in [(1,), (3,), (2, 1), (1, 2, 1)]:
+            s = Index(entries)
+            a, b = mzv(starved, s, 60), mzv(full, s, 60)
+            assert (a.val, a.coeffs, a.prec) == (b.val, b.coeffs, b.prec)
+        a = mzv(starved, Index((2, 1)), 30, max_degree=8)
+        b = mzv(full, Index((2, 1)), 30, max_degree=8)
+        assert (a.val, a.coeffs, a.prec) == (b.val, b.coeffs, b.prec)
 
 
 def test_mzv_depth_one_constant_term():
