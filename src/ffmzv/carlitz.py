@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from .errors import BudgetError
 from .ffield import FieldSpec, field as ff_field, ops
@@ -28,6 +29,12 @@ from .poly import BivarPoly, dense_theta_mul, t_minus_theta_frob
 from .reports import ResidualReport
 from . import tate
 from .tate import TateElement
+
+
+class CacheStats(NamedTuple):
+    hits: int
+    misses: int
+    size: int
 
 
 @dataclass
@@ -42,6 +49,8 @@ class CarlitzContext:
     field: FieldSpec = None  # type: ignore[assignment]
     q: int = 0
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _hits: int = dc_field(default=0, init=False, repr=False, compare=False)
+    _misses: int = dc_field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.field is None:
@@ -50,21 +59,36 @@ class CarlitzContext:
         if self.q < 2 or self.prec < 1:
             raise ValueError("q >= 2 and precision >= 1 required")
 
+    def cached(self, key, build: Callable[[], Any]) -> Any:
+        """The value stored under `key`, built by `build()` on the first call.
+
+        Cached values are shared by every caller and must not be mutated.
+        """
+        try:
+            val = self._cache[key]
+        except KeyError:
+            self._misses += 1
+            val = self._cache[key] = build()
+            return val
+        self._hits += 1
+        return val
+
+    def cache_stats(self) -> CacheStats:
+        return CacheStats(self._hits, self._misses, len(self._cache))
+
 
 def carlitz_d(ctx: CarlitzContext, i: int) -> BivarPoly:
     """D_i as an exact theta-polynomial, by the Frobenius recursion."""
-    key = ("D", i)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    if i == 0:
-        d = BivarPoly.one(ctx.field)
-    else:
+
+    def build() -> BivarPoly:
+        if i == 0:
+            return BivarPoly.one(ctx.field)
         prev = carlitz_d(ctx, i - 1)
         neg1 = ops(ctx.field).neg[1]
         lin = BivarPoly(ctx.field, {(0, ctx.q**i): 1, (0, 1): neg1})
-        d = lin * prev.twist(ctx.l)  # prev^q is the l-fold twist of a theta-poly
-    ctx._cache[key] = d
-    return d
+        return lin * prev.twist(ctx.l)  # prev^q is the l-fold twist of a theta-poly
+
+    return ctx.cached(("D", i), build)
 
 
 def carlitz_d_bruteforce(ctx: CarlitzContext, i: int, budget: int | None = None) -> BivarPoly:
@@ -125,35 +149,43 @@ def omega_series(
     """Truncated period product with certified tail (slope (q-1)q, offset q).
 
     `drop_factor` skips one factor of the product; the result then violates
-    the functional equation and serves as a negative control.
+    the functional equation and serves as a negative control.  The full
+    product is cached in the context per (tdeg, prec); a product with
+    `factors` or `drop_factor` set is built afresh on every call.
     """
     q, fld = ctx.q, ctx.field
     prec = ctx.prec if prec is None else prec
     tdeg = ctx.tdeg if tdeg is None else tdeg
-    work = prec + q + 2
-    nfac = omega_factor_count(q, work) if factors is None else factors
-    o = ops(fld)
-    acc = tate.from_laurent(monomial(fld, q, q, 1, work))  # the exact prefactor z^q
-    for i in range(1, nfac + 1):
-        if i == drop_factor:
-            continue
-        # 1 - t/theta^{q^i}: the t-coefficient is (-1)^{q^i + 1} z^{(q-1)q^i}
-        c = 1 if (q**i + 1) % 2 == 0 else o.neg[1]
-        fac = TateElement(
-            fld,
-            q,
-            [
-                LaurentSeries(fld, q, 0, [1], work),
-                monomial(fld, q, (q - 1) * q**i, c, work),
-            ],
-            None,
-            True,
-        )
-        acc = (acc * fac).truncate_tdeg(tdeg)
-    coeffs = list(acc.coeffs)
-    while len(coeffs) < tdeg + 1:
-        coeffs.append(LaurentSeries(fld, q, work, [], work))
-    return TateElement(fld, q, coeffs, ((q - 1) * q, q), False)
+
+    def build() -> TateElement:
+        work = prec + q + 2
+        nfac = omega_factor_count(q, work) if factors is None else factors
+        o = ops(fld)
+        acc = tate.from_laurent(monomial(fld, q, q, 1, work))  # the exact prefactor z^q
+        for i in range(1, nfac + 1):
+            if i == drop_factor:
+                continue
+            # 1 - t/theta^{q^i}: the t-coefficient is (-1)^{q^i + 1} z^{(q-1)q^i}
+            c = 1 if (q**i + 1) % 2 == 0 else o.neg[1]
+            fac = TateElement(
+                fld,
+                q,
+                [
+                    LaurentSeries(fld, q, 0, [1], work),
+                    monomial(fld, q, (q - 1) * q**i, c, work),
+                ],
+                None,
+                True,
+            )
+            acc = (acc * fac).truncate_tdeg(tdeg)
+        coeffs = list(acc.coeffs)
+        while len(coeffs) < tdeg + 1:
+            coeffs.append(LaurentSeries(fld, q, work, [], work))
+        return TateElement(fld, q, coeffs, ((q - 1) * q, q), False)
+
+    if factors is None and drop_factor is None:
+        return ctx.cached(("omega", tdeg, prec), build)
+    return build()
 
 
 def omega_for_eval(ctx: CarlitzContext, target: int) -> TateElement:

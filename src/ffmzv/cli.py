@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .carlitz import CarlitzContext, omega_functional_residual, omega_series, pi_tilde
@@ -91,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--rational", action="store_true", help="sample over F_p(t) instead")
             _add_common(sp, level=False)
         elif name == "suite":
-            sp.add_argument("--workers", type=int, default=None, help="default: $FFMZV_WORKERS or 1")
             sp.add_argument("--fixtures", default=None, help="override golden fixtures directory")
             _add_common(sp, level=False)
         else:
@@ -168,12 +166,8 @@ def _check_entry(name: str, status: str, detail: str, ms: int = 0) -> dict:
 def _run(args) -> int:
     cmd = args.command
     if cmd == "suite":
-        workers = args.workers
-        if workers is None:
-            workers = int(os.environ.get("FFMZV_WORKERS", "1"))
         cfg = RunConfig(
             seed=args.seed,
-            workers=max(1, workers),
             timings=args.timings,
             enum_budget=args.enum_budget,
             fixtures_dir=args.fixtures,

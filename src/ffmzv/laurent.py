@@ -321,8 +321,10 @@ def from_rational(
         raise ZeroDivisionError("zero denominator polynomial")
     deg_n = max((k for k, c in num.items() if c), default=0)
     deg_d = max(k for k, c in den.items() if c)
-    # slack so the propagated precision of the quotient reaches prec
-    work = prec + 2 * deg_d * (q - 1) + deg_n * (q - 1) + 2
+    # slack so the propagated precision of the quotient reaches prec; at least
+    # one digit past the denominator's valuation -(q-1)*deg_d, so that a
+    # negative prec never leaves it zero to precision
+    work = max(prec + 2 * deg_d * (q - 1) + deg_n * (q - 1) + 2, 1 - deg_d * (q - 1))
     n_series = from_theta_poly(field, q, num, work)
     d_series = from_theta_poly(field, q, den, work)
     return (n_series * d_series.inv()).truncate(prec)

@@ -14,6 +14,16 @@ verified in the positively twisted form
 inverse twists, which would leave the ramified coefficient ring.  This is an
 exact logical equivalence: apply the bijective l-fold twist to both sides.
 
+Mutation testing adds theta to each entry of Psi in turn, and every mutated
+residual must fail.  Entry (a, b) of the residual reads only row a of Phi,
+column b of the twisted Psi and Psi[a][b], and the mutation leaves the
+residual's precision and t-degree unchanged, so the mutation (i, j) twists
+only the mutated entry and recomputes only the entries (a, j) with a == i or
+Phi[a][i] != 0; the other entry checks are those of the unmutated residual.
+Should a mutation ever move the precision or t-degree, its residual is
+recomputed in full.  The (r-1, 0) mutation is always also recomputed in full
+by `frobenius_residual` as a spot check: a mismatch raises ConventionError.
+
 The block-group shells of the independence argument live at the bottom of
 the module: parameterized lower-triangular shapes (a) + X_{s_1} + ... with
 exact closure, inversion, and commutator checks over finite fields or a
@@ -26,9 +36,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .carlitz import CarlitzContext, omega_series
-from .errors import ShapeParseError
+from .errors import ConventionError, ShapeParseError
 from .ffield import FieldSpec, ops
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
@@ -205,6 +216,11 @@ def _poly_mat_mul(a, b, field: FieldSpec):
     return out
 
 
+def _theta_mutation(psi: MotiveMatrix) -> TateElement:
+    first = psi.entries[0][0]
+    return tate.from_poly(BivarPoly.theta(psi.field), first.q, first.coeffs[0].prec)
+
+
 def perturb_entry(psi: MotiveMatrix, i: int, j: int) -> MotiveMatrix:
     """Add theta to entry (i, j): a mutation no trivialization can absorb.
 
@@ -212,56 +228,84 @@ def perturb_entry(psi: MotiveMatrix, i: int, j: int) -> MotiveMatrix:
     rational column operation), so mutations use theta, which no entry can
     hide at any position.
     """
-    first = psi.entries[0][0]
-    th = tate.from_poly(BivarPoly.theta(psi.field), first.q, first.coeffs[0].prec)
     rows = [list(r) for r in psi.entries]
-    rows[i][j] = rows[i][j] + th
+    rows[i][j] = rows[i][j] + _theta_mutation(psi)
     return MotiveMatrix(psi.level, psi.size, psi.kind, tuple(map(tuple, rows)), psi.field)
 
 
-def frobenius_residual(phi: MotiveMatrix, psi: MotiveMatrix) -> ResidualReport:
-    """Max Gauss-norm exponent of Psi - Phi_stored * Psi^{(n)}, n = phi.level.
+class _Residual(NamedTuple):
+    """What every entry of Psi - Phi_stored * Psi^{(n)} shares."""
 
-    For a plain system n = l; for a derived system the stored matrix already
-    is (Phi')^{(ls)} and n = l*s, so the SAME Psi must satisfy the equation.
-    """
+    q: int
+    p0: int  # least stored z-precision of Psi
+    cap: int  # z-precision the twisted entries are capped at
+    tdeg: int  # t-degree the residual is checked to
+    shapes: list  # (least z-precision, exact, tdeg) of each Psi entry, row-major
+    mats: list  # Phi entries as exact Tate elements at cap, None where zero
+    cols: list  # columns of Psi^{(n)}, capped at cap
+
+
+def _p0_tdeg(shapes) -> tuple[int, int]:
+    p0 = min(m for m, _, _ in shapes)
+    # exact entries (the 1s and 0s) are reliable at every t-degree
+    tdeg = min((d for _, ex, d in shapes if not ex), default=max(d for _, _, d in shapes))
+    return p0, tdeg
+
+
+def _entry_shape(e: TateElement) -> tuple[int, bool, int]:
+    return min(c.prec for c in e.coeffs), e.exact, e.tdeg
+
+
+def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
     if phi.size != psi.size:
         raise ValueError("size mismatch")
     if phi.kind != "phi-exact" or psi.kind != "psi-series":
         raise ValueError("need an exact side and a series side")
     if phi.level % psi.level != 0:
         raise ValueError("twist level of the exact side must be a multiple of the series level")
-    n = phi.level
     q = psi.entries[0][0].q
-    r = psi.size
-    p0 = min(c.prec for row in psi.entries for e in row for c in e.coeffs)
+    shapes = [_entry_shape(e) for row in psi.entries for e in row]
+    p0, tdeg = _p0_tdeg(shapes)
     # the exact side has valuations down to -(q-1)*deg_theta; cap high enough
     # that multiplying by it still leaves p0 digits
     maxdeg = max(
         (pe.deg_theta() for row in phi.entries for pe in row if not pe.is_zero()), default=0
     )
     cap = p0 + (q - 1) * maxdeg + 8
-    tw = [[tate.twist(e, n).cap_precision(cap) for e in row] for row in psi.entries]
-    # exact entries (the 1s and 0s) are reliable at every t-degree
-    tdeg = min(
-        (e.tdeg for row in psi.entries for e in row if not e.exact),
-        default=max(e.tdeg for row in psi.entries for e in row),
-    )
+    mats = [
+        [None if pe.is_zero() else tate.from_poly(pe, q, cap) for pe in row] for row in phi.entries
+    ]
+    tw = [[tate.twist(e, phi.level).cap_precision(cap) for e in row] for row in psi.entries]
+    return _Residual(q, p0, cap, tdeg, shapes, mats, [list(c) for c in zip(*tw)])
+
+
+def _residual_entry(res: _Residual, a: int, entry: TateElement, col) -> tate.ZeroCheck:
+    """Zero check of entry - sum_k Phi[a][k] * col[k], where entry is Psi[a][b]
+    and col is column b of Psi^{(n)}."""
+    acc = None
+    for mat, tw in zip(res.mats[a], col):
+        if mat is None:
+            continue
+        term = (mat * tw).truncate_tdeg(res.tdeg)
+        acc = term if acc is None else acc + term
+    resid = entry.truncate_tdeg(res.tdeg) - acc if acc is not None else entry
+    return tate.zero_check(resid)
+
+
+def _entry_checks(res: _Residual, psi: MotiveMatrix) -> list[list[tate.ZeroCheck]]:
+    return [
+        [_residual_entry(res, a, e, res.cols[b]) for b, e in enumerate(row)]
+        for a, row in enumerate(psi.entries)
+    ]
+
+
+def _fold_residual(checks, q: int) -> ResidualReport:
+    """One report from the entry checks; the first worst entry in row-major order wins."""
     worst_v = None
     worst_loc = None
     floor = None
-    for i in range(r):
-        for j in range(r):
-            acc = None
-            for k in range(r):
-                pe = phi.entries[i][k]
-                if pe.is_zero():
-                    continue
-                mat = tate.from_poly(pe, q, cap)
-                term = (mat * tw[k][j]).truncate_tdeg(tdeg)
-                acc = term if acc is None else acc + term
-            resid = psi.entries[i][j].truncate_tdeg(tdeg) - acc if acc is not None else psi.entries[i][j]
-            chk = tate.zero_check(resid)
+    for i, row in enumerate(checks):
+        for j, chk in enumerate(row):
             floor = chk.floor_z if floor is None else min(floor, chk.floor_z)
             if not chk.ok and (worst_v is None or chk.worst_zval < worst_v):
                 worst_v = chk.worst_zval
@@ -274,17 +318,61 @@ def frobenius_residual(phi: MotiveMatrix, psi: MotiveMatrix) -> ResidualReport:
     )
 
 
+def frobenius_residual(phi: MotiveMatrix, psi: MotiveMatrix) -> ResidualReport:
+    """Max Gauss-norm exponent of Psi - Phi_stored * Psi^{(n)}, n = phi.level.
+
+    For a plain system n = l; for a derived system the stored matrix already
+    is (Phi')^{(ls)} and n = l*s, so the SAME Psi must satisfy the equation.
+    """
+    res = _residual_setup(phi, psi)
+    return _fold_residual(_entry_checks(res, psi), res.q)
+
+
+def _mutation_residual(
+    phi: MotiveMatrix, psi: MotiveMatrix, res: _Residual, checks, th: TateElement, i: int, j: int
+) -> ResidualReport:
+    """The report of frobenius_residual(phi, perturb_entry(psi, i, j)), given
+    the set-up and entry checks of the unmutated residual."""
+    new = psi.entries[i][j] + th
+    shapes = list(res.shapes)
+    shapes[i * psi.size + j] = _entry_shape(new)
+    if _p0_tdeg(shapes) != (res.p0, res.tdeg):
+        # the set-up is not shared: recompute in full
+        return frobenius_residual(phi, perturb_entry(psi, i, j))
+    col = list(res.cols[j])
+    col[i] = tate.twist(new, phi.level).cap_precision(res.cap)
+    out = [row[:] for row in checks]
+    for a in range(psi.size):
+        if a == i:
+            out[a][j] = _residual_entry(res, a, new, col)
+        elif res.mats[a][i] is not None:
+            out[a][j] = _residual_entry(res, a, psi.entries[a][j], col)
+    return _fold_residual(out, res.q)
+
+
 def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatrix) -> CheckReport:
-    """Perturb every entry of the series side once; all residuals must fail."""
+    """Perturb every entry of the series side once; all residuals must fail.
+
+    The residual of each mutation is computed incrementally; the (r-1, 0)
+    mutation is also recomputed in full, and a mismatch raises ConventionError.
+    """
+    res = _residual_setup(phi, psi)
+    checks = _entry_checks(res, psi)
+    th = _theta_mutation(psi)
+    r = psi.size
     survivors = []
-    for i in range(psi.size):
-        for j in range(psi.size):
-            rep = frobenius_residual(phi, perturb_entry(psi, i, j))
+    for i in range(r):
+        for j in range(r):
+            rep = _mutation_residual(phi, psi, res, checks, th, i, j)
+            if (i, j) == (r - 1, 0) and frobenius_residual(phi, perturb_entry(psi, i, j)) != rep:
+                raise ConventionError(
+                    f"incremental residual of mutation {(i, j)} differs from full recomputation"
+                )
             if rep.passed:
                 survivors.append((i, j))
     return CheckReport(
         passed=not survivors,
-        checked=psi.size * psi.size,
+        checked=r * r,
         failures=survivors,
         note="each surviving location is a mutation the residual failed to detect",
     )

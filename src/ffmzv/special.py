@@ -47,7 +47,7 @@ from math import comb
 from .carlitz import CarlitzContext, carlitz_factorial
 from .errors import BudgetError, ConventionError
 from .ffield import ops
-from .laurent import LaurentSeries, compare_to_precision, from_rational
+from .laurent import LaurentSeries, compare_to_precision, from_rational, theta_pow
 from .laurent import zero as ls_zero
 from .poly import BivarPoly, dense_theta_mul
 from .reports import CheckReport, IdentityReport
@@ -143,9 +143,10 @@ def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int | None = None
     if s < 1 or d < 0:
         raise ValueError("need s >= 1 and d >= 0")
     prec = ctx.prec if prec is None else prec
-    key = ("S", d, s, prec)
-    if key in ctx._cache:
-        return ctx._cache[key]
+    return ctx.cached(("S", d, s, prec), lambda: _monic_power_sum_dp(ctx, d, s, prec))
+
+
+def _monic_power_sum_dp(ctx: CarlitzContext, d: int, s: int, prec: int) -> LaurentSeries:
     q, p = ctx.q, ctx.p
     step = q - 1
     # u^N is the z-monomial of exponent step*N; N = d*s + D must stay below prec
@@ -171,9 +172,7 @@ def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int | None = None
         c = w * _binom_mod_p(s + k - 1, k, p)
         n = d * s + dd
         coeffs[step * n] += -c if (d + k + n) % 2 else c
-    acc = LaurentSeries(ctx.field, q, 0, [c % p for c in coeffs], prec)
-    ctx._cache[key] = acc
-    return acc
+    return LaurentSeries(ctx.field, q, 0, [c % p for c in coeffs], prec)
 
 
 def _monic_power_sum_enum(ctx: CarlitzContext, d: int, s: int, prec: int) -> LaurentSeries:
@@ -323,9 +322,10 @@ class _Frac:
 
 def anderson_thakur_polynomials(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
     """H_0..H_{s_max}; integral by construction (exact division, loud abort)."""
-    key = ("AT", s_max)
-    if key in ctx._cache:
-        return ctx._cache[key]
+    return ctx.cached(("AT", s_max), lambda: _at_polys(ctx, s_max))
+
+
+def _at_polys(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
     q, fld = ctx.q, ctx.field
     one = BivarPoly.one(fld)
     neg = ops(fld).neg
@@ -363,7 +363,6 @@ def anderson_thakur_polynomials(ctx: CarlitzContext, s_max: int) -> list[BivarPo
                 f"generating-series slot {s_idx} did not divide out: convention bug"
             )
         out.append(quot)
-    ctx._cache[key] = out
     return out
 
 
@@ -427,18 +426,17 @@ def _deltas(ctx: CarlitzContext, spec: CmplSpec) -> list[int]:
 
 def _ell_inv_pow(ctx: CarlitzContext, i: int, e: int, rel: int) -> LaurentSeries:
     """((theta - theta^q)...(theta - theta^{q^i}))^-e with rel relative z-digits."""
-    key = ("ellinv", i, e, rel)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    q, fld = ctx.q, ctx.field
-    neg = ops(fld).neg
-    poly = BivarPoly.one(fld)
-    for a in range(1, i + 1):
-        poly = poly * BivarPoly(fld, {(0, 1): 1, (0, q**a): neg[1]})
-    ser = poly.eval_theta(q, rel + 2)  # negative valuation, so relative > rel
-    val = ser.inv() ** e
-    ctx._cache[key] = val
-    return val
+
+    def build() -> LaurentSeries:
+        q, fld = ctx.q, ctx.field
+        neg = ops(fld).neg
+        poly = BivarPoly.one(fld)
+        for a in range(1, i + 1):
+            poly = poly * BivarPoly(fld, {(0, 1): 1, (0, q**a): neg[1]})
+        ser = poly.eval_theta(q, rel + 2)  # negative valuation, so relative > rel
+        return ser.inv() ** e
+
+    return ctx.cached(("ellinv", i, e, rel), build)
 
 
 def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> LaurentSeries:
@@ -494,9 +492,14 @@ def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> 
 def cmpl_series(
     ctx: CarlitzContext, spec: CmplSpec, tdeg: int | None = None, prec: int | None = None
 ) -> TateElement:
-    """The t-motivic polylogarithm as a Tate element with certified tail."""
+    """The t-motivic polylogarithm as a Tate element with certified tail,
+    cached in the context per (spec, tdeg, prec)."""
     prec = ctx.prec if prec is None else prec
     tdeg = ctx.tdeg if tdeg is None else tdeg
+    return ctx.cached(("cmpl", spec, tdeg, prec), lambda: _cmpl_series(ctx, spec, tdeg, prec))
+
+
+def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> TateElement:
     q, fld = ctx.q, ctx.field
     rep = convergence_report(ctx, spec)
     if not rep.passed:
@@ -526,15 +529,7 @@ def cmpl_series(
         # group the inverted linear factors by twist exponent
         for a in range(1, tup[0] + 1):
             e = sum(entries[j] for j in range(d) if tup[j] >= a)
-            key = ("teinv", a, e, tdeg, rel)
-            if key in ctx._cache:
-                fac = ctx._cache[key]
-            else:
-                from .laurent import theta_pow
-
-                c = theta_pow(fld, q, q**a, -(q - 1) * q**a + rel)
-                fac = tate.invert_linear_factor(c, e, tdeg)
-                ctx._cache[key] = fac
+            fac = ctx.cached(("teinv", a, e, tdeg, rel), lambda: _teinv(ctx, a, e, tdeg, rel))
             term = (term * fac).truncate_tdeg(tdeg)
         acc = acc + term
     coeffs = [c.truncate(work) for c in acc.coeffs]
@@ -542,6 +537,13 @@ def cmpl_series(
         coeffs.append(ls_zero(fld, q, work))
     tau_min = sum(deltas) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
     return TateElement(fld, q, coeffs[: tdeg + 1], (sigma, tau_min), False)
+
+
+def _teinv(ctx: CarlitzContext, a: int, e: int, tdeg: int, rel: int) -> TateElement:
+    """(t - theta^{q^a})^-e to t-degree tdeg, with rel relative z-digits."""
+    q = ctx.q
+    c = theta_pow(ctx.field, q, q**a, -(q - 1) * q**a + rel)
+    return tate.invert_linear_factor(c, e, tdeg)
 
 
 def cmpl_frobenius_residual(

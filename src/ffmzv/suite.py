@@ -2,16 +2,15 @@
 
 Each check is a pure function returning (status, detail); the runner
 aggregates them in name order into a versioned JSON-able report.  Output is
-byte-identical for identical (argv, seed) across runs and worker counts:
-check functions share no state, aggregation order is fixed by check name,
-and runtimes are reported as 0 unless timings are explicitly requested.
+byte-identical for identical (argv, seed) across runs: check functions share
+no state, aggregation order is fixed by check name, and runtimes are
+reported as 0 unless timings are explicitly requested.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -66,7 +65,6 @@ CONVENTIONS = {
 @dataclass
 class RunConfig:
     seed: int = 0
-    workers: int = 1
     timings: bool = False
     enum_budget: int = 10**6
     fixtures_dir: str | None = None
@@ -324,14 +322,7 @@ def run_suite(cfg: RunConfig) -> dict:
             "runtime_ms": ms if cfg.timings else 0,
         }
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_one, CHECKS))
-    else:
-        results = [run_one(item) for item in CHECKS]
-    results.sort(key=lambda r: r["name"])
-    # the worker count is deliberately NOT echoed: output must be
-    # byte-identical across worker configurations
+    results = sorted((run_one(item) for item in CHECKS), key=lambda r: r["name"])
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {

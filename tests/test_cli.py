@@ -109,12 +109,6 @@ def test_budget_cap_reported(capsys):
         assert "BudgetError" in checks[name]["detail"]
 
 
-def test_worker_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FFMZV_WORKERS", "3")
-    code, out, _ = run_cli(capsys, "suite")
-    assert code == 0 and json.loads(out)["passed"]
-
-
 def test_verify_period_low_precision_never_spurious(capsys):
     # a starved precision budget may verify fewer digits or report
     # "incomparable", but must never fabricate an inequality

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from ffmzv import tate
-from ffmzv.carlitz import CarlitzContext
-from ffmzv.errors import ShapeParseError
+from ffmzv import motive, tate
+from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_series
+from ffmzv.errors import ConventionError, ShapeParseError
 from ffmzv.ffield import field
 from ffmzv.motive import (
     BlockShape,
@@ -30,7 +30,7 @@ from ffmzv.motive import (
     _mat_mul,
 )
 from ffmzv.poly import BivarPoly, t_minus_theta_frob
-from ffmzv.special import Index, at_arguments, subclosure
+from ffmzv.special import CmplSpec, Index, _cmpl_series, at_arguments, cmpl_series, subclosure
 
 
 def test_phi_shape_depth_one_zero_argument():
@@ -106,6 +106,93 @@ def test_perturbed_bottom_right_is_killed():
     u = at_arguments(ctx, s)
     phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
     assert not frobenius_residual(phi, perturb_entry(psi, 1, 1)).passed
+
+
+def _mutation_systems(p, l):
+    ctx = CarlitzContext(p, l, prec=40, tdeg=6)
+    # s = q + 1 gives an argument of positive theta-degree; where every
+    # argument is 1, a missed off-diagonal entry would not change the report
+    big = ctx.q + 1
+    for entries in [(big,), (1, big), (1, 2, 1), (1, 1, big)]:
+        s = Index(entries)
+        u = at_arguments(ctx, s)
+        phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+        yield phi, psi
+        yield derived_matrix(phi, 2), psi
+
+
+def _assert_incremental_equals_full(phi, psi):
+    res = motive._residual_setup(phi, psi)
+    checks = motive._entry_checks(res, psi)
+    th = motive._theta_mutation(psi)
+    for i in range(psi.size):
+        for j in range(psi.size):
+            got = motive._mutation_residual(phi, psi, res, checks, th, i, j)
+            assert got == frobenius_residual(phi, perturb_entry(psi, i, j)), (i, j)
+
+
+@pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
+def test_incremental_mutation_residual_equals_full(p, l):
+    for phi, psi in _mutation_systems(p, l):
+        _assert_incremental_equals_full(phi, psi)
+
+
+def test_incremental_mutation_residual_equals_full_example_system():
+    ctx = CarlitzContext(2, 1, prec=40, tdeg=6)
+    _assert_incremental_equals_full(*example_system(ctx, 1, 3))
+
+
+def test_mutation_moving_the_precision_is_recomputed_in_full(monkeypatch):
+    ctx = CarlitzContext(3, 1, prec=40, tdeg=6)
+    s = Index((1, 2))
+    u = at_arguments(ctx, s)
+    phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+    calls = []
+    full = motive.frobenius_residual
+    monkeypatch.setattr(motive, "frobenius_residual", lambda *a: calls.append(a) or full(*a))
+    assert mutation_kill_report(ctx, phi, psi).passed
+    assert len(calls) == 1  # the spot check
+    # theta below the least stored precision lowers p0: no shared set-up
+    low = motive._residual_setup(phi, psi).p0 - 5
+    th = tate.from_poly(BivarPoly.theta(ctx.field), ctx.q, low)
+    monkeypatch.setattr(motive, "_theta_mutation", lambda _psi: th)
+    calls.clear()
+    assert mutation_kill_report(ctx, phi, psi).passed
+    assert len(calls) == psi.size**2 + 1
+    _assert_incremental_equals_full(phi, psi)
+
+
+def test_mutation_spot_check_catches_a_missed_mutation(monkeypatch):
+    ctx = CarlitzContext(2, 1, prec=40, tdeg=6)
+    s = Index((1, 2))
+    u = at_arguments(ctx, s)
+    phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+    unmutated = frobenius_residual(phi, psi)
+    monkeypatch.setattr(motive, "_mutation_residual", lambda *args: unmutated)
+    with pytest.raises(ConventionError):
+        mutation_kill_report(ctx, phi, psi)
+
+
+def test_cached_omega_and_window_series_equal_fresh_builds():
+    ctx = CarlitzContext(3, 1, prec=40, tdeg=8)
+    s = Index((1, 2, 1))
+    u = at_arguments(ctx, s)
+    om = omega_series(ctx)
+    windows = [CmplSpec(Index(s.entries[a:b]), u[a:b]) for a in range(3) for b in range(a + 1, 4)]
+    sers = [cmpl_series(ctx, w) for w in windows]
+    # a request's work reuses (and must not alter) the cached objects
+    psi = psi_matrix(ctx, u, s)
+    assert mutation_kill_report(ctx, phi_matrix(ctx, u, s), psi).passed
+    assert component_collapse_report(ctx, s, 4, 1).passed
+    hits = ctx.cache_stats().hits
+    assert omega_series(ctx) is om
+    assert all(cmpl_series(ctx, w) is ser for w, ser in zip(windows, sers))
+    assert ctx.cache_stats().hits == hits + 1 + len(windows)
+    # with `factors` set, the product is built afresh
+    fresh_om = omega_series(ctx, factors=omega_factor_count(ctx.q, ctx.prec + ctx.q + 2))
+    assert fresh_om is not om and tate.to_text(fresh_om) == tate.to_text(om)
+    for w, ser in zip(windows, sers):
+        assert tate.to_text(_cmpl_series(ctx, w, ctx.tdeg, ctx.prec)) == tate.to_text(ser)
 
 
 def test_direct_sum_blocks_and_residual_distribution():

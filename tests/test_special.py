@@ -133,6 +133,18 @@ def test_power_sum_matches_enumeration(case):
     assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
 
 
+@pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
+def test_power_sum_negative_precision_matches_enumeration(p, l):
+    # below z^0 both paths must return the zero-to-precision series
+    ctx = CarlitzContext(p, l)
+    for d in range(3):
+        for s in (1, 2, 3):
+            for prec in (-1, -2, -7, -20):
+                got = monic_power_sum(ctx, d, s, prec)
+                want = _monic_power_sum_enum(ctx, d, s, prec)
+                assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
 def test_power_sum_val_bound_beyond_enumeration():
     # Carlitz: S_d(1) = 1/l_d with l_d = prod_{i=1..d} (theta - theta^{q^i}),
     # so v_z(S_d(1)) = q(q^d - 1); at q = 2, d = 12 that is 8190
