@@ -28,3 +28,7 @@ class ShapeParseError(FfmzvError):
 
 class CertificateError(FfmzvError):
     """A series lacks the tail certificate needed for the operation."""
+
+
+class FieldSizeError(FfmzvError, ValueError):
+    """A finite field is too large for precomputed arithmetic tables."""

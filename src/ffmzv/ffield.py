@@ -4,12 +4,23 @@ Elements are encoded as integers in [0, p^m): the encoding of the residue
 class c_0 + c_1*g + ... + c_{m-1}*g^{m-1} (g a root of the modulus) is
 sum(c_i * p^i).  The modulus for (p, m) is the monic irreducible of degree m
 whose non-leading coefficient vector has the least integer encoding, so the
-same (p, m) always yields the same field, bit for bit.
+same (p, m) always yields the same field, bit for bit.  `field(p, m)` returns
+one shared FieldSpec per (p, m), so compatibility checks can test identity
+before equality.
 
-For the small fields used throughout (p^m <= 1024) full add/mul tables are
-precomputed; coefficient-heavy callers work on raw encodings through the
-cached :class:`FieldOps` object and only wrap into :class:`FfElem` at module
-boundaries.
+For fields with p^m <= 4096 full add/mul tables are precomputed by
+:class:`FieldOps`; coefficient-heavy callers work on raw encodings through
+the cached FieldOps object and only wrap into :class:`FfElem` at module
+boundaries.  Larger fields raise FieldSizeError.  The tables come from
+discrete logarithms: the least primitive element g (in encoding order) is
+found by stepping powers with one polynomial product mod the modulus each,
+which gives exp[k] = g^k and its inverse permutation log.  Then
+mul[a, b] = exp[log a + log b], inverses, negatives and Frobenius powers are
+exp/log lookups, and each add row is a block rotation of an earlier row,
+because adding a single digit c*p^j rotates digit j.  The build costs
+O(n^2) list writes instead of one polynomial reduction per pair;
+tests/test_ffield.py keeps the pairwise reduction as the oracle every table
+is compared against.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+from .errors import ConventionError, FieldSizeError
 
 _TABLE_CAP = 4096
 
@@ -82,7 +95,6 @@ def _encode(coeffs: Sequence[int], p: int) -> int:
     return val
 
 
-@lru_cache(maxsize=None)
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     for code in range(p**m):
         poly = _decode(code, m, p) + [1]
@@ -113,74 +125,111 @@ def field(p: int, m: int) -> FieldSpec:
         raise ValueError(f"p must be prime, got {p}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    return _canonical_field(p, m)
+
+
+@lru_cache(maxsize=None)
+def _canonical_field(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m, _least_irreducible(p, m))
 
 
-class FieldOps:
-    """Precomputed arithmetic tables for one FieldSpec (internal fast path)."""
+def _mul_by_reduction(a: int, b: int, spec: FieldSpec) -> int:
+    """Product of two encodings: polynomial product reduced by the modulus."""
+    p, m = spec.p, spec.m
+    db = _decode(b, m, p)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_decode(a, m, p)):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    return _encode(_poly_mod(prod, list(spec.modulus), p), p)
 
-    __slots__ = ("spec", "n", "p", "m", "add", "mul", "neg", "inv", "frob")
+
+def _primitive_powers(spec: FieldSpec) -> list[int]:
+    """[g^0, g^1, ..., g^(n-2)] for the least primitive element g."""
+    n = spec.order
+    for g in range(1, n):
+        exp, x = [], 1
+        while len(exp) < n - 1:
+            exp.append(x)
+            x = _mul_by_reduction(x, g, spec)
+            if x == 1:
+                break
+        if len(exp) == n - 1:
+            break
+    if sorted(exp) != list(range(1, n)):
+        raise ConventionError(f"no primitive element found in {spec}")
+    return exp
+
+
+class FieldOps:
+    """Precomputed arithmetic tables for one FieldSpec (internal fast path).
+
+    add/mul are row-major n*n tables; exp[k] = g^k for the primitive element
+    g and log inverts it on nonzero encodings (log[0] is a placeholder);
+    frobs[k][a] = a^(p^k) for 0 <= k < m.
+    """
+
+    __slots__ = ("spec", "n", "p", "m", "add", "mul", "neg", "inv", "frob", "exp", "log", "frobs")
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
         p, m = spec.p, spec.m
         n = p**m
         if n > _TABLE_CAP:
-            raise ValueError(f"field order {n} exceeds table cap {_TABLE_CAP}")
+            raise FieldSizeError(f"field order {n} exceeds table cap {_TABLE_CAP}")
+        self.spec = spec
         self.n, self.p, self.m = n, p, m
+        exp = _primitive_powers(spec)
+        log = [0] * n
+        for k, x in enumerate(exp):
+            log[x] = k
+        self.exp, self.log = exp, log
+
+        # row 0 is the identity; writing a = c*w + r with c*w the leading
+        # digit of a (w = p^j), a + b rotates digit j of b by c, so in every
+        # chunk of p*w entries row a is row r rotated left by c*w
         add = [0] * (n * n)
-        mul = [0] * (n * n)
-        for a in range(n):
-            da = _decode(a, m, p)
-            for b in range(a, n):
-                db = _decode(b, m, p)
-                s = _encode([(x + y) % p for x, y in zip(da, db)], p)
-                add[a * n + b] = s
-                add[b * n + a] = s
-                prod = [0] * (2 * m - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                r = _poly_mod(prod, list(spec.modulus), p)
-                v = _encode(r + [0] * (m - len(r)), p)
-                mul[a * n + b] = v
-                mul[b * n + a] = v
-        self.add = add
-        self.mul = mul
-        self.neg = [_encode([(-c) % p for c in _decode(a, m, p)], p) for a in range(n)]
-        inv = [0] * n
+        add[:n] = range(n)
+        w = 1
         for a in range(1, n):
-            inv[a] = self.pow(a, n - 2)
-        self.inv = inv
-        self.frob = [self.pow(a, p) for a in range(n)]
+            if a == w * p:
+                w = a
+            c, r = divmod(a, w)
+            chunk, shift = p * w, c * w
+            for base in range(0, n, chunk):
+                src, dst = r * n + base, a * n + base
+                add[dst : dst + chunk - shift] = add[src + shift : src + chunk]
+                add[dst + chunk - shift : dst + chunk] = add[src : src + shift]
+        self.add = add
+
+        exp2 = exp + exp
+        logs = log[1:]
+        mul = [0] * (n * n)
+        for a in range(1, n):
+            la = log[a]
+            mul[a * n + 1 : (a + 1) * n] = [exp2[la + lb] for lb in logs]
+        self.mul = mul
+
+        self.neg = mul[(p - 1) * n : p * n]  # row of -1
+        self.inv = [0] + [exp[-lb] for lb in logs]  # g^(-lb)
+        self.frob = [0] + [exp[p * lb % (n - 1)] for lb in logs]
+        frobs = [list(range(n))]
+        for _ in range(1, m):
+            frobs.append([self.frob[x] for x in frobs[-1]])
+        self.frobs = frobs
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a * self.n + self.neg[b]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            a = self.inv[a] if hasattr(self, "inv") else self.pow(a, self.n - 2)
-            e = -e
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero field element")
             return 1 if e == 0 else 0
-        e %= self.n - 1  # element order divides p^m - 1
-        result, base, mul, n = 1, a, self.mul, self.n
-        while e:
-            if e & 1:
-                result = mul[result * n + base]
-            base = mul[base * n + base]
-            e >>= 1
-        return result
+        return self.exp[self.log[a] * e % (self.n - 1)]
 
     def frob_n(self, a: int, n_fold: int) -> int:
-        k = n_fold % self.m
-        frob = self.frob
-        for _ in range(k):
-            a = frob[a]
-        return a
+        return self.frobs[n_fold % self.m][a]
 
     def from_int(self, c: int) -> int:
         # image of the rational integer c under Z -> F_p -> F_{p^m}
@@ -204,7 +253,7 @@ class FfElem:
         return tuple(_decode(self.value, self.spec.m, self.spec.p))
 
     def _check(self, other: "FfElem") -> FieldOps:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError("mixed field specs")
         return ops(self.spec)
 

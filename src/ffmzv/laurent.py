@@ -61,7 +61,7 @@ class LaurentSeries:
         return not self.coeffs
 
     def _compat(self, other: "LaurentSeries") -> None:
-        if self.field != other.field or self.q != other.q:
+        if (self.field is not other.field and self.field != other.field) or self.q != other.q:
             raise ValueError("mixed Laurent series rings")
 
     def coeff(self, k: int) -> int:

@@ -21,8 +21,10 @@ residual's precision and t-degree unchanged, so the mutation (i, j) twists
 only the mutated entry and recomputes only the entries (a, j) with a == i or
 Phi[a][i] != 0; the other entry checks are those of the unmutated residual.
 Should a mutation ever move the precision or t-degree, its residual is
-recomputed in full.  The (r-1, 0) mutation is always also recomputed in full
-by `frobenius_residual` as a spot check: a mismatch raises ConventionError.
+recomputed in full.  One mutation is always also recomputed in full by
+`frobenius_residual` as a spot check, and a mismatch raises ConventionError:
+(r-2, 0) when r >= 2, whose update covers both the mutated entry and the
+entry (r-1, 0) below it that Phi's subdiagonal feeds, else (0, 0).
 
 The block-group shells of the independence argument live at the bottom of
 the module: parameterized lower-triangular shapes (a) + X_{s_1} + ... with
@@ -353,18 +355,20 @@ def _mutation_residual(
 def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatrix) -> CheckReport:
     """Perturb every entry of the series side once; all residuals must fail.
 
-    The residual of each mutation is computed incrementally; the (r-1, 0)
-    mutation is also recomputed in full, and a mismatch raises ConventionError.
+    The residual of each mutation is computed incrementally; the (r-2, 0)
+    mutation ((0, 0) when r == 1) is also recomputed in full, and a mismatch
+    raises ConventionError.
     """
     res = _residual_setup(phi, psi)
     checks = _entry_checks(res, psi)
     th = _theta_mutation(psi)
     r = psi.size
+    spot = (max(r - 2, 0), 0)
     survivors = []
     for i in range(r):
         for j in range(r):
             rep = _mutation_residual(phi, psi, res, checks, th, i, j)
-            if (i, j) == (r - 1, 0) and frobenius_residual(phi, perturb_entry(psi, i, j)) != rep:
+            if (i, j) == spot and frobenius_residual(phi, perturb_entry(psi, i, j)) != rep:
                 raise ConventionError(
                     f"incremental residual of mutation {(i, j)} differs from full recomputation"
                 )

@@ -56,7 +56,7 @@ class TateElement:
         self.exact = exact
 
     def _compat(self, other: "TateElement") -> None:
-        if self.field != other.field or self.q != other.q:
+        if (self.field is not other.field and self.field != other.field) or self.q != other.q:
             raise ValueError("mixed Tate algebras")
 
     def coeff(self, k: int) -> LaurentSeries:

@@ -6,7 +6,61 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ffmzv import ffield
-from ffmzv.ffield import elem, embed, field, frobenius
+from ffmzv.cli import main
+from ffmzv.errors import ConventionError, FieldSizeError
+from ffmzv.ffield import FieldSpec, elem, embed, field, frobenius
+
+
+def _product_by_reduction(spec, a, b):
+    # one schoolbook product of two encodings, reduced by the modulus
+    p, m = spec.p, spec.m
+    da, db = ffield._decode(a, m, p), ffield._decode(b, m, p)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    r = ffield._poly_mod(prod, list(spec.modulus), p)
+    return ffield._encode(r + [0] * (m - len(r)), p)
+
+
+def _pow_by_squaring(mul, n, a, e):
+    # square-and-multiply over a mul table, negative e through a^(n-2)
+    if e < 0:
+        if a == 0:
+            raise ZeroDivisionError
+        a, e = _pow_by_squaring(mul, n, a, n - 2), -e
+    if a == 0:
+        return 1 if e == 0 else 0
+    e %= n - 1
+    result = 1
+    while e:
+        if e & 1:
+            result = mul[result * n + a]
+        a = mul[a * n + a]
+        e >>= 1
+    return result
+
+
+def _tables_by_reduction(spec):
+    """add, mul, neg, inv, frob built pair by pair by polynomial reduction."""
+    p, m, n = spec.p, spec.m, spec.order
+    add = [0] * (n * n)
+    mul = [0] * (n * n)
+    for a in range(n):
+        da = ffield._decode(a, m, p)
+        for b in range(a, n):
+            db = ffield._decode(b, m, p)
+            add[a * n + b] = add[b * n + a] = ffield._encode([x + y for x, y in zip(da, db)], p)
+            mul[a * n + b] = mul[b * n + a] = _product_by_reduction(spec, a, b)
+    neg = [ffield._encode([-c for c in ffield._decode(a, m, p)], p) for a in range(n)]
+    inv = [0] + [_pow_by_squaring(mul, n, a, n - 2) for a in range(1, n)]
+    frob = [_pow_by_squaring(mul, n, a, p) for a in range(n)]
+    return {"add": add, "mul": mul, "neg": neg, "inv": inv, "frob": frob}
+
+
+_PRIMES_TO_256 = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
+_FIELDS_TO_256 = [(p, m) for p in _PRIMES_TO_256 for m in range(1, 9) if p**m <= 256]
 
 
 def _poly_divides(den, num, p):
@@ -164,3 +218,62 @@ def test_pow_additivity(v, i, j):
     spec = field(3, 2)
     a = elem(spec, v)
     assert (a ** (i + j)).value == (a**i * a**j).value
+
+
+@pytest.mark.parametrize("p,m", _FIELDS_TO_256)
+def test_tables_equal_the_reduction_oracle(p, m):
+    spec = field(p, m)
+    o = ffield.FieldOps(spec)
+    for name, table in _tables_by_reduction(spec).items():
+        assert getattr(o, name) == table, name
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (2, 10), (3, 7)])
+def test_large_field_products_equal_the_oracle_on_random_pairs(p, m):
+    spec = field(p, m)
+    o = ffield.FieldOps(spec)  # not ops(): keep the large tables out of the cache
+    rng = random.Random(p * 100 + m)
+    for _ in range(400):
+        a, b = rng.randrange(o.n), rng.randrange(o.n)
+        assert o.mul[a * o.n + b] == _product_by_reduction(spec, a, b)
+        if a:
+            assert o.mul[a * o.n + o.inv[a]] == 1
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2)])
+def test_pow_and_frob_n_equal_square_and_multiply(p, m):
+    o = ffield.ops(field(p, m))
+    n = o.n
+    exponents = [-(3 * n + 1), -n, -2, -1, 0, 1, 2, n - 2, n - 1, n, n + 1, 5 * n + 3, 3**40]
+    for a in range(n):
+        for e in exponents:
+            if a == 0 and e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    o.pow(a, e)
+            else:
+                assert o.pow(a, e) == _pow_by_squaring(o.mul, n, a, e), (a, e)
+        for k in (-7 * m - 1, -m, -1, 0, 1, m, m + 1, 10**6 + 1):
+            assert o.frob_n(a, k) == _pow_by_squaring(o.mul, n, a, p ** (k % m)), (a, k)
+
+
+def test_reducible_modulus_has_no_primitive_element():
+    # x^2 + 1 = (x + 1)^2 over F_2: the residue ring is not a field
+    with pytest.raises(ConventionError, match="primitive"):
+        ffield.FieldOps(FieldSpec(2, 2, (1, 0, 1)))
+
+
+def test_field_order_above_the_table_cap_is_a_typed_error(capsys):
+    with pytest.raises(FieldSizeError, match="table cap 4096"):
+        ffield.FieldOps(field(2, 13))
+    assert issubclass(FieldSizeError, ValueError)
+    assert main(["group-closure", "--indices", "1,2", "--gf", "2,13", "--samples", "2"]) == 1
+    assert "FieldSizeError" in capsys.readouterr().err
+
+
+def test_field_spec_is_interned():
+    assert field(3, 4) is field(3, 4)
+    assert field(3, 4) is not field(3, 3)
+    # a spec built directly still works wherever an equal interned one does
+    twin = FieldSpec(3, 4, field(3, 4).modulus)
+    assert twin is not field(3, 4)
+    assert (elem(twin, 5) + elem(field(3, 4), 7)).value == (elem(field(3, 4), 5) + elem(field(3, 4), 7)).value

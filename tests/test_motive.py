@@ -173,6 +173,35 @@ def test_mutation_spot_check_catches_a_missed_mutation(monkeypatch):
         mutation_kill_report(ctx, phi, psi)
 
 
+def test_mutation_spot_check_covers_the_entry_below(monkeypatch):
+    # a mutant that updates only the mutated entry, never the entries that
+    # Phi's subdiagonal feeds; s = q + 1 makes the missed entry matter
+    ctx = CarlitzContext(2, 1, prec=40, tdeg=6)
+    s = Index((1, ctx.q + 1))
+    u = at_arguments(ctx, s)
+    phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+
+    def own_entry_only(phi, psi, res, checks, th, i, j):
+        new = psi.entries[i][j] + th
+        col = list(res.cols[j])
+        col[i] = tate.twist(new, phi.level).cap_precision(res.cap)
+        out = [row[:] for row in checks]
+        out[i][j] = motive._residual_entry(res, i, new, col)
+        return motive._fold_residual(out, res.q)
+
+    monkeypatch.setattr(motive, "_mutation_residual", own_entry_only)
+    # every mutation still fails, so only the spot check can see the mutant
+    res = motive._residual_setup(phi, psi)
+    checks = motive._entry_checks(res, psi)
+    th = motive._theta_mutation(psi)
+    r = psi.size
+    assert not any(
+        own_entry_only(phi, psi, res, checks, th, i, j).passed for i in range(r) for j in range(r)
+    )
+    with pytest.raises(ConventionError, match=rf"mutation \({r - 2}, 0\)"):
+        mutation_kill_report(ctx, phi, psi)
+
+
 def test_cached_omega_and_window_series_equal_fresh_builds():
     ctx = CarlitzContext(3, 1, prec=40, tdeg=8)
     s = Index((1, 2, 1))
