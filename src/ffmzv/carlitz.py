@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import product
 from typing import Any, Callable, NamedTuple
 
 from .errors import BudgetError
@@ -91,6 +92,12 @@ def carlitz_d(ctx: CarlitzContext, i: int) -> BivarPoly:
     return ctx.cached(("D", i), build)
 
 
+def monic_coeff_lists(q: int, d: int):
+    """Dense coefficient lists (lowest first) of the q^d monic polynomials of
+    degree d over F_q, in encoding order (the constant term varies fastest)."""
+    return ([*reversed(digits), 1] for digits in product(range(q), repeat=d))
+
+
 def carlitz_d_bruteforce(ctx: CarlitzContext, i: int, budget: int | None = None) -> BivarPoly:
     """Product over all q^i monic polynomials of degree i (enumeration oracle)."""
     cap = ctx.enum_budget if budget is None else budget
@@ -98,15 +105,8 @@ def carlitz_d_bruteforce(ctx: CarlitzContext, i: int, budget: int | None = None)
         raise BudgetError(f"enumerating {ctx.q**i} monic polynomials exceeds budget {cap}")
     if i == 0:
         return BivarPoly.one(ctx.field)
-    q, fld = ctx.q, ctx.field
-    polys = []
-    for code in range(q**i):
-        coeffs = []
-        c = code
-        for _ in range(i):
-            coeffs.append(c % q)
-            c //= q
-        polys.append(coeffs + [1])
+    fld = ctx.field
+    polys = list(monic_coeff_lists(ctx.q, i))
     # balanced product tree over packed dense multiplications
     while len(polys) > 1:
         nxt = [
@@ -186,6 +186,20 @@ def omega_series(
     if factors is None and drop_factor is None:
         return ctx.cached(("omega", tdeg, prec), build)
     return build()
+
+
+def omega_power(ctx: CarlitzContext, e: int, tdeg: int, prec: int) -> TateElement:
+    """Omega^e by repeated multiplication with `omega_series(ctx, tdeg, prec)`,
+    cached in the context per (tdeg, prec, e); Omega^0 is the exact 1."""
+
+    def build() -> TateElement:
+        if e == 0:
+            return tate.one(ctx.field, ctx.q, prec + ctx.q + 2, 0)
+        if e == 1:
+            return omega_series(ctx, tdeg=tdeg, prec=prec)
+        return omega_power(ctx, e - 1, tdeg, prec) * omega_power(ctx, 1, tdeg, prec)
+
+    return ctx.cached(("omega", tdeg, prec, e), build)
 
 
 def omega_for_eval(ctx: CarlitzContext, target: int) -> TateElement:

@@ -21,10 +21,23 @@ because adding a single digit c*p^j rotates digit j.  The build costs
 O(n^2) list writes instead of one polynomial reduction per pair;
 tests/test_ffield.py keeps the pairwise reduction as the oracle every table
 is compared against.
+
+`dense_mul(spec, a, b, n)` is the one dense product of coefficient lists,
+used by Laurent series and theta-polynomials.  Its path depends on m and on
+the rows a schoolbook would run, the nonzero coefficients of the shorter
+factor (series in z^(q-1) are mostly zeros).  m = 1: one big-int product
+with each coefficient in a byte-aligned `array` slot (8 to 64 bits) wide
+enough for (p-1)^2 * min(len a, len b), so no slot carries.  m = 2:
+Karatsuba, three packed F_p products over the two digits of each encoding.
+m >= 3 or few rows: the table schoolbook.  The oracle for every path is the
+double loop in tests/test_ffield.py.  The primitive-element search keeps its
+own product, because it builds the tables the kernel reads.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -32,6 +45,11 @@ from typing import Sequence
 from .errors import ConventionError, FieldSizeError
 
 _TABLE_CAP = 4096
+
+# fewest schoolbook rows at which the packed (m = 1) and Karatsuba (m = 2)
+# paths of dense_mul beat the table schoolbook (measured, see CHANGES.md)
+_PACKED_MIN, _KARATSUBA_MIN = 2, 10
+_SLOTS = tuple((array(c).itemsize * 8, c) for c in "BHIQ")  # (bits, typecode), narrowest first
 
 
 def _is_prime(n: int) -> bool:
@@ -236,9 +254,71 @@ class FieldOps:
         return c % self.p
 
 
-@lru_cache(maxsize=None)
+_ops_by_value = lru_cache(maxsize=None)(FieldOps)  # equal specs share one FieldOps
+_OPS: dict[int, tuple[FieldSpec, FieldOps]] = {}  # by id; holding the spec keeps its id unique
+
+
 def ops(spec: FieldSpec) -> FieldOps:
-    return FieldOps(spec)
+    """The FieldOps of spec, looked up by identity instead of by hash."""
+    entry = _OPS.get(id(spec))
+    if entry is None:
+        entry = _OPS[id(spec)] = (spec, _ops_by_value(spec))
+    return entry[1]
+
+
+# -- the dense product kernel ----------------------------------------------------
+
+
+def _packed_mul(a: list[int], b: list[int], p: int, n: int) -> array:
+    """First n unreduced coefficients of a*b for digits below p; a slot sum is
+    below 2^24 * min(len a, len b), so 64 bits hold any list that fits in memory."""
+    bound = (p - 1) ** 2 * min(len(a), len(b))
+    for bits, code in _SLOTS:
+        if not bound >> bits:
+            break
+    x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
+    y = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
+    size = bits // 8
+    return array(code, (x * y).to_bytes(size * (len(a) + len(b) - 1), sys.byteorder)[: size * n])
+
+
+def dense_mul(spec: FieldSpec, a: list[int], b: list[int], n: int | None = None) -> list[int]:
+    """The first n coefficients of a*b (all when n is None) for dense lists of
+    encodings, lowest degree first: min(n, len(a) + len(b) - 1) entries, never
+    padded, and none when a factor is empty."""
+    if not a or not b:
+        return []
+    full = len(a) + len(b) - 1
+    n = full if n is None else max(0, min(n, full))
+    a, b = (a, b) if len(a) <= len(b) else (b, a)  # a is the shorter factor
+    if len(b) > n:
+        a, b = a[:n], b[:n]
+    # the schoolbook runs one row per nonzero coefficient of a
+    rows = len(a) - a.count(0)
+    p, m = spec.p, spec.m
+    if m == 1 and rows >= _PACKED_MIN:
+        return [c % p for c in _packed_mul(a, b, p, n)]
+    if m == 2 and rows >= _KARATSUBA_MIN:
+        # a = a0 + a1*g digit-wise; the middle product gives the cross term
+        a0, a1 = [c % p for c in a], [c // p for c in a]
+        b0, b1 = [c % p for c in b], [c // p for c in b]
+        lo, hi = _packed_mul(a0, b0, p, n), _packed_mul(a1, b1, p, n)
+        a01, b01 = [(x + y) % p for x, y in zip(a0, a1)], [(x + y) % p for x, y in zip(b0, b1)]
+        mid = _packed_mul(a01, b01, p, n)
+        mu0, mu1 = -spec.modulus[0] % p, -spec.modulus[1] % p  # g^2 = mu0 + mu1*g
+        return [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(lo, mid, hi)]
+    o = ops(spec)
+    mul, add, q = o.mul, o.add, o.n
+    if len(a) == 1:  # a scalar multiple of b: no sums
+        base = a[0] * q
+        return [mul[base + y] for y in b]
+    lb = len(b)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            base = x * q
+            out[i : i + lb] = [add[s * q + mul[base + y]] for s, y in zip(out[i : i + lb], b)]
+    return out
 
 
 @dataclass(frozen=True)

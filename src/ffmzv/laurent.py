@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PrecisionError
-from .ffield import FieldSpec, ops
+from .ffield import FieldSpec, dense_mul, ops
 
 
 class LaurentSeries:
@@ -110,34 +110,7 @@ class LaurentSeries:
         self._compat(other)
         val = self.val + other.val
         prec = min(self.val + other.prec, other.val + self.prec)
-        la, lb = len(self.coeffs), len(other.coeffs)
-        out_len = min(prec - val, la + lb - 1) if la and lb else 0
-        if out_len <= 0:
-            return LaurentSeries(self.field, self.q, prec, [], prec)
-        fa, fb = self.coeffs, other.coeffs
-        o = ops(self.field)
-        if o.m == 1:
-            p = o.p
-            out = [0] * out_len
-            for i in range(min(la, out_len)):
-                ai = fa[i]
-                if ai:
-                    lim = min(lb, out_len - i)
-                    for j in range(lim):
-                        out[i + j] += ai * fb[j]
-            out = [c % p for c in out]
-        else:
-            mul, add, n = o.mul, o.add, o.n
-            out = [0] * out_len
-            for i in range(min(la, out_len)):
-                ai = fa[i]
-                if ai:
-                    lim = min(lb, out_len - i)
-                    base = ai * n
-                    for j in range(lim):
-                        bj = fb[j]
-                        if bj:
-                            out[i + j] = add[out[i + j] * n + mul[base + bj]]
+        out = dense_mul(self.field, self.coeffs, other.coeffs, prec - val)
         return LaurentSeries(self.field, self.q, val, out, prec)
 
     def scalar_mul(self, c: int) -> "LaurentSeries":

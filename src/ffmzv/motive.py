@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .carlitz import CarlitzContext, omega_series
+from .carlitz import CarlitzContext, omega_power, omega_series
 from .errors import ConventionError, ShapeParseError
 from .ffield import FieldSpec, ops
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
@@ -126,18 +126,14 @@ def psi_matrix(
     fld, q = ctx.field, ctx.q
     d = s.dep
     sw = _suffix_weights(s)
-    om = omega_series(ctx, tdeg=tdeg, prec=prec)
-    ompow: dict[int, TateElement] = {0: tate.one(fld, q, prec + q + 2, 0)}
-    for e in range(1, max(sw) + 1):
-        ompow[e] = ompow[e - 1] * om if e > 1 else om
     zero = tate.zero(fld, q, prec, tdeg)
     rows = [[zero for _ in range(d + 1)] for _ in range(d + 1)]
     for col in range(d + 1):
-        rows[col][col] = ompow[sw[col]]
+        diag = rows[col][col] = omega_power(ctx, sw[col], tdeg, prec)
         for row in range(col + 1, d + 1):
             window = CmplSpec(Index(s.entries[col:row]), tuple(u[col:row]))
             ser = cmpl_series(ctx, window, tdeg, prec)
-            rows[row][col] = (ompow[sw[col]] * ser).truncate_tdeg(tdeg)
+            rows[row][col] = (diag * ser).truncate_tdeg(tdeg)
     return MotiveMatrix(ctx.l, d + 1, "psi-series", tuple(map(tuple, rows)), fld)
 
 
@@ -415,14 +411,9 @@ def component_collapse_report(
         raise ValueError("need 1 <= j <= i <= dep + 1")
     fld, q = ctx.field, ctx.q
     d = s.dep
-    om = omega_series(ctx, tdeg=tdeg, prec=prec)
-
-    def omega_pow(e: int) -> TateElement:
-        return om**e if e else tate.one(fld, q, prec + q + 2, 0)
 
     if i == j:
-        wt = sum(s.entries[i - 1 :])
-        w = omega_pow(wt)
+        w = omega_power(ctx, sum(s.entries[i - 1 :]), tdeg, prec)
         prod = w * tate.invert_unit(w)
         resid = prod - tate.one(fld, q, min(c.prec for c in prod.coeffs), 0)
         chk = tate.zero_check(resid)
@@ -439,7 +430,7 @@ def component_collapse_report(
             window = CmplSpec(Index(s.entries[b - 1 : a - 1]), tuple(u[b - 1 : a - 1]))
             L[(a, b)] = cmpl_series(ctx, window, tdeg, prec)
         L[(a, a)] = tate.one(fld, q, prec + 4, 0)
-    ompow = omega_pow(sum(s.entries[j - 1 : i - 1]))
+    ompow = omega_power(ctx, sum(s.entries[j - 1 : i - 1]), tdeg, prec)
     acc = None
     for n in range(j, i + 1):
         # inverse-of-unipotent chain coefficient from n up to i

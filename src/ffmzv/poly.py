@@ -3,15 +3,14 @@
 Sparse dict representation {(deg_t, deg_theta): coeff encoding}.  These carry
 the Frobenius-twist action (t fixed, theta-exponents scaled by p^n,
 coefficients raised to p^n) and evaluate at t = theta into truncated Laurent
-series.  A packed dense multiplication for univariate theta-polynomials is
-provided for the brute-force product oracles, which otherwise would be
-quadratically slow at enumeration scale.
+series.  `dense_theta_mul` multiplies dense univariate theta-coefficient
+lists for the brute-force product oracles through `ffield.dense_mul`.
 """
 
 from __future__ import annotations
 
 from .errors import ConventionError
-from .ffield import FieldSpec, element_text, ops
+from .ffield import FieldSpec, dense_mul, element_text, ops
 from .laurent import LaurentSeries
 from .laurent import zero as ls_zero
 
@@ -255,60 +254,6 @@ def parse_poly(field: FieldSpec, text: str) -> BivarPoly:
     return result
 
 
-# -- packed dense univariate products (oracle fast path) ----------------------
-
-
-def _packed_mul_prime(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    n = min(len(a), len(b))
-    stride = max(((p - 1) * (p - 1) * n).bit_length() + 1, 4)
-    mask = (1 << stride) - 1
-    xa = sum(c << (stride * i) for i, c in enumerate(a))
-    xb = sum(c << (stride * i) for i, c in enumerate(b))
-    prod = xa * xb
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((prod & mask) % p)
-        prod >>= stride
-    return out
-
-
 def dense_theta_mul(field: FieldSpec, a: list[int], b: list[int]) -> list[int]:
-    """Product of dense theta-coefficient lists (encodings); fast for m <= 2."""
-    p, m = field.p, field.m
-    if m == 1:
-        return _packed_mul_prime(a, b, p)
-    if m == 2:
-        a0 = [c % p for c in a]
-        a1 = [c // p for c in a]
-        b0 = [c % p for c in b]
-        b1 = [c // p for c in b]
-        # g^2 = mu0 + mu1*g from the modulus
-        mu0 = (-field.modulus[0]) % p
-        mu1 = (-field.modulus[1]) % p
-        psum = lambda x, y: [(u + v) % p for u, v in zip(x, y)]
-        p00 = _packed_mul_prime(a0, b0, p)
-        p11 = _packed_mul_prime(a1, b1, p)
-        pmid = _packed_mul_prime(psum(a0, a1), psum(b0, b1), p)
-        ln = len(a) + len(b) - 1
-        out = [0] * ln
-        for i in range(ln):
-            ab00 = p00[i] if i < len(p00) else 0
-            ab11 = p11[i] if i < len(p11) else 0
-            cross = ((pmid[i] if i < len(pmid) else 0) - ab00 - ab11) % p
-            c0 = (ab00 + mu0 * ab11) % p
-            c1 = (cross + mu1 * ab11) % p
-            out[i] = c0 + p * c1
-        return out
-    # generic fallback: table-driven schoolbook
-    o = ops(field)
-    mul, add, n = o.mul, o.add, o.n
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            base = x * n
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = add[out[i + j] * n + mul[base + y]]
-    return out
+    """Product of dense theta-coefficient lists (encodings), by ffield.dense_mul."""
+    return dense_mul(field, a, b)

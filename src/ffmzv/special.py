@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .carlitz import CarlitzContext, carlitz_factorial
+from .carlitz import CarlitzContext, carlitz_factorial, monic_coeff_lists
 from .errors import BudgetError, ConventionError
 from .ffield import ops
 from .laurent import LaurentSeries, compare_to_precision, from_rational, theta_pow
@@ -114,16 +114,6 @@ def power_sum_val_bound(q: int, d: int, s: int) -> int:
     return (q - 1) * (d * s + (q - 1) * d * (d + 1) // 2)
 
 
-def _monic_coeff_lists(q: int, d: int):
-    for code in range(q**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % q)
-            c //= q
-        yield coeffs + [1]
-
-
 @lru_cache(maxsize=1 << 16)
 def _binom_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by Lucas's theorem, digit by digit in base p."""
@@ -181,7 +171,7 @@ def _monic_power_sum_enum(ctx: CarlitzContext, d: int, s: int, prec: int) -> Lau
     if q**d > ctx.enum_budget:
         raise BudgetError(f"{q**d} monic polynomials exceed budget {ctx.enum_budget}")
     acc = ls_zero(fld, q, prec)
-    for coeffs in _monic_coeff_lists(q, d):
+    for coeffs in monic_coeff_lists(q, d):
         a_pow = coeffs
         for _ in range(s - 1):
             a_pow = dense_theta_mul(fld, a_pow, coeffs)
@@ -284,7 +274,7 @@ def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) ->
             )
     acc = ls_zero(fld, q, prec + 2)
     for tup in _all_decreasing_tuples(d, max_degree):
-        pools = [list(_monic_coeff_lists(q, dv)) for dv in tup]
+        pools = [list(monic_coeff_lists(q, dv)) for dv in tup]
         stack = [(0, [1])]  # (position, accumulated denominator poly)
         while stack:
             pos, den = stack.pop()

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ffmzv import ffield
 from ffmzv.cli import main
@@ -277,3 +277,91 @@ def test_field_spec_is_interned():
     twin = FieldSpec(3, 4, field(3, 4).modulus)
     assert twin is not field(3, 4)
     assert (elem(twin, 5) + elem(field(3, 4), 7)).value == (elem(field(3, 4), 5) + elem(field(3, 4), 7)).value
+
+
+def test_ops_looks_up_directly_built_specs_by_identity():
+    canonical = field(3, 2)  # modulus x^2 + 1
+    twin = FieldSpec(3, 2, canonical.modulus)
+    assert ffield.ops(twin) is ffield.ops(twin)
+    assert ffield.ops(twin).mul == ffield.ops(canonical).mul
+    # other moduli get their own tables, even where a dropped spec's id comes back
+    for modulus in [(2, 1, 1), (2, 2, 1)]:
+        spec = FieldSpec(3, 2, modulus)
+        assert ffield.ops(spec).spec == spec
+        assert ffield.ops(spec).mul == _tables_by_reduction(spec)["mul"]
+        del spec
+
+
+# -- the dense product kernel ------------------------------------------------
+
+
+def schoolbook_product(spec, a, b):
+    """The table schoolbook every dense_mul path is compared against (oracle)."""
+    o = ffield.ops(spec)
+    mul, add, n = o.mul, o.add, o.n
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            base = x * n
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add[out[i + j] * n + mul[base + y]]
+    return out
+
+
+# every dense_mul path: packed (m = 1), Karatsuba (m = 2), schoolbook (m = 3)
+KERNEL_FIELDS = [(2, 1), (3, 1), (5, 1), (251, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]
+
+
+@st.composite
+def _factor_pairs(draw):
+    # F_9 also under x^2 + x + 2, whose g^2 = -2 - g exercises both Karatsuba terms
+    spec = draw(st.sampled_from([field(p, m) for p, m in KERNEL_FIELDS] + [FieldSpec(3, 2, (2, 1, 1))]))
+    p, m = spec.p, spec.m
+    top = 8 * max(ffield._PACKED_MIN, ffield._KARATSUBA_MIN)  # both sides of each crossover
+
+    def factor():
+        length = draw(st.integers(0, top))
+        out = [0] * length
+        # dense, all zero, or a few nonzero rows spread over a long factor
+        kind = draw(st.sampled_from(["dense", "zero", "sparse"]))
+        for i in {"dense": range(length), "zero": (), "sparse": range(0, length, 7)}[kind]:
+            out[i] = draw(st.integers(0, p**m - 1))
+        return out
+
+    a = factor()
+    return spec, a, a if draw(st.booleans()) else factor()  # a * a: a square
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factor_pairs())
+def test_dense_mul_equals_the_table_schoolbook(case):
+    spec, a, b = case
+    full = schoolbook_product(spec, a, b)
+    assert ffield.dense_mul(spec, a, b) == full
+    # every truncation, and past the full length (never padded)
+    for n in range(len(full) + 2):
+        assert ffield.dense_mul(spec, a, b, n) == full[:n]
+
+
+@pytest.mark.parametrize(
+    "p,short,bits",
+    [(2, 255, 8), (2, 256, 16), (3, 63, 8), (3, 64, 16), (251, 2, 32), (4093, 256, 32), (4093, 257, 64)],
+)
+def test_packed_slots_hold_the_largest_coefficient_sums(p, short, bits):
+    # all digits p - 1: every slot sum is at its largest
+    a, b = [p - 1] * short, [p - 1] * (short + 3)
+    prod = ffield._packed_mul(a, b, p, len(a) + len(b) - 1)
+    assert prod.itemsize * 8 == bits
+    terms = [min(k, short - 1) - max(0, k - len(b) + 1) + 1 for k in range(len(a) + len(b) - 1)]
+    assert list(prod) == [(p - 1) ** 2 * t for t in terms]
+    # random digits against an integer schoolbook (F_4093 has no tables)
+    rng = random.Random(p * short)
+    a = [rng.randrange(p) for _ in range(short)]
+    b = [rng.randrange(p) for _ in range(short + 3)]
+    expect = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            expect[i + j] += x * y
+    assert ffield.dense_mul(field(p, 1), a, b) == [c % p for c in expect]
+    assert ffield.dense_mul(field(p, 1), a, b, short) == [c % p for c in expect[:short]]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ffmzv import motive, tate
-from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_series
+from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_power, omega_series
 from ffmzv.errors import ConventionError, ShapeParseError
 from ffmzv.ffield import field
 from ffmzv.motive import (
@@ -222,6 +222,45 @@ def test_cached_omega_and_window_series_equal_fresh_builds():
     assert fresh_om is not om and tate.to_text(fresh_om) == tate.to_text(om)
     for w, ser in zip(windows, sers):
         assert tate.to_text(_cmpl_series(ctx, w, ctx.tdeg, ctx.prec)) == tate.to_text(ser)
+
+
+def _series_data(x):
+    return x.tail, [(c.val, c.coeffs, c.prec) for c in x.coeffs]
+
+
+@pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
+def test_omega_power_equals_square_and_multiply(p, l):
+    # the motive-residual sizes (prec, tdeg)
+    for prec, tdeg in [(40, 8), (56, 11), (72, 14)]:
+        ctx = CarlitzContext(p, l)
+        om = omega_series(ctx, tdeg=tdeg, prec=prec)
+        for e in range(2, 8):
+            assert _series_data(omega_power(ctx, e, tdeg, prec)) == _series_data(om**e)
+
+
+def test_collapse_report_is_unchanged_and_reuses_psi_omega_powers(monkeypatch):
+    s = Index((1, 2, 1))
+
+    def collapse_reports():
+        ctx = CarlitzContext(3, 1, prec=40, tdeg=8)
+        return [component_collapse_report(ctx, s, i, j) for i in range(1, 5) for j in range(1, i + 1)]
+
+    reports = collapse_reports()
+    # the reports built with square-and-multiply powers, as before omega_power
+    om = omega_series(CarlitzContext(3, 1, prec=40, tdeg=8))
+    one = tate.one(field(3, 1), 3, 40 + 3 + 2, 0)
+    monkeypatch.setattr(motive, "omega_power", lambda ctx, e, tdeg, prec: om**e if e else one)
+    assert collapse_reports() == reports
+    monkeypatch.undo()
+    # the request's collapse call finds every Omega power that psi_matrix built
+    ctx = CarlitzContext(3, 1, prec=40, tdeg=8)
+    psi_matrix(ctx, at_arguments(ctx, s), s)
+    omega_keys = {k for k in ctx._cache if k[0] == "omega"}
+    assert ("omega", 8, 40, sum(s.entries)) in omega_keys
+    misses = ctx.cache_stats().misses
+    assert component_collapse_report(ctx, s, s.dep + 1, 1).passed
+    assert ctx.cache_stats().misses == misses
+    assert {k for k in ctx._cache if k[0] == "omega"} == omega_keys
 
 
 def test_direct_sum_blocks_and_residual_distribution():

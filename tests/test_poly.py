@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from ffmzv import ffield
 from ffmzv.errors import ConventionError
-from ffmzv.ffield import field, ops
+from ffmzv.ffield import field
 from ffmzv.laurent import compare_to_precision
 from ffmzv.poly import BivarPoly, dense_theta_mul, parse_poly, t_minus_theta_frob, to_text
+from test_ffield import KERNEL_FIELDS, schoolbook_product
 
 F3 = field(3, 1)
 F4 = field(2, 2)
@@ -41,19 +43,18 @@ def test_divmod_requires_monic():
         BivarPoly.one(F3).divmod_t(g)
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p,m", KERNEL_FIELDS)
 def test_packed_dense_mul_matches_schoolbook(p, m):
     fld = field(p, m)
-    o = ops(fld)
     rng = random.Random(p * 10 + m)
-    for _ in range(30):
-        a = [rng.randrange(fld.order) for _ in range(rng.randrange(1, 12))]
-        b = [rng.randrange(fld.order) for _ in range(rng.randrange(1, 12))]
-        expect = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                expect[i + j] = o.add[expect[i + j] * o.n + o.mul[x * o.n + y]]
-        assert dense_theta_mul(fld, a, b) == expect
+    # lengths on both sides of the packed and Karatsuba crossovers
+    lengths = sorted({0, 1, 2, 3, 9, 10, 11, 24, ffield._PACKED_MIN, ffield._KARATSUBA_MIN})
+    for la in lengths:
+        for lb in lengths:
+            a = [rng.randrange(fld.order) for _ in range(la)]
+            b = [rng.randrange(fld.order) for _ in range(lb)]
+            assert dense_theta_mul(fld, a, b) == schoolbook_product(fld, a, b)
+            assert dense_theta_mul(fld, [0] * la, b) == [0] * (la + lb - 1 if la and lb else 0)
 
 
 def test_twist_homomorphism_and_eval():

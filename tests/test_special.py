@@ -79,13 +79,13 @@ def test_power_sum_reverse_order_equality():
     # exact addition is order independent: re-sum the enumeration reversed
     ctx = CarlitzContext(2, 1)
     d, s, prec = 3, 2, 24
-    from ffmzv.special import _monic_coeff_lists
+    from ffmzv.carlitz import monic_coeff_lists
 
     fwd = monic_power_sum(ctx, d, s, prec)
     acc = ls_zero(ctx.field, 2, prec)
     from ffmzv.poly import dense_theta_mul
 
-    for coeffs in reversed(list(_monic_coeff_lists(2, d))):
+    for coeffs in reversed(list(monic_coeff_lists(2, d))):
         a_pow = coeffs
         for _ in range(s - 1):
             a_pow = dense_theta_mul(ctx.field, a_pow, coeffs)
