@@ -26,7 +26,7 @@ from .errors import (
     PrecisionError,
     ShapeParseError,
 )
-from .ffield import FfElem, FieldSpec, elem, embed, field, frobenius
+from .ffield import FieldSpec, field
 from .laurent import LaurentSeries, compare_to_precision, from_rational
 from .poly import BivarPoly, parse_poly
 from .special import (

@@ -19,15 +19,14 @@ special-casing (-1 = 1 there).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, NamedTuple
 
 from .errors import BudgetError
 from .ffield import FieldSpec, field as ff_field, ops
-from .laurent import LaurentSeries, monomial
+from .laurent import LaurentSeries, compare_to_precision, monomial
 from .poly import BivarPoly, dense_theta_mul, t_minus_theta_frob
-from .reports import ResidualReport
+from .reports import IdentityReport, ResidualReport
 from . import tate
 from .tate import TateElement
 
@@ -235,7 +234,7 @@ def pi_tilde(ctx: CarlitzContext, prec: int | None = None) -> LaurentSeries:
     return acc.truncate(prec)
 
 
-def pi_omega_cross_check(ctx: CarlitzContext, target: int) -> "IdentityReport":
+def pi_omega_cross_check(ctx: CarlitzContext, target: int) -> IdentityReport:
     """Two independent paths to the period: product formula vs 1/Omega(theta).
 
     pi_tilde * Omega(theta) equals the exact constant -1 (the prefactors give
@@ -243,23 +242,15 @@ def pi_omega_cross_check(ctx: CarlitzContext, target: int) -> "IdentityReport":
     choice cancelling); in characteristic 2 this is +1.  The check certifies
     agreement of the two paths to at least `target` z-digits.
     """
-    from .laurent import compare_to_precision, monomial as ls_monomial
-    from .reports import IdentityReport
-
     q = ctx.q
     work = target + q + 4
     pt = pi_tilde(ctx, work)
     ev = tate.eval_at_theta(omega_for_eval(ctx, work))
     prod = pt * ev
-    expect = ls_monomial(ctx.field, q, 0, ops(ctx.field).neg[1], prod.prec)
-    cmp = compare_to_precision(prod, expect)
-    status = cmp.status
-    if status == "equal" and cmp.exponent < target:
-        status = "incomparable"
-    return IdentityReport(
-        status=status,
-        precision=cmp.exponent if status != "unequal" else None,
-        exponent=cmp.exponent if status == "unequal" else None,
+    expect = monomial(ctx.field, q, 0, ops(ctx.field).neg[1], prod.prec)
+    return IdentityReport.from_comparison(
+        compare_to_precision(prod, expect),
+        target,
         note="product formula x Omega(theta) = -1 exactly (+1 in characteristic 2)",
     )
 
@@ -283,11 +274,4 @@ def omega_functional_residual(ctx: CarlitzContext, omega: TateElement) -> Residu
     factor = tate.from_poly(t_minus_theta_frob(ctx.field, ctx.l), q, work)
     twisted = tate.twist(omega, ctx.l).cap_precision(work)
     rhs = (factor * twisted).truncate_tdeg(omega.tdeg)
-    resid = omega - rhs
-    chk = tate.zero_check(resid)
-    worst = None
-    loc = None
-    if not chk.ok:
-        worst = Fraction(-chk.worst_zval, q - 1)
-        loc = (chk.worst_tdeg,)
-    return ResidualReport(passed=chk.ok, worst_exponent=worst, floor_z=chk.floor_z, location=loc)
+    return ResidualReport.from_zero_check(tate.zero_check(omega - rhs), q)

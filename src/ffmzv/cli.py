@@ -43,7 +43,8 @@ from .special import (
     period_identity_report,
     subclosure,
 )
-from .suite import CONVENTIONS, RunConfig, SCHEMA_VERSION, run_suite
+from .reports import ResidualReport
+from .suite import CONVENTIONS, RunConfig, SCHEMA_VERSION, check_entry, run_suite
 from .tate import to_text as tate_text
 
 
@@ -159,8 +160,24 @@ def _emit(args, report: dict) -> None:
             print(f"{k}: {json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}")
 
 
-def _check_entry(name: str, status: str, detail: str, ms: int = 0) -> dict:
-    return {"name": name, "status": status, "detail": detail, "runtime_ms": ms}
+def _residual_entry(name: str, rep: ResidualReport, located: bool = False) -> dict:
+    """The check entry of a residual verdict; `located` names the worst entry."""
+    if rep.passed:
+        return check_entry(name, "pass", f"floor {rep.floor_z} z-digits")
+    where = f"entry {rep.location} " if located else ""
+    return check_entry(name, "fail", f"{where}residual exponent {rep.worst_exponent}")
+
+
+def _gf_field(text: str) -> tuple[int, int]:
+    try:
+        p, ndeg = (int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--gf must be two integers 'p,N', got {text!r}") from None
+    if not _is_prime(p):
+        raise UsageError("p must be prime")
+    if ndeg < 1:
+        raise UsageError(f"--gf degree N must be positive, got {text!r}")
+    return p, ndeg
 
 
 def _run(args) -> int:
@@ -177,10 +194,7 @@ def _run(args) -> int:
         return 0 if report["passed"] else 1
 
     if cmd in ("group-closure", "group-commutator"):
-        ptxt, ntxt = args.gf.split(",")
-        p, ndeg = int(ptxt), int(ntxt)
-        if not _is_prime(p):
-            raise UsageError("p must be prime")
+        p, ndeg = _gf_field(args.gf)
         dom = RationalFunctionDomain(p) if args.rational else FiniteFieldDomain(ff_field(p, ndeg))
         idx = subclosure(parse_index_set(args.indices))
         fn = closure_report if cmd == "group-closure" else commutator_report
@@ -190,7 +204,7 @@ def _run(args) -> int:
             index_set=[str(i) for i in idx],
             domain=dom.name,
             checks=[
-                _check_entry(cmd, "pass" if rep.passed else "fail", rep.note if rep.passed else str(rep.failures[:3]))
+                check_entry(cmd, "pass" if rep.passed else "fail", rep.note if rep.passed else str(rep.failures[:3]))
             ],
         )
         _emit(args, report)
@@ -228,15 +242,7 @@ def _run(args) -> int:
         report = _envelope(
             args,
             series=tate_text(om),
-            checks=[
-                _check_entry(
-                    "omega-functional-equation",
-                    "pass" if rep.passed else "fail",
-                    f"floor {rep.floor_z} z-digits"
-                    if rep.passed
-                    else f"residual exponent {rep.worst_exponent}",
-                )
-            ],
+            checks=[_residual_entry("omega-functional-equation", rep)],
         )
         _emit(args, report)
         return 0 if rep.passed else 1
@@ -276,7 +282,7 @@ def _run(args) -> int:
             + (f" at z-exponent {rep.exponent}" if rep.exponent is not None else "")
         )
         report = _envelope(
-            args, checks=[_check_entry("period-identity", rep.status if rep.status != "equal" else "pass", detail)]
+            args, checks=[check_entry("period-identity", rep.status if rep.status != "equal" else "pass", detail)]
         )
         _emit(args, report)
         return 0 if rep.passed else 1
@@ -285,18 +291,7 @@ def _run(args) -> int:
         s = parse_index(args.index)
         u = at_arguments(ctx, s)
         rep = frobenius_residual(phi_matrix(ctx, u, s), psi_matrix(ctx, u, s))
-        report = _envelope(
-            args,
-            checks=[
-                _check_entry(
-                    "rigid-analytic-trivialization",
-                    "pass" if rep.passed else "fail",
-                    f"floor {rep.floor_z} z-digits"
-                    if rep.passed
-                    else f"entry {rep.location} residual exponent {rep.worst_exponent}",
-                )
-            ],
-        )
+        report = _envelope(args, checks=[_residual_entry("rigid-analytic-trivialization", rep, located=True)])
         _emit(args, report)
         return 0 if rep.passed else 1
 
@@ -311,15 +306,7 @@ def _run(args) -> int:
         report = _envelope(
             args,
             derive=args.derive,
-            checks=[
-                _check_entry(
-                    "derived-same-trivialization",
-                    "pass" if rep.passed else "fail",
-                    f"floor {rep.floor_z} z-digits"
-                    if rep.passed
-                    else f"residual exponent {rep.worst_exponent}",
-                )
-            ],
+            checks=[_residual_entry("derived-same-trivialization", rep)],
         )
         _emit(args, report)
         return 0 if rep.passed else 1

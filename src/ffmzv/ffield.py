@@ -1,4 +1,4 @@
-"""Arithmetic in finite fields F_{p^m} with Frobenius and subfield embeddings.
+"""Arithmetic in finite fields F_{p^m} with Frobenius.
 
 Elements are encoded as integers in [0, p^m): the encoding of the residue
 class c_0 + c_1*g + ... + c_{m-1}*g^{m-1} (g a root of the modulus) is
@@ -9,18 +9,17 @@ one shared FieldSpec per (p, m), so compatibility checks can test identity
 before equality.
 
 For fields with p^m <= 4096 full add/mul tables are precomputed by
-:class:`FieldOps`; coefficient-heavy callers work on raw encodings through
-the cached FieldOps object and only wrap into :class:`FfElem` at module
-boundaries.  Larger fields raise FieldSizeError.  The tables come from
-discrete logarithms: the least primitive element g (in encoding order) is
-found by stepping powers with one polynomial product mod the modulus each,
-which gives exp[k] = g^k and its inverse permutation log.  Then
-mul[a, b] = exp[log a + log b], inverses, negatives and Frobenius powers are
-exp/log lookups, and each add row is a block rotation of an earlier row,
-because adding a single digit c*p^j rotates digit j.  The build costs
-O(n^2) list writes instead of one polynomial reduction per pair;
-tests/test_ffield.py keeps the pairwise reduction as the oracle every table
-is compared against.
+:class:`FieldOps`, and callers work on raw encodings through the cached
+FieldOps object.  Larger fields raise FieldSizeError, in `field(p, m)`
+before the modulus search.  The tables come from discrete logarithms: the
+least primitive element g (in encoding order) is found by stepping powers
+with one polynomial product mod the modulus each, which gives exp[k] = g^k
+and its inverse permutation log.  Then mul[a, b] = exp[log a + log b],
+inverses, negatives and Frobenius powers are exp/log lookups, and each add
+row is a block rotation of an earlier row, because adding a single digit
+c*p^j rotates digit j.  The build costs O(n^2) list writes instead of one
+polynomial reduction per pair; tests/test_ffield.py keeps the pairwise
+reduction as the oracle every table is compared against.
 
 `dense_mul(spec, a, b, n)` is the one dense product of coefficient lists,
 used by Laurent series and theta-polynomials.  Its path depends on m and on
@@ -137,12 +136,18 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m})"
 
 
+def _check_table_cap(order: int) -> None:
+    if order > _TABLE_CAP:
+        raise FieldSizeError(f"field order {order} exceeds table cap {_TABLE_CAP}")
+
+
 def field(p: int, m: int) -> FieldSpec:
     """Create the canonical F_{p^m}; deterministic in (p, m)."""
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    _check_table_cap(p**m)  # before the modulus search, which grows with p^m
     return _canonical_field(p, m)
 
 
@@ -193,8 +198,7 @@ class FieldOps:
     def __init__(self, spec: FieldSpec):
         p, m = spec.p, spec.m
         n = p**m
-        if n > _TABLE_CAP:
-            raise FieldSizeError(f"field order {n} exceeds table cap {_TABLE_CAP}")
+        _check_table_cap(n)
         self.spec = spec
         self.n, self.p, self.m = n, p, m
         exp = _primitive_powers(spec)
@@ -319,95 +323,6 @@ def dense_mul(spec: FieldSpec, a: list[int], b: list[int], n: int | None = None)
             base = x * q
             out[i : i + lb] = [add[s * q + mul[base + y]] for s, y in zip(out[i : i + lb], b)]
     return out
-
-
-@dataclass(frozen=True)
-class FfElem:
-    """An element of F_{p^m}, tied to its FieldSpec."""
-
-    spec: FieldSpec
-    value: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(_decode(self.value, self.spec.m, self.spec.p))
-
-    def _check(self, other: "FfElem") -> FieldOps:
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise ValueError("mixed field specs")
-        return ops(self.spec)
-
-    def __add__(self, other: "FfElem") -> "FfElem":
-        o = self._check(other)
-        return FfElem(self.spec, o.add[self.value * o.n + other.value])
-
-    def __sub__(self, other: "FfElem") -> "FfElem":
-        o = self._check(other)
-        return FfElem(self.spec, o.sub(self.value, other.value))
-
-    def __neg__(self) -> "FfElem":
-        return FfElem(self.spec, ops(self.spec).neg[self.value])
-
-    def __mul__(self, other: "FfElem") -> "FfElem":
-        o = self._check(other)
-        return FfElem(self.spec, o.mul[self.value * o.n + other.value])
-
-    def __truediv__(self, other: "FfElem") -> "FfElem":
-        o = self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return FfElem(self.spec, o.mul[self.value * o.n + o.inv[other.value]])
-
-    def __pow__(self, e: int) -> "FfElem":
-        return FfElem(self.spec, ops(self.spec).pow(self.value, e))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return element_text(self.spec, self.value)
-
-
-def elem(spec: FieldSpec, value: int | Sequence[int]) -> FfElem:
-    if isinstance(value, int):
-        return FfElem(spec, value % spec.order if value >= 0 else ops(spec).from_int(value))
-    if len(value) > spec.m:
-        raise ValueError("coefficient vector too long")
-    return FfElem(spec, _encode(list(value) + [0] * (spec.m - len(value)), spec.p))
-
-
-def frobenius(a: FfElem, n: int) -> FfElem:
-    """n-fold Frobenius a -> a^{p^n}; negative n is the inverse twist."""
-    return FfElem(a.spec, ops(a.spec).frob_n(a.value, n))
-
-
-@lru_cache(maxsize=None)
-def _embedding_root(sub: FieldSpec, sup: FieldSpec) -> int:
-    o = ops(sup)
-    for x in range(o.n):
-        acc = 0
-        for c in reversed(sub.modulus):
-            acc = o.add[o.mul[acc * o.n + x] * o.n + (c % sub.p)]
-        if acc == 0:
-            return x
-    raise AssertionError("no root of subfield modulus found")  # unreachable
-
-
-def embed(a: FfElem, sup: FieldSpec) -> FfElem:
-    """Embed a in the larger field; deterministic (least root in encoding order)."""
-    sub = a.spec
-    if sub.p != sup.p:
-        raise ValueError("embedding requires equal characteristic")
-    if sup.m % sub.m != 0:
-        raise ValueError(f"degree {sub.m} does not divide {sup.m}")
-    if sub == sup:
-        return a
-    root = _embedding_root(sub, sup)
-    o = ops(sup)
-    acc = 0
-    for c in reversed(_decode(a.value, sub.m, sub.p)):
-        acc = o.add[o.mul[acc * o.n + root] * o.n + c]
-    return FfElem(sup, acc)
 
 
 def element_text(spec: FieldSpec, value: int) -> str:

@@ -416,11 +416,10 @@ def component_collapse_report(
         w = omega_power(ctx, sum(s.entries[i - 1 :]), tdeg, prec)
         prod = w * tate.invert_unit(w)
         resid = prod - tate.one(fld, q, min(c.prec for c in prod.coeffs), 0)
-        chk = tate.zero_check(resid)
-        return ResidualReport(
-            passed=chk.ok,
-            worst_exponent=None if chk.ok else Fraction(-chk.worst_zval, q - 1),
-            floor_z=chk.floor_z,
+        return ResidualReport.from_zero_check(
+            tate.zero_check(resid),
+            q,
+            prefix=None,
             note="diagonal component: Omega-power times its series inverse vs 1",
         )
 
@@ -449,13 +448,8 @@ def component_collapse_report(
                     coeff = prod if coeff is None else coeff + prod
         term = (coeff * ompow * L[(n, j)]).truncate_tdeg(tdeg)
         acc = term if acc is None else acc + term
-    chk = tate.zero_check(acc)
-    return ResidualReport(
-        passed=chk.ok,
-        worst_exponent=None if chk.ok else Fraction(-chk.worst_zval, q - 1),
-        floor_z=chk.floor_z,
-        location=None if chk.ok else (i, j, chk.worst_tdeg),
-        note="collapsed alternating chain sum",
+    return ResidualReport.from_zero_check(
+        tate.zero_check(acc), q, prefix=(i, j), note="collapsed alternating chain sum"
     )
 
 
@@ -508,11 +502,6 @@ class FiniteFieldDomain:
 
     def sample_nonzero(self, rng: random.Random):
         return rng.randrange(1, self._o.n)
-
-    def text(self, a):
-        from .ffield import element_text
-
-        return element_text(self.spec, a)
 
 
 class RationalFunctionDomain:
@@ -602,9 +591,6 @@ class RationalFunctionDomain:
 
     def sample_nonzero(self, rng: random.Random):
         return (self._sample_nonzero_poly(rng), self._sample_nonzero_poly(rng))
-
-    def text(self, a):
-        return f"{list(a[0])}/{list(a[1])}"
 
 
 @dataclass

@@ -29,10 +29,6 @@ class BivarPoly:
         return BivarPoly(field, {})
 
     @staticmethod
-    def const(field: FieldSpec, c: int) -> "BivarPoly":
-        return BivarPoly(field, {(0, 0): c % field.p if isinstance(c, int) else c})
-
-    @staticmethod
     def one(field: FieldSpec) -> "BivarPoly":
         return BivarPoly(field, {(0, 0): 1})
 

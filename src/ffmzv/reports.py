@@ -6,17 +6,11 @@ z-precision floors are reported directly in z-digits.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+from .laurent import Comparison
+from .tate import ZeroCheck
 
 
 @dataclass
@@ -27,8 +21,16 @@ class ResidualReport:
     location: tuple | None = None  # (row, col, t-degree) / (t-degree,) of the worst entry
     note: str = ""
 
-    def to_json(self) -> dict[str, Any]:
-        return {k: _jsonable(v) for k, v in asdict(self).items()}
+    @classmethod
+    def from_zero_check(
+        cls, chk: ZeroCheck, q: int, prefix: tuple | None = (), note: str = ""
+    ) -> "ResidualReport":
+        """The verdict of one residual's zero check at q.  A failure is located
+        at prefix + (worst t-degree,); prefix None reports no location."""
+        if chk.ok:
+            return cls(True, None, chk.floor_z, None, note)
+        loc = None if prefix is None else (*prefix, chk.worst_tdeg)
+        return cls(False, Fraction(-chk.worst_zval, q - 1), chk.floor_z, loc, note)
 
 
 @dataclass
@@ -42,8 +44,14 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.status == "equal"
 
-    def to_json(self) -> dict[str, Any]:
-        return {k: _jsonable(v) for k, v in asdict(self).items()}
+    @classmethod
+    def from_comparison(cls, cmp: Comparison, target: int, note: str = "") -> "IdentityReport":
+        """The verdict of a comparison certified to `target` z-digits: an
+        "equal" whose joint precision falls below target is "incomparable"."""
+        if cmp.status == "unequal":
+            return cls("unequal", None, cmp.exponent, note)
+        status = "equal" if cmp.exponent >= target else "incomparable"
+        return cls(status, cmp.exponent, None, note)
 
 
 @dataclass
@@ -52,11 +60,3 @@ class CheckReport:
     checked: int = 0
     failures: list = field(default_factory=list)
     note: str = ""
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "failures": [str(f) for f in self.failures],
-            "note": self.note,
-        }

@@ -24,8 +24,9 @@ The same expansion gives the certified valuation bound
 
 quadratic in d, which stops the degree-tuple summations.  Stopping criteria
 use exact a-priori bounds, never floating estimates.  Enumeration is the
-oracle: the q^d-term power-sum loop and the brute-force tuple sum are kept,
-under the context's enumeration budget, as test and suite references.
+oracle: the brute-force tuple sum here (a suite reference) and the q^d-term
+power-sum loop in tests/test_special.py run under the context's enumeration
+budget.
 
 Anderson-Thakur polynomials come from inverting the generating series
 1 - sum_i (prod_j (t^{q^i}-theta^{q^j}) / prod_j (t^{q^i}-t^{q^j})) x^{q^i}
@@ -163,20 +164,6 @@ def _monic_power_sum_dp(ctx: CarlitzContext, d: int, s: int, prec: int) -> Laure
         n = d * s + dd
         coeffs[step * n] += -c if (d + k + n) % 2 else c
     return LaurentSeries(ctx.field, q, 0, [c % p for c in coeffs], prec)
-
-
-def _monic_power_sum_enum(ctx: CarlitzContext, d: int, s: int, prec: int) -> LaurentSeries:
-    """S_d(s) by enumerating and inverting all q^d monic polynomials (oracle)."""
-    q, fld = ctx.q, ctx.field
-    if q**d > ctx.enum_budget:
-        raise BudgetError(f"{q**d} monic polynomials exceed budget {ctx.enum_budget}")
-    acc = ls_zero(fld, q, prec)
-    for coeffs in monic_coeff_lists(q, d):
-        a_pow = coeffs
-        for _ in range(s - 1):
-            a_pow = dense_theta_mul(fld, a_pow, coeffs)
-        acc = acc + from_rational(fld, q, {0: 1}, {k: c for k, c in enumerate(a_pow)}, prec)
-    return acc
 
 
 def _decreasing_tuples(d: int, contrib, stop: int):
@@ -536,43 +523,6 @@ def _teinv(ctx: CarlitzContext, a: int, e: int, tdeg: int, rel: int) -> TateElem
     return tate.invert_linear_factor(c, e, tdeg)
 
 
-def cmpl_frobenius_residual(
-    ctx: CarlitzContext, spec: CmplSpec, tdeg: int | None = None, prec: int | None = None
-):
-    """Residual of the defining recurrence, in its polynomial-only twisted form:
-
-        (t - theta^q)^wt * L  =  (t - theta^q)^{s_d} * u_d * L'^{(l)}  +  L^{(l)}
-
-    where L' drops the last index entry (empty L' = 1).  Checked, not assumed.
-    """
-    from .poly import t_minus_theta_frob
-    from .reports import ResidualReport
-
-    prec = ctx.prec if prec is None else prec
-    tdeg = ctx.tdeg if tdeg is None else tdeg
-    q, fld = ctx.q, ctx.field
-    entries = spec.s.entries
-    d = spec.s.dep
-    big = cmpl_series(ctx, spec, tdeg, prec)
-    if d == 1:
-        prefix = tate.one(fld, q, prec + 4, 0)
-    else:
-        prefix = cmpl_series(ctx, CmplSpec(Index(entries[:-1]), spec.u[:-1]), tdeg, prec)
-    cap = min(c.prec for c in big.coeffs)
-    lin = t_minus_theta_frob(fld, ctx.l)
-    lhs = tate.from_poly(lin ** spec.s.wt, q, cap + q * (q - 1) * spec.s.wt + 2) * big
-    rhs1 = (
-        tate.from_poly(lin ** entries[-1] * spec.u[-1], q, cap + q * (q - 1) * spec.s.wt + 2)
-        * tate.twist(prefix, ctx.l).cap_precision(cap)
-    )
-    rhs2 = tate.twist(big, ctx.l).cap_precision(cap)
-    resid = (lhs - rhs1 - rhs2).truncate_tdeg(tdeg)
-    chk = tate.zero_check(resid)
-    worst = None if chk.ok else Fraction(-chk.worst_zval, q - 1)
-    loc = None if chk.ok else (chk.worst_tdeg,)
-    return ResidualReport(passed=chk.ok, worst_exponent=worst, floor_z=chk.floor_z, location=loc)
-
-
 # -- the period identity --------------------------------------------------------
 
 
@@ -603,12 +553,6 @@ def period_identity_report(
     lhs = cmpl_value(ctx, CmplSpec(s, u), work)
     zeta = mzv(ctx, s, work)
     rhs = gamma.eval_theta(q, work + (q - 1) * gamma.deg_theta() + 2) * zeta
-    cmp = compare_to_precision(lhs, rhs)
-    if cmp.status == "equal" and cmp.exponent < prec:
-        return IdentityReport(status="incomparable", precision=cmp.exponent)
-    return IdentityReport(
-        status=cmp.status,
-        precision=cmp.exponent if cmp.status == "equal" else None,
-        exponent=cmp.exponent if cmp.status == "unequal" else None,
-        note=f"index {s}, AT-argument path vs factorial*zeta path",
+    return IdentityReport.from_comparison(
+        compare_to_precision(lhs, rhs), prec, note=f"index {s}, AT-argument path vs factorial*zeta path"
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .carlitz import (
@@ -306,6 +306,11 @@ CHECKS = [
 ]
 
 
+def check_entry(name: str, status: str, detail: str, ms: int = 0) -> dict:
+    """One record of a report's "checks" list, in the suite and the CLI alike."""
+    return {"name": name, "status": status, "detail": detail, "runtime_ms": ms}
+
+
 def run_suite(cfg: RunConfig) -> dict:
     def run_one(item):
         name, fn = item
@@ -315,12 +320,7 @@ def run_suite(cfg: RunConfig) -> dict:
         except Exception as exc:  # a crashed check is a failed check
             status, detail = "fail", f"exception: {type(exc).__name__}: {exc}"
         ms = int((time.perf_counter() - t0) * 1000)
-        return {
-            "name": name,
-            "status": status,
-            "detail": detail,
-            "runtime_ms": ms if cfg.timings else 0,
-        }
+        return check_entry(name, status, detail, ms if cfg.timings else 0)
 
     results = sorted((run_one(item) for item in CHECKS), key=lambda r: r["name"])
     return {

@@ -95,6 +95,15 @@ def test_group_commands(capsys):
     assert code == 0 and json.loads(out)["domain"] == "rational-function"
 
 
+def test_malformed_gf_is_usage_error(capsys):
+    for gf in ("3", "3,4,1", "3,x", ""):
+        for extra in ((), ("--rational",)):
+            code, _, err = run_cli(capsys, "group-closure", "--indices", "1,2", "--gf", gf, *extra)
+            assert code == 2 and "--gf must be two integers 'p,N'" in err, (gf, extra, err)
+    code, _, err = run_cli(capsys, "group-commutator", "--indices", "1,2", "--gf", "3,0")
+    assert code == 2 and "--gf degree N must be positive" in err
+
+
 def test_budget_cap_reported(capsys):
     # zeta values never enumerate; the budget binds the suite's oracle checks
     code, _, _ = run_cli(

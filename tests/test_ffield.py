@@ -1,4 +1,4 @@
-"""Field layer: canonical moduli, arithmetic axioms, Frobenius, embeddings."""
+"""Field layer: canonical moduli, arithmetic axioms, Frobenius, the tables."""
 
 import random
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ffmzv import ffield
 from ffmzv.cli import main
 from ffmzv.errors import ConventionError, FieldSizeError
-from ffmzv.ffield import FieldSpec, elem, embed, field, frobenius
+from ffmzv.ffield import FieldSpec, field, ops
 
 
 def _product_by_reduction(spec, a, b):
@@ -105,119 +105,78 @@ def test_create_errors():
 
 
 def test_f3_arithmetic():
-    F3 = field(3, 1)
-    two = elem(F3, 2)
-    assert (two * two).value == 1
-    assert (two + two).value == 1
-    assert (two / two).value == 1
+    o = ops(field(3, 1))
+    assert o.mul[2 * 3 + 2] == 1
+    assert o.add[2 * 3 + 2] == 1
+    assert o.mul[2 * 3 + o.inv[2]] == 1
 
 
 def test_f4_multiplication_example():
-    F4 = field(2, 2)
-    w = elem(F4, (0, 1))
-    w1 = elem(F4, (1, 1))
-    assert (w * w1).value == 1  # w*(w+1) = w^2 + w = 1 under w^2 = w+1
+    o = ops(field(2, 2))
+    w = ffield._encode((0, 1), 2)
+    w1 = ffield._encode((1, 1), 2)
+    assert o.mul[w * 4 + w1] == 1  # w*(w+1) = w^2 + w = 1 under w^2 = w+1
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)])
 def test_qth_power_fixes_everything(p, m):
     spec = field(p, m)
+    o = ops(spec)
     for v in range(spec.order):
-        a = elem(spec, v)
-        assert (a ** spec.order).value == v
+        assert o.pow(v, spec.order) == v
 
 
 def test_frobenius_examples():
-    F4 = field(2, 2)
-    w = elem(F4, 2)
-    assert frobenius(elem(F4, 1), 5).value == 1
-    assert frobenius(w, 1).value == 3  # w^2 = w + 1
-    assert frobenius(w, 2).value == w.value
+    o = ops(field(2, 2))
+    w = 2
+    assert o.frob_n(1, 5) == 1
+    assert o.frob_n(w, 1) == 3  # w^2 = w + 1
+    assert o.frob_n(w, 2) == w
     for n in (1, 2, 3, 7):
         for v in range(4):
-            a = elem(F4, v)
-            assert frobenius(frobenius(a, n), -n).value == v
+            assert o.frob_n(o.frob_n(v, n), -n) == v
 
 
 def test_large_exponents_square_multiply():
-    F9 = field(3, 2)
-    a = elem(F9, 5)
+    o = ops(field(3, 2))
     e = 3**64 + 7
-    assert (a**e).value == (a ** (e % (9 - 1))).value
-
-
-def test_embedding_examples():
-    F2, F4, F16 = field(2, 1), field(2, 2), field(2, 4)
-    assert embed(elem(F2, 1), F4).value == 1
-    assert embed(elem(F2, 0), F4).value == 0
-    w16 = embed(elem(F4, 2), F16)
-    # image of a cube root of unity: order exactly 3
-    assert (w16**3).value == 1 and w16.value != 1
-    # deterministic least root: re-deriving gives the same image
-    assert embed(elem(F4, 2), F16).value == w16.value
-
-
-def test_embedding_is_ring_homomorphism_and_injective():
-    F4, F16 = field(2, 2), field(2, 4)
-    images = set()
-    for x in range(4):
-        images.add(embed(elem(F4, x), F16).value)
-        for y in range(4):
-            a, b = elem(F4, x), elem(F4, y)
-            assert embed(a + b, F16).value == (embed(a, F16) + embed(b, F16)).value
-            assert embed(a * b, F16).value == (embed(a, F16) * embed(b, F16)).value
-    assert len(images) == 4
-
-
-def test_embedding_commutes_with_frobenius():
-    F4, F16 = field(2, 2), field(2, 4)
-    for v in range(4):
-        for n in (1, 2, 3):
-            a = elem(F4, v)
-            assert embed(frobenius(a, n), F16).value == frobenius(embed(a, F16), n).value
-
-
-def test_embedding_requires_divisible_degree():
-    with pytest.raises(ValueError, match="divide"):
-        embed(elem(field(2, 2), 1), field(2, 3))
+    assert o.pow(5, e) == o.pow(5, e % (9 - 1))
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
 def test_field_axioms_on_1000_random_pairs(p, m):
-    spec = field(p, m)
+    o = ops(field(p, m))
+    n = o.n
+
+    def add(a, b):
+        return o.add[a * n + b]
+
+    def mul(a, b):
+        return o.mul[a * n + b]
+
     rng = random.Random(20240915)
-    n = spec.order
     for _ in range(1000):
-        a, b, c = (elem(spec, rng.randrange(n)) for _ in range(3))
-        assert (a + b).value == (b + a).value
-        assert (a * b).value == (b * a).value
-        assert ((a + b) + c).value == (a + (b + c)).value
-        assert ((a * b) * c).value == (a * (b * c)).value
-        assert (a * (b + c)).value == (a * b + a * c).value
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_frobenius_is_ring_endomorphism_on_samples():
-    spec = field(3, 2)
+    o = ops(field(3, 2))
     rng = random.Random(7)
     for _ in range(300):
-        a, b = elem(spec, rng.randrange(9)), elem(spec, rng.randrange(9))
-        assert frobenius(a + b, 1).value == (frobenius(a, 1) + frobenius(b, 1)).value
-        assert frobenius(a * b, 1).value == (frobenius(a, 1) * frobenius(b, 1)).value
-
-
-def test_division_errors():
-    F4 = field(2, 2)
-    with pytest.raises(ZeroDivisionError):
-        elem(F4, 1) / elem(F4, 0)
-    with pytest.raises(ValueError, match="mixed"):
-        elem(F4, 1) + elem(field(2, 1), 1)
+        a, b = rng.randrange(9), rng.randrange(9)
+        assert o.frob_n(o.add[a * 9 + b], 1) == o.add[o.frob_n(a, 1) * 9 + o.frob_n(b, 1)]
+        assert o.frob_n(o.mul[a * 9 + b], 1) == o.mul[o.frob_n(a, 1) * 9 + o.frob_n(b, 1)]
 
 
 @given(st.integers(0, 8), st.integers(0, 30), st.integers(0, 30))
 def test_pow_additivity(v, i, j):
-    spec = field(3, 2)
-    a = elem(spec, v)
-    assert (a ** (i + j)).value == (a**i * a**j).value
+    o = ops(field(3, 2))
+    assert o.pow(v, i + j) == o.mul[o.pow(v, i) * 9 + o.pow(v, j)]
 
 
 @pytest.mark.parametrize("p,m", _FIELDS_TO_256)
@@ -270,13 +229,26 @@ def test_field_order_above_the_table_cap_is_a_typed_error(capsys):
     assert "FieldSizeError" in capsys.readouterr().err
 
 
+def test_field_above_the_table_cap_fails_before_the_modulus_search(monkeypatch, capsys):
+    # the trial-division search for a modulus of F_(2^40) would run for minutes
+    def no_search(p, m):
+        raise AssertionError(f"modulus search ran for ({p}, {m})")
+
+    monkeypatch.setattr(ffield, "_least_irreducible", no_search)
+    with pytest.raises(FieldSizeError, match="table cap 4096"):
+        field(2, 40)
+    assert main(["group-closure", "--indices", "1,2", "--gf", "2,40", "--samples", "2"]) == 1
+    assert main(["mzv", "--p", "2", "--l", "40", "--index", "1", "--prec", "3"]) == 1
+    assert capsys.readouterr().err.count("FieldSizeError: field order 1099511627776 exceeds") == 2
+
+
 def test_field_spec_is_interned():
     assert field(3, 4) is field(3, 4)
     assert field(3, 4) is not field(3, 3)
     # a spec built directly still works wherever an equal interned one does
     twin = FieldSpec(3, 4, field(3, 4).modulus)
     assert twin is not field(3, 4)
-    assert (elem(twin, 5) + elem(field(3, 4), 7)).value == (elem(field(3, 4), 5) + elem(field(3, 4), 7)).value
+    assert ops(twin).add[5 * 81 + 7] == ops(field(3, 4)).add[5 * 81 + 7]
 
 
 def test_ops_looks_up_directly_built_specs_by_identity():

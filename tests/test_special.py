@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import tate
-from ffmzv.carlitz import CarlitzContext
+from ffmzv.carlitz import CarlitzContext, monic_coeff_lists
 from ffmzv.errors import BudgetError
 from ffmzv.ffield import ops
 from ffmzv.laurent import compare_to_precision, from_rational, one as ls_one, zero as ls_zero
-from ffmzv.poly import BivarPoly
+from ffmzv.poly import BivarPoly, dense_theta_mul, t_minus_theta_frob
+from ffmzv.reports import ResidualReport
 from ffmzv.special import (
     CmplSpec,
-    _monic_power_sum_enum,
     Index,
     anderson_thakur_polynomials,
     at_arguments,
     at_bound_report,
-    cmpl_frobenius_residual,
     cmpl_series,
     cmpl_value,
     convergence_report,
@@ -33,6 +32,49 @@ from ffmzv.special import (
     power_sum_val_bound,
     subclosure,
 )
+
+
+def _monic_power_sum_enum(ctx, d, s, prec):
+    """S_d(s) by enumerating and inverting all q^d monic polynomials (oracle)."""
+    q, fld = ctx.q, ctx.field
+    if q**d > ctx.enum_budget:
+        raise BudgetError(f"{q**d} monic polynomials exceed budget {ctx.enum_budget}")
+    acc = ls_zero(fld, q, prec)
+    for coeffs in monic_coeff_lists(q, d):
+        a_pow = coeffs
+        for _ in range(s - 1):
+            a_pow = dense_theta_mul(fld, a_pow, coeffs)
+        acc = acc + from_rational(fld, q, {0: 1}, {k: c for k, c in enumerate(a_pow)}, prec)
+    return acc
+
+
+def cmpl_frobenius_residual(ctx, spec, tdeg=None, prec=None):
+    """Residual of the defining recurrence, in its polynomial-only twisted form:
+
+        (t - theta^q)^wt * L  =  (t - theta^q)^{s_d} * u_d * L'^{(l)}  +  L^{(l)}
+
+    where L' drops the last index entry (empty L' = 1).  Checked, not assumed.
+    """
+    prec = ctx.prec if prec is None else prec
+    tdeg = ctx.tdeg if tdeg is None else tdeg
+    q, fld = ctx.q, ctx.field
+    entries = spec.s.entries
+    d = spec.s.dep
+    big = cmpl_series(ctx, spec, tdeg, prec)
+    if d == 1:
+        prefix = tate.one(fld, q, prec + 4, 0)
+    else:
+        prefix = cmpl_series(ctx, CmplSpec(Index(entries[:-1]), spec.u[:-1]), tdeg, prec)
+    cap = min(c.prec for c in big.coeffs)
+    lin = t_minus_theta_frob(fld, ctx.l)
+    lhs = tate.from_poly(lin ** spec.s.wt, q, cap + q * (q - 1) * spec.s.wt + 2) * big
+    rhs1 = (
+        tate.from_poly(lin ** entries[-1] * spec.u[-1], q, cap + q * (q - 1) * spec.s.wt + 2)
+        * tate.twist(prefix, ctx.l).cap_precision(cap)
+    )
+    rhs2 = tate.twist(big, ctx.l).cap_precision(cap)
+    resid = (lhs - rhs1 - rhs2).truncate_tdeg(tdeg)
+    return ResidualReport.from_zero_check(tate.zero_check(resid), q)
 
 
 def test_index_basics():
@@ -79,12 +121,8 @@ def test_power_sum_reverse_order_equality():
     # exact addition is order independent: re-sum the enumeration reversed
     ctx = CarlitzContext(2, 1)
     d, s, prec = 3, 2, 24
-    from ffmzv.carlitz import monic_coeff_lists
-
     fwd = monic_power_sum(ctx, d, s, prec)
     acc = ls_zero(ctx.field, 2, prec)
-    from ffmzv.poly import dense_theta_mul
-
     for coeffs in reversed(list(monic_coeff_lists(2, d))):
         a_pow = coeffs
         for _ in range(s - 1):
