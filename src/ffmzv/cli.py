@@ -144,6 +144,12 @@ def _envelope(args, **payload) -> dict:
     return out
 
 
+def _verdict(args, report: dict) -> int:
+    """Emit a report; exit 0 only if every one of its checks passed."""
+    _emit(args, report)
+    return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
+
+
 def _emit(args, report: dict) -> None:
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -160,10 +166,14 @@ def _emit(args, report: dict) -> None:
             print(f"{k}: {json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}")
 
 
-def _residual_entry(name: str, rep: ResidualReport, located: bool = False) -> dict:
-    """The check entry of a residual verdict; `located` names the worst entry."""
+def _residual_entry(name: str, rep: ResidualReport, prec: int, located: bool = False) -> dict:
+    """The check entry of a residual verdict; `located` names the worst entry.
+    A zero certified below `prec` z-digits is "incomparable"."""
     if rep.passed:
-        return check_entry(name, "pass", f"floor {rep.floor_z} z-digits")
+        detail = f"floor {rep.floor_z} z-digits"
+        if rep.floor_z < prec:
+            return check_entry(name, "incomparable", f"{detail}, below the requested {prec}")
+        return check_entry(name, "pass", detail)
     where = f"entry {rep.location} " if located else ""
     return check_entry(name, "fail", f"{where}residual exponent {rep.worst_exponent}")
 
@@ -194,21 +204,22 @@ def _run(args) -> int:
         return 0 if report["passed"] else 1
 
     if cmd in ("group-closure", "group-commutator"):
+        if args.samples < 1:
+            raise UsageError(f"--samples must be positive, got {args.samples}")
         p, ndeg = _gf_field(args.gf)
         dom = RationalFunctionDomain(p) if args.rational else FiniteFieldDomain(ff_field(p, ndeg))
         idx = subclosure(parse_index_set(args.indices))
         fn = closure_report if cmd == "group-closure" else commutator_report
         rep = fn(dom, idx, args.samples, args.seed)
+        # too few samples to exceed the degree bound certify nothing
+        status = "fail" if not rep.passed else "pass" if rep.checked > rep.bound else "incomparable"
         report = _envelope(
             args,
             index_set=[str(i) for i in idx],
             domain=dom.name,
-            checks=[
-                check_entry(cmd, "pass" if rep.passed else "fail", rep.note if rep.passed else str(rep.failures[:3]))
-            ],
+            checks=[check_entry(cmd, status, rep.note if rep.passed else str(rep.failures[:3]))],
         )
-        _emit(args, report)
-        return 0 if rep.passed else 1
+        return _verdict(args, report)
 
     ctx = _ctx_from(args)
 
@@ -242,10 +253,9 @@ def _run(args) -> int:
         report = _envelope(
             args,
             series=tate_text(om),
-            checks=[_residual_entry("omega-functional-equation", rep)],
+            checks=[_residual_entry("omega-functional-equation", rep, args.prec)],
         )
-        _emit(args, report)
-        return 0 if rep.passed else 1
+        return _verdict(args, report)
 
     if cmd == "pitilde":
         value = pi_tilde(ctx, args.prec)
@@ -284,16 +294,14 @@ def _run(args) -> int:
         report = _envelope(
             args, checks=[check_entry("period-identity", rep.status if rep.status != "equal" else "pass", detail)]
         )
-        _emit(args, report)
-        return 0 if rep.passed else 1
+        return _verdict(args, report)
 
     if cmd == "verify-rat":
         s = parse_index(args.index)
         u = at_arguments(ctx, s)
         rep = frobenius_residual(phi_matrix(ctx, u, s), psi_matrix(ctx, u, s))
-        report = _envelope(args, checks=[_residual_entry("rigid-analytic-trivialization", rep, located=True)])
-        _emit(args, report)
-        return 0 if rep.passed else 1
+        entry = _residual_entry("rigid-analytic-trivialization", rep, args.prec, located=True)
+        return _verdict(args, _envelope(args, checks=[entry]))
 
     if cmd == "verify-derived":
         if args.index is None:
@@ -306,10 +314,9 @@ def _run(args) -> int:
         report = _envelope(
             args,
             derive=args.derive,
-            checks=[_residual_entry("derived-same-trivialization", rep)],
+            checks=[_residual_entry("derived-same-trivialization", rep, args.prec)],
         )
-        _emit(args, report)
-        return 0 if rep.passed else 1
+        return _verdict(args, report)
 
     raise UsageError(f"unknown command {cmd!r}")
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -593,6 +594,36 @@ class RationalFunctionDomain:
         return (self._sample_nonzero_poly(rng), self._sample_nonzero_poly(rng))
 
 
+class _ShapeLayout(NamedTuple):
+    size: int
+    entries: tuple  # (row, col, exponent, window) below (0, 0); window None on the diagonal
+    exponents: frozenset
+    row_starts: tuple  # the first column of each row's block
+    error: str | None  # why the index set carries no shape
+
+
+@lru_cache(maxsize=256)
+def _shape_layout(index_set: tuple[Index, ...]) -> _ShapeLayout:
+    """Where (a) + X_{s_1} + ... puts which power of a and which window."""
+    error = None
+    if not is_subclosed(index_set):
+        have = set(index_set)
+        missing = [str(w) for w in subclosure(index_set) if w not in have]
+        error = f"index set is not window-closed; missing {missing}"
+    elif [ix.dep for ix in index_set] != sorted(ix.dep for ix in index_set):
+        error = "index set must be enumerated depth-ascending"
+    entries, starts, off = [], [0], 1
+    for idx in index_set:
+        d = idx.dep
+        sw = [sum(idx.entries[k:]) for k in range(d + 1)]
+        for c in range(d + 1):
+            entries.append((off + c, off + c, sw[c], None))
+            entries += [(off + r, off + c, sw[c], idx.window(c + 1, r)) for r in range(c + 1, d + 1)]
+        starts += [off] * (d + 1)
+        off += d + 1
+    return _ShapeLayout(off, tuple(entries), frozenset(e[2] for e in entries), tuple(starts), error)
+
+
 @dataclass
 class BlockShape:
     """Parameterized block matrix (a) + X_{s_1} + ... + X_{s_j}.
@@ -608,69 +639,60 @@ class BlockShape:
     xmap: dict[Index, object]
 
     def __post_init__(self):
-        if not is_subclosed(self.index_set):
-            have = set(self.index_set)
-            missing = [str(w) for w in subclosure(self.index_set) if w not in have]
-            raise ValueError(f"index set is not window-closed; missing {missing}")
-        deps = [ix.dep for ix in self.index_set]
-        if deps != sorted(deps):
-            raise ValueError("index set must be enumerated depth-ascending")
+        self.index_set = tuple(self.index_set)
+        error = _shape_layout(self.index_set).error
+        if error:
+            raise ValueError(error)
         if self.domain.is_zero(self.a):
             raise ValueError("the scalar parameter must be invertible")
 
     @property
     def size(self) -> int:
-        return 1 + sum(ix.dep + 1 for ix in self.index_set)
+        return _shape_layout(self.index_set).size
 
     def realize(self):
-        dom = self.domain
-        n = self.size
-        m = [[dom.zero() for _ in range(n)] for _ in range(n)]
+        dom, lay = self.domain, _shape_layout(self.index_set)
+        pw = {e: dom.pow(self.a, e) for e in lay.exponents}
+        zero = dom.zero()
+        m = [[zero] * lay.size for _ in range(lay.size)]
         m[0][0] = self.a
-        off = 1
-        for idx in self.index_set:
-            d = idx.dep
-            sw = [sum(idx.entries[k:]) for k in range(d + 1)]
-            for c in range(d + 1):
-                m[off + c][off + c] = dom.pow(self.a, sw[c])
-                for r in range(c + 1, d + 1):
-                    x = self.xmap[idx.window(c + 1, r)]
-                    m[off + r][off + c] = dom.mul(dom.pow(self.a, sw[c]), x)
-            off += d + 1
+        for r, c, e, w in lay.entries:
+            m[r][c] = pw[e] if w is None else dom.mul(pw[e], self.xmap[w])
         return m
 
     @classmethod
     def parse(cls, domain, index_set, matrix) -> "BlockShape":
         """Inverse of realize; raises ShapeParseError on any mismatch."""
-        n = 1 + sum(ix.dep + 1 for ix in index_set)
+        index_set = tuple(index_set)
+        lay = _shape_layout(index_set)
+        n = lay.size
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ShapeParseError(f"expected a {n}x{n} matrix")
         a = matrix[0][0]
         if domain.is_zero(a):
             raise ShapeParseError("scalar parameter is zero")
+        ainv = {e: domain.inv(domain.pow(a, e)) for e in lay.exponents}
         xmap: dict[Index, object] = {}
-        off = 1
-        for idx in index_set:
-            d = idx.dep
-            sw = [sum(idx.entries[k:]) for k in range(d + 1)]
-            for c in range(d + 1):
-                for r in range(c + 1, d + 1):
-                    w = idx.window(c + 1, r)
-                    x = domain.mul(matrix[off + r][off + c], domain.inv(domain.pow(a, sw[c])))
-                    if w in xmap:
-                        if not domain.eq(xmap[w], x):
-                            raise ShapeParseError(
-                                f"window {w} extracted twice with different values"
-                            )
-                    else:
-                        xmap[w] = x
-            off += d + 1
-        shape = cls(domain, tuple(index_set), a, xmap)
-        expected = shape.realize()
-        for i in range(n):
-            for j in range(n):
-                if not domain.eq(expected[i][j], matrix[i][j]):
-                    raise ShapeParseError(f"entry ({i}, {j}) off the parameterized shape")
+        for r, c, e, w in lay.entries:
+            if w is None:
+                continue
+            x = domain.mul(matrix[r][c], ainv[e])
+            if w in xmap:
+                if not domain.eq(xmap[w], x):
+                    raise ShapeParseError(f"window {w} extracted twice with different values")
+            else:
+                xmap[w] = x
+        shape = cls(domain, index_set, a, xmap)
+        # every entry is compared: row i may be nonzero only in columns lo..i
+        eq, is_zero = domain.eq, domain.is_zero
+        for i, (lo, erow, mrow) in enumerate(zip(lay.row_starts, shape.realize(), matrix)):
+            if not (
+                all(map(is_zero, mrow[:lo]))
+                and all(map(eq, erow[lo : i + 1], mrow[lo : i + 1]))
+                and all(map(is_zero, mrow[i + 1 :]))
+            ):
+                j = next(j for j in range(n) if not eq(erow[j], mrow[j]))
+                raise ShapeParseError(f"entry ({i}, {j}) off the parameterized shape")
         return shape
 
     def is_v_element(self) -> bool:
@@ -686,29 +708,40 @@ class BlockShape:
 
 
 def _mat_mul(dom, a, b):
-    n = len(a)
-    out = [[dom.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if dom.is_zero(a[i][k]):
-                continue
-            for j in range(n):
-                if not dom.is_zero(b[k][j]):
-                    out[i][j] = dom.add(out[i][j], dom.mul(a[i][k], b[k][j]))
+    """a*b, each nonzero a[i][k] times the nonzero entries of row k of b."""
+    is_zero, add, mul = dom.is_zero, dom.add, dom.mul
+    zero = dom.zero()
+    brows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in b]
+    out = []
+    for arow in a:
+        row = [None] * len(b[0])
+        for k, x in enumerate(arow):
+            if not is_zero(x):
+                for j, y in brows[k]:
+                    t = mul(x, y)
+                    row[j] = t if row[j] is None else add(row[j], t)
+        out.append([zero if v is None else v for v in row])
     return out
 
 
 def _mat_inv_lower(dom, a):
-    # forward substitution; a lower triangular with invertible diagonal
+    """Forward substitution for lower triangular a with invertible diagonal,
+    over the terms a[i][k] * out[k][j] with both factors nonzero."""
     n = len(a)
-    out = [[dom.zero() for _ in range(n)] for _ in range(n)]
+    is_zero, add, mul = dom.is_zero, dom.add, dom.mul
+    dinv = [dom.inv(a[i][i]) for i in range(n)]
+    lower = [[(k, x) for k, x in enumerate(a[i][:i]) if not is_zero(x)] for i in range(n)]
+    out = [[dom.zero()] * n for _ in range(n)]
     for j in range(n):
-        out[j][j] = dom.inv(a[j][j])
+        out[j][j] = dinv[j]
         for i in range(j + 1, n):
-            acc = dom.zero()
-            for k in range(j, i):
-                acc = dom.add(acc, dom.mul(a[i][k], out[k][j]))
-            out[i][j] = dom.neg(dom.mul(dom.inv(a[i][i]), acc))
+            acc = None
+            for k, x in lower[i]:
+                if k >= j and not is_zero(out[k][j]):
+                    t = mul(x, out[k][j])
+                    acc = t if acc is None else add(acc, t)
+            if acc is not None:
+                out[i][j] = dom.neg(mul(dinv[i], acc))
     return out
 
 
@@ -716,6 +749,17 @@ def _random_shape(dom, index_set, rng) -> BlockShape:
     a = dom.sample_nonzero(rng)
     xmap = {ix: dom.sample(rng) for ix in index_set}
     return BlockShape(dom, tuple(index_set), a, xmap)
+
+
+def _sampled_report(failures: list, samples: int, bound: int) -> CheckReport:
+    return CheckReport(
+        passed=not failures,
+        checked=samples,
+        failures=failures,
+        note=f"degree bound {bound} (Schwartz-Zippel); samples {samples} "
+        f"{'exceed' if samples > bound else 'DO NOT exceed'} it",
+        bound=bound,
+    )
 
 
 def closure_report(domain, index_set, samples: int, seed: int) -> CheckReport:
@@ -733,23 +777,16 @@ def closure_report(domain, index_set, samples: int, seed: int) -> CheckReport:
         s1 = _random_shape(domain, index_set, rng)
         s2 = _random_shape(domain, index_set, rng)
         try:
-            prod = BlockShape.parse(domain, index_set, _mat_mul(domain, s1.realize(), s2.realize()))
+            m1 = s1.realize()
+            prod = BlockShape.parse(domain, index_set, _mat_mul(domain, m1, s2.realize()))
             if not domain.eq(prod.a, domain.mul(s1.a, s2.a)):
                 failures.append((trial, "product scalar is not a1*a2"))
-            invp = BlockShape.parse(domain, index_set, _mat_inv_lower(domain, s1.realize()))
+            invp = BlockShape.parse(domain, index_set, _mat_inv_lower(domain, m1))
             if not domain.eq(domain.mul(invp.a, s1.a), domain.one()):
                 failures.append((trial, "inverse scalar is not a^-1"))
         except ShapeParseError as exc:
             failures.append((trial, str(exc)))
-    wt_max = max(ix.wt for ix in index_set)
-    bound = 2 * wt_max + 1
-    return CheckReport(
-        passed=not failures,
-        checked=samples,
-        failures=failures,
-        note=f"degree bound {bound} (Schwartz-Zippel); samples {samples} "
-        f"{'exceed' if samples > bound else 'DO NOT exceed'} it",
-    )
+    return _sampled_report(failures, samples, 2 * max(ix.wt for ix in index_set) + 1)
 
 
 def commutator_report(domain, index_set, samples: int, seed: int) -> CheckReport:
@@ -792,11 +829,4 @@ def commutator_report(domain, index_set, samples: int, seed: int) -> CheckReport
             expect_comm = domain.mul(v, domain.sub(domain.one(), domain.pow(b, -wt)))
             if not (comm.is_v_element() and domain.eq(comm.x_last(), expect_comm)):
                 failures.append((trial, tag, "commutator coordinate is not v*(1-b^-wt)"))
-    bound = 2 * wt + 1
-    return CheckReport(
-        passed=not failures,
-        checked=samples,
-        failures=failures,
-        note=f"degree bound {bound} (Schwartz-Zippel); samples {samples} "
-        f"{'exceed' if samples > bound else 'DO NOT exceed'} it",
-    )
+    return _sampled_report(failures, samples, 2 * wt + 1)

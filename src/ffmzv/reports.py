@@ -60,3 +60,4 @@ class CheckReport:
     checked: int = 0
     failures: list = field(default_factory=list)
     note: str = ""
+    bound: int | None = None  # a sampled check certifies only beyond this many samples

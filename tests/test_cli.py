@@ -95,6 +95,33 @@ def test_group_commands(capsys):
     assert code == 0 and json.loads(out)["domain"] == "rational-function"
 
 
+def test_group_commands_need_samples_beyond_the_degree_bound(capsys):
+    for cmd, n in (("group-closure", "0"), ("group-commutator", "-5")):
+        code, out, err = run_cli(capsys, cmd, "--indices", "1,2", "--samples", n)
+        assert code == 2 and out == "" and "--samples must be positive" in err
+    # {(1),(2),(1,2)} has degree bound 2*3 + 1 = 7 for both laws
+    for cmd in ("group-closure", "group-commutator"):
+        code, out, _ = run_cli(capsys, cmd, "--indices", "1,2", "--samples", "7")
+        check = json.loads(out)["checks"][0]
+        assert code == 1 and check["status"] == "incomparable" and "DO NOT exceed" in check["detail"]
+        code, out, _ = run_cli(capsys, cmd, "--indices", "1,2", "--samples", "8")
+        assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
+
+
+def test_residual_certified_below_the_requested_precision_is_incomparable(capsys):
+    for argv, floor in (
+        (("verify-rat", "--p", "3", "--index", "2,1", "--prec", "2", "--tdeg", "5"), -12),
+        (("verify-derived", "--p", "3", "--index", "1,2", "--derive", "2", "--prec", "3", "--tdeg", "1"), -45),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        check = json.loads(out)["checks"][0]
+        assert code == 1 and check["status"] == "incomparable", check
+        assert check["detail"].startswith(f"floor {floor} z-digits, below the requested")
+    # a floor exactly at the requested precision passes
+    code, out, _ = run_cli(capsys, "verify-rat", "--p", "3", "--index", "1,2", "--prec", "40")
+    assert code == 0 and json.loads(out)["checks"][0]["detail"] == "floor 40 z-digits"
+
+
 def test_malformed_gf_is_usage_error(capsys):
     for gf in ("3", "3,4,1", "3,x", ""):
         for extra in ((), ("--rational",)):

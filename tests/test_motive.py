@@ -2,8 +2,10 @@
 
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffmzv import motive, tate
 from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_power, omega_series
@@ -483,3 +485,120 @@ def test_block_rational_function_mode():
     dom = RationalFunctionDomain(3)
     assert closure_report(dom, I_12, 12, 4).passed
     assert commutator_report(dom, I_12, 6, 4).passed
+
+
+# -- sparse kernels against the dense loops they replaced ----------------------
+
+
+def _mat_mul_dense(dom, a, b):
+    n = len(a)
+    out = [[dom.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if dom.is_zero(a[i][k]):
+                continue
+            for j in range(n):
+                if not dom.is_zero(b[k][j]):
+                    out[i][j] = dom.add(out[i][j], dom.mul(a[i][k], b[k][j]))
+    return out
+
+
+def _mat_inv_lower_dense(dom, a):
+    # forward substitution; a lower triangular with invertible diagonal
+    n = len(a)
+    out = [[dom.zero() for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        out[j][j] = dom.inv(a[j][j])
+        for i in range(j + 1, n):
+            acc = dom.zero()
+            for k in range(j, i):
+                acc = dom.add(acc, dom.mul(a[i][k], out[k][j]))
+            out[i][j] = dom.neg(dom.mul(dom.inv(a[i][i]), acc))
+    return out
+
+
+KERNEL_DOMAINS = {
+    "F3^4": F81,
+    "F2^8": FiniteFieldDomain(field(2, 8)),
+    "F2(t)": RationalFunctionDomain(2),
+    "F3(t)": RationalFunctionDomain(3),
+}
+# window-closed index sets whose shapes have at most 10 rows
+SMALL_SETS = [subclosure([Index(e) for e in ix]) for ix in (
+    [(1,)], [(2,)], [(1, 1)], [(2, 1)], [(1, 2)], [(3,), (1, 2)], [(1, 1, 1)]
+)]
+
+
+def _lower(dom, n, rng):
+    density = rng.random()
+    return [
+        [
+            dom.sample_nonzero(rng) if i == j
+            else dom.sample_nonzero(rng) if j < i and rng.random() < density
+            else dom.zero()
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _assert_entrywise_eq(dom, got, want):
+    assert len(got) == len(want)
+    for i, (grow, wrow) in enumerate(zip(got, want)):
+        assert len(grow) == len(wrow)
+        for j, (x, y) in enumerate(zip(grow, wrow)):
+            assert dom.eq(x, y), (i, j, x, y)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(KERNEL_DOMAINS)),
+    st.sampled_from(("shape", "lower", "dense")),
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+)
+def test_sparse_kernels_equal_dense_oracles(dom_key, kind, n, seed):
+    dom, rng = KERNEL_DOMAINS[dom_key], random.Random(seed)
+    if kind == "shape":
+        iset = rng.choice(SMALL_SETS)
+        a = motive._random_shape(dom, iset, rng).realize()
+        b = motive._random_shape(dom, iset, rng).realize()
+    elif kind == "lower":
+        a, b = _lower(dom, n, rng), _lower(dom, n, rng)
+    else:
+        a, b = ([[dom.sample(rng) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    _assert_entrywise_eq(dom, _mat_mul(dom, a, b), _mat_mul_dense(dom, a, b))
+    if kind != "dense":
+        _assert_entrywise_eq(dom, _mat_inv_lower(dom, a), _mat_inv_lower_dense(dom, a))
+
+
+@pytest.mark.parametrize("dom", [F81, RationalFunctionDomain(3)], ids=["F3^4", "F3(t)"])
+@pytest.mark.parametrize("ixs", [[(1, 2)], [(3,), (1, 2)], [(2, 2, 1)]], ids=["12", "3;12", "221"])
+def test_parse_checks_every_entry_the_shape_fixes(dom, ixs):
+    iset = subclosure([Index(e) for e in ixs])
+    m = motive._random_shape(dom, iset, random.Random(11)).realize()
+    n = len(m)
+    blocks, off = [(0, 1)], 1  # (first row, end) of each diagonal block
+    for ix in iset:
+        blocks.append((off, off + ix.dep + 1))
+        off += ix.dep + 1
+    in_block = {(i, j) for lo, hi in blocks for i in range(lo, hi) for j in range(lo, i)}
+    # every off-block position below the diagonal, every one on or above it but (0, 0)
+    fixed = [(i, j) for i in range(n) for j in range(n) if (i, j) not in in_block and (i, j) != (0, 0)]
+    for i, j in fixed:
+        bad = [list(row) for row in m]
+        bad[i][j] = dom.add(bad[i][j], dom.one())
+        with pytest.raises(ShapeParseError, match=rf"entry \({i}, {j}\)"):
+            BlockShape.parse(dom, iset, bad)
+    assert BlockShape.parse(dom, iset, m).size == n
+
+
+def test_depth_three_rational_function_shapes_verify_quickly():
+    # dense loops added an unreduced (0, den) per zero term: one closure plus
+    # one commutator sample of F_2(t) {(3,1,2)} took about 12 s
+    start = time.perf_counter()
+    for p, ix in ((2, (3, 1, 2)), (3, (2, 2, 1))):
+        dom, iset = RationalFunctionDomain(p), subclosure([Index(ix)])
+        for rep in (closure_report(dom, iset, 10, 3), commutator_report(dom, iset, 10, 4)):
+            assert rep.passed and rep.checked == 10, rep.failures
+    assert time.perf_counter() - start < 20

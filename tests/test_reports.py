@@ -30,11 +30,15 @@ def test_residual_report_locates_the_worst_t_degree_after_the_prefix():
 
 def test_residual_entries_name_the_worst_entry_only_when_located():
     fail = ResidualReport(False, Fraction(-3, 2), 40, (1, 0, 2))
-    assert _residual_entry("x", fail, located=True) == check_entry("x", "fail", "entry (1, 0, 2) residual exponent -3/2")
-    assert _residual_entry("x", fail) == check_entry("x", "fail", "residual exponent -3/2")
-    assert _residual_entry("x", ResidualReport(True, None, 40)) == {
+    assert _residual_entry("x", fail, 40, located=True) == check_entry("x", "fail", "entry (1, 0, 2) residual exponent -3/2")
+    assert _residual_entry("x", fail, 40) == check_entry("x", "fail", "residual exponent -3/2")
+    assert _residual_entry("x", ResidualReport(True, None, 40), 40) == {
         "name": "x",
         "status": "pass",
         "detail": "floor 40 z-digits",
         "runtime_ms": 0,
     }
+    # a zero certified below the requested precision certifies nothing
+    assert _residual_entry("x", ResidualReport(True, None, 39), 40) == check_entry(
+        "x", "incomparable", "floor 39 z-digits, below the requested 40"
+    )
