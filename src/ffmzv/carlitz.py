@@ -39,25 +39,25 @@ class CacheStats(NamedTuple):
 
 @dataclass
 class CarlitzContext:
-    """Level data: prime p, level l, q = p^l, plus default working sizes."""
+    """Level data: prime p and level l, from which the field F_q (q = p^l) and
+    q derive, plus default working sizes."""
 
     p: int
     l: int
     prec: int = 64
     tdeg: int = 16
     enum_budget: int = 10**6
-    field: FieldSpec = None  # type: ignore[assignment]
-    q: int = 0
+    field: FieldSpec = dc_field(init=False)
+    q: int = dc_field(init=False)
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _hits: int = dc_field(default=0, init=False, repr=False, compare=False)
     _misses: int = dc_field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.field is None:
-            self.field = ff_field(self.p, self.l)
-        self.q = self.p**self.l
-        if self.q < 2 or self.prec < 1:
-            raise ValueError("q >= 2 and precision >= 1 required")
+        self.field = ff_field(self.p, self.l)
+        self.q = self.field.order
+        if self.prec < 1:
+            raise ValueError("precision >= 1 required")
 
     def cached(self, key, build: Callable[[], Any]) -> Any:
         """The value stored under `key`, built by `build()` on the first call.
@@ -160,27 +160,19 @@ def omega_series(
         work = prec + q + 2
         nfac = omega_factor_count(q, work) if factors is None else factors
         o = ops(fld)
-        acc = tate.from_laurent(monomial(fld, q, q, 1, work))  # the exact prefactor z^q
+        acc = tate.from_laurent(monomial(fld, q, 1, work))  # the exact prefactor z^q
         for i in range(1, nfac + 1):
             if i == drop_factor:
                 continue
             # 1 - t/theta^{q^i}: the t-coefficient is (-1)^{q^i + 1} z^{(q-1)q^i}
             c = 1 if (q**i + 1) % 2 == 0 else o.neg[1]
-            fac = TateElement(
-                fld,
-                q,
-                [
-                    LaurentSeries(fld, q, 0, [1], work),
-                    monomial(fld, q, (q - 1) * q**i, c, work),
-                ],
-                None,
-                True,
-            )
+            lin = [LaurentSeries(fld, 0, [1], work), monomial(fld, (q - 1) * q**i, c, work)]
+            fac = TateElement(fld, lin, None, True)
             acc = (acc * fac).truncate_tdeg(tdeg)
         coeffs = list(acc.coeffs)
         while len(coeffs) < tdeg + 1:
-            coeffs.append(LaurentSeries(fld, q, work, [], work))
-        return TateElement(fld, q, coeffs, ((q - 1) * q, q), False)
+            coeffs.append(LaurentSeries(fld, work, [], work))
+        return TateElement(fld, coeffs, ((q - 1) * q, q), False)
 
     if factors is None and drop_factor is None:
         return ctx.cached(("omega", tdeg, prec), build)
@@ -193,7 +185,7 @@ def omega_power(ctx: CarlitzContext, e: int, tdeg: int, prec: int) -> TateElemen
 
     def build() -> TateElement:
         if e == 0:
-            return tate.one(ctx.field, ctx.q, prec + ctx.q + 2, 0)
+            return tate.one(ctx.field, prec + ctx.q + 2, 0)
         if e == 1:
             return omega_series(ctx, tdeg=tdeg, prec=prec)
         return omega_power(ctx, e - 1, tdeg, prec) * omega_power(ctx, 1, tdeg, prec)
@@ -221,14 +213,14 @@ def pi_tilde(ctx: CarlitzContext, prec: int | None = None) -> LaurentSeries:
     work = prec + q + 2
     o = ops(fld)
     # theta * (-theta)^{1/(q-1)} = theta * z^{-1} = -z^{-q}
-    acc = monomial(fld, q, -q, o.neg[1], work)
+    acc = monomial(fld, -q, o.neg[1], work)
     i = 1
     while True:
         v = (q - 1) * (q**i - 1)  # valuation of theta^{1-q^i}
         if v >= work + q:
             break
         c = 1 if (q**i) % 2 == 0 else o.neg[1]  # z^v-coefficient of 1 - theta^{1-q^i}
-        factor = LaurentSeries(fld, q, 0, [1] + [0] * (v - 1) + [c], work)
+        factor = LaurentSeries(fld, 0, [1] + [0] * (v - 1) + [c], work)
         acc = acc * factor.inv()
         i += 1
     return acc.truncate(prec)
@@ -247,7 +239,7 @@ def pi_omega_cross_check(ctx: CarlitzContext, target: int) -> IdentityReport:
     pt = pi_tilde(ctx, work)
     ev = tate.eval_at_theta(omega_for_eval(ctx, work))
     prod = pt * ev
-    expect = monomial(ctx.field, q, 0, ops(ctx.field).neg[1], prod.prec)
+    expect = monomial(ctx.field, 0, ops(ctx.field).neg[1], prod.prec)
     return IdentityReport.from_comparison(
         compare_to_precision(prod, expect),
         target,
@@ -271,7 +263,7 @@ def omega_functional_residual(ctx: CarlitzContext, omega: TateElement) -> Residu
     q = ctx.q
     cap = min(c.prec for c in omega.coeffs)
     work = cap + q * (q - 1) + 2
-    factor = tate.from_poly(t_minus_theta_frob(ctx.field, ctx.l), q, work)
+    factor = tate.from_poly(t_minus_theta_frob(ctx.field, ctx.l), work)
     twisted = tate.twist(omega, ctx.l).cap_precision(work)
     rhs = (factor * twisted).truncate_tdeg(omega.tdeg)
     return ResidualReport.from_zero_check(tate.zero_check(omega - rhs), q)

@@ -211,8 +211,7 @@ def _run(args) -> int:
         idx = subclosure(parse_index_set(args.indices))
         fn = closure_report if cmd == "group-closure" else commutator_report
         rep = fn(dom, idx, args.samples, args.seed)
-        # too few samples to exceed the degree bound certify nothing
-        status = "fail" if not rep.passed else "pass" if rep.checked > rep.bound else "incomparable"
+        status = "fail" if not rep.passed else "pass" if rep.certified else "incomparable"
         report = _envelope(
             args,
             index_set=[str(i) for i in idx],

@@ -5,7 +5,8 @@ z = (-theta)^(-1/(q-1)), so
 
     theta = -z^(-(q-1)),     (-theta)^(1/(q-1)) = z^(-1),
 
-and |theta| = p^l corresponds to v_z(theta) = -(q-1) with q = p^l.  A series
+and |theta| = p^l corresponds to v_z(theta) = -(q-1), where q = p^l is the
+order of the coefficient field (a series reads it as field.order).  A series
 is stored as (val, coeffs, prec): coefficients for exponents val..val+len-1,
 known modulo O(z^prec).  All coefficients below val are known zeros and the
 leading stored coefficient is nonzero (normalized form); a series that is
@@ -29,9 +30,9 @@ from .ffield import FieldSpec, dense_mul, ops
 
 
 class LaurentSeries:
-    __slots__ = ("field", "q", "val", "coeffs", "prec")
+    __slots__ = ("field", "val", "coeffs", "prec")
 
-    def __init__(self, field: FieldSpec, q: int, val: int, coeffs: list[int], prec: int):
+    def __init__(self, field: FieldSpec, val: int, coeffs: list[int], prec: int):
         # normalize: drop leading zeros, drop anything at/above prec
         n = len(coeffs)
         if val + n > prec:
@@ -49,7 +50,6 @@ class LaurentSeries:
                 j -= 1
             coeffs = coeffs[i:j]
         self.field = field
-        self.q = q
         self.val = val
         self.coeffs = coeffs
         self.prec = prec
@@ -61,7 +61,7 @@ class LaurentSeries:
         return not self.coeffs
 
     def _compat(self, other: "LaurentSeries") -> None:
-        if (self.field is not other.field and self.field != other.field) or self.q != other.q:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed Laurent series rings")
 
     def coeff(self, k: int) -> int:
@@ -79,9 +79,9 @@ class LaurentSeries:
         self._compat(other)
         prec = min(self.prec, other.prec)
         if not self.coeffs:
-            return LaurentSeries(self.field, self.q, other.val, other.coeffs[:], prec)
+            return LaurentSeries(self.field, other.val, other.coeffs[:], prec)
         if not other.coeffs:
-            return LaurentSeries(self.field, self.q, self.val, self.coeffs[:], prec)
+            return LaurentSeries(self.field, self.val, self.coeffs[:], prec)
         o = ops(self.field)
         val = min(self.val, other.val)
         out = [0] * (max(self.val + len(self.coeffs), other.val + len(other.coeffs)) - val)
@@ -95,13 +95,11 @@ class LaurentSeries:
                 for i, c in enumerate(src.coeffs):
                     if c:
                         out[off + i] = add[out[off + i] * n + c]
-        return LaurentSeries(self.field, self.q, val, out, prec)
+        return LaurentSeries(self.field, val, out, prec)
 
     def __neg__(self) -> "LaurentSeries":
         neg = ops(self.field).neg
-        return LaurentSeries(
-            self.field, self.q, self.val, [neg[c] for c in self.coeffs], self.prec
-        )
+        return LaurentSeries(self.field, self.val, [neg[c] for c in self.coeffs], self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -111,20 +109,18 @@ class LaurentSeries:
         val = self.val + other.val
         prec = min(self.val + other.prec, other.val + self.prec)
         out = dense_mul(self.field, self.coeffs, other.coeffs, prec - val)
-        return LaurentSeries(self.field, self.q, val, out, prec)
+        return LaurentSeries(self.field, val, out, prec)
 
     def scalar_mul(self, c: int) -> "LaurentSeries":
         if c == 0:
-            return LaurentSeries(self.field, self.q, self.prec, [], self.prec)
+            return LaurentSeries(self.field, self.prec, [], self.prec)
         o = ops(self.field)
         mul, n = o.mul, o.n
-        return LaurentSeries(
-            self.field, self.q, self.val, [mul[c * n + x] for x in self.coeffs], self.prec
-        )
+        return LaurentSeries(self.field, self.val, [mul[c * n + x] for x in self.coeffs], self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Exact multiplication by z^k."""
-        return LaurentSeries(self.field, self.q, self.val + k, self.coeffs[:], self.prec + k)
+        return LaurentSeries(self.field, self.val + k, self.coeffs[:], self.prec + k)
 
     def inv(self) -> "LaurentSeries":
         if not self.coeffs:
@@ -145,18 +141,18 @@ class LaurentSeries:
                 if aj:
                     acc = add[acc * n + mul[aj * n + out[k - j]]]
             out[k] = mul[c0inv * n + neg[acc]]
-        return LaurentSeries(self.field, self.q, -v, out, self.prec - 2 * v)
+        return LaurentSeries(self.field, -v, out, self.prec - 2 * v)
 
     def __pow__(self, e: int) -> "LaurentSeries":
         if e < 0:
             return self.inv() ** (-e)
         if e == 0:
-            return one(self.field, self.q, self.prec)
+            return one(self.field, self.prec)
         if not self.coeffs:
-            return LaurentSeries(self.field, self.q, self.prec * e, [], self.prec * e)
+            return LaurentSeries(self.field, self.prec * e, [], self.prec * e)
         # seed with relative precision prec - val so square-and-multiply
         # reproduces the true precision e*val + (prec - val) of the power
-        result = one(self.field, self.q, self.prec - self.val)
+        result = one(self.field, self.prec - self.val)
         base = self
         while e:
             if e & 1:
@@ -169,7 +165,7 @@ class LaurentSeries:
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec >= self.prec:
             return self
-        return LaurentSeries(self.field, self.q, self.val, self.coeffs[:], prec)
+        return LaurentSeries(self.field, self.val, self.coeffs[:], prec)
 
     # -- norms and comparison -----------------------------------------------
 
@@ -177,7 +173,7 @@ class LaurentSeries:
         """|f| as the exponent e with |f| = |theta|^e; None for zero-to-precision."""
         if not self.coeffs:
             return None
-        return Fraction(-self.val, self.q - 1)
+        return Fraction(-self.val, self.field.order - 1)
 
     def __repr__(self) -> str:
         return f"LaurentSeries({to_text(self)})"
@@ -217,12 +213,12 @@ def twist(f: LaurentSeries, n: int) -> LaurentSeries:
     o = ops(f.field)
     s = f.field.p**n
     if not f.coeffs:
-        return LaurentSeries(f.field, f.q, f.prec * s, [], f.prec * s)
+        return LaurentSeries(f.field, f.prec * s, [], f.prec * s)
     out = [0] * ((len(f.coeffs) - 1) * s + 1)
     for i, c in enumerate(f.coeffs):
         if c:
             out[i * s] = o.frob_n(c, n)
-    return LaurentSeries(f.field, f.q, f.val * s, out, f.prec * s)
+    return LaurentSeries(f.field, f.val * s, out, f.prec * s)
 
 
 def inverse_twist(f: LaurentSeries, n: int) -> LaurentSeries:
@@ -233,7 +229,7 @@ def inverse_twist(f: LaurentSeries, n: int) -> LaurentSeries:
     s = f.field.p**n
     prec = -(-f.prec // s)
     if not f.coeffs:
-        return LaurentSeries(f.field, f.q, prec, [], prec)
+        return LaurentSeries(f.field, prec, [], prec)
     if f.val % s:
         raise ValueError(f"support exponent {f.val} not divisible by p^{n}")
     out = [0] * (len(f.coeffs) // s + 1)
@@ -243,63 +239,64 @@ def inverse_twist(f: LaurentSeries, n: int) -> LaurentSeries:
             if i % s:
                 raise ValueError(f"support exponent {f.val + i} not divisible by p^{n}")
             out[i // s] = o.frob_n(c, k)
-    return LaurentSeries(f.field, f.q, f.val // s, out, prec)
+    return LaurentSeries(f.field, f.val // s, out, prec)
 
 
 # -- constructors --------------------------------------------------------------
 
 
-def zero(field: FieldSpec, q: int, prec: int) -> LaurentSeries:
-    return LaurentSeries(field, q, prec, [], prec)
+def zero(field: FieldSpec, prec: int) -> LaurentSeries:
+    return LaurentSeries(field, prec, [], prec)
 
 
-def one(field: FieldSpec, q: int, prec: int) -> LaurentSeries:
-    return LaurentSeries(field, q, 0, [1], prec)
+def one(field: FieldSpec, prec: int) -> LaurentSeries:
+    return LaurentSeries(field, 0, [1], prec)
 
 
-def monomial(field: FieldSpec, q: int, k: int, coeff: int, prec: int) -> LaurentSeries:
-    return LaurentSeries(field, q, k, [coeff], prec)
+def monomial(field: FieldSpec, k: int, coeff: int, prec: int) -> LaurentSeries:
+    return LaurentSeries(field, k, [coeff], prec)
 
 
-def theta_pow(field: FieldSpec, q: int, k: int, prec: int) -> LaurentSeries:
+def theta_pow(field: FieldSpec, k: int, prec: int) -> LaurentSeries:
     """theta^k as the exact monomial (-1)^k z^(-k(q-1))."""
     o = ops(field)
     c = 1 if k % 2 == 0 else o.neg[1]
-    return LaurentSeries(field, q, -k * (q - 1), [c], prec)
+    return LaurentSeries(field, -k * (field.order - 1), [c], prec)
 
 
-def theta(field: FieldSpec, q: int, prec: int) -> LaurentSeries:
-    return theta_pow(field, q, 1, prec)
+def theta(field: FieldSpec, prec: int) -> LaurentSeries:
+    return theta_pow(field, 1, prec)
 
 
-def from_theta_poly(field: FieldSpec, q: int, poly: dict[int, int], prec: int) -> LaurentSeries:
+def from_theta_poly(field: FieldSpec, poly: dict[int, int], prec: int) -> LaurentSeries:
     """Embed sum(c_k theta^k) (k >= 0, c_k field encodings) as a z-series."""
     if not poly:
-        return zero(field, q, prec)
+        return zero(field, prec)
     o = ops(field)
+    step = field.order - 1
     deg = max(poly)
-    val = -deg * (q - 1)
-    out = [0] * (deg * (q - 1) + 1)
+    out = [0] * (deg * step + 1)
     for k, c in poly.items():
         if c:
-            out[(deg - k) * (q - 1)] = c if k % 2 == 0 else o.mul[o.neg[1] * o.n + c]
-    return LaurentSeries(field, q, val, out, prec)
+            out[(deg - k) * step] = c if k % 2 == 0 else o.mul[o.neg[1] * o.n + c]
+    return LaurentSeries(field, -deg * step, out, prec)
 
 
 def from_rational(
-    field: FieldSpec, q: int, num: dict[int, int], den: dict[int, int], prec: int
+    field: FieldSpec, num: dict[int, int], den: dict[int, int], prec: int
 ) -> LaurentSeries:
     """Expansion of num/den (polynomials in theta) at precision O(z^prec)."""
     if not any(den.values()):
         raise ZeroDivisionError("zero denominator polynomial")
+    step = field.order - 1
     deg_n = max((k for k, c in num.items() if c), default=0)
     deg_d = max(k for k, c in den.items() if c)
     # slack so the propagated precision of the quotient reaches prec; at least
     # one digit past the denominator's valuation -(q-1)*deg_d, so that a
     # negative prec never leaves it zero to precision
-    work = max(prec + 2 * deg_d * (q - 1) + deg_n * (q - 1) + 2, 1 - deg_d * (q - 1))
-    n_series = from_theta_poly(field, q, num, work)
-    d_series = from_theta_poly(field, q, den, work)
+    work = max(prec + 2 * deg_d * step + deg_n * step + 2, 1 - deg_d * step)
+    n_series = from_theta_poly(field, num, work)
+    d_series = from_theta_poly(field, den, work)
     return (n_series * d_series.inv()).truncate(prec)
 
 

@@ -124,10 +124,10 @@ def psi_matrix(
         rep = convergence_report(ctx, CmplSpec(Index(s.entries[k : k + 1]), (u[k],)))
         if not rep.passed:
             raise ValueError(f"convergence fails at position {k + 1}: {rep.note}")
-    fld, q = ctx.field, ctx.q
+    fld = ctx.field
     d = s.dep
     sw = _suffix_weights(s)
-    zero = tate.zero(fld, q, prec, tdeg)
+    zero = tate.zero(fld, prec, tdeg)
     rows = [[zero for _ in range(d + 1)] for _ in range(d + 1)]
     for col in range(d + 1):
         diag = rows[col][col] = omega_power(ctx, sw[col], tdeg, prec)
@@ -176,7 +176,7 @@ def direct_sum(a: MotiveMatrix, b: MotiveMatrix) -> MotiveMatrix:
     else:
         first = a.entries[0][0]
         pad_tdeg = max(e.tdeg for mm in (a, b) for row in mm.entries for e in row)
-        zero = tate.zero(first.field, first.q, first.coeffs[0].prec, pad_tdeg)
+        zero = tate.zero(first.field, first.coeffs[0].prec, pad_tdeg)
     rows = []
     for i in range(n):
         rows.append(tuple(list(a.entries[i]) + [zero] * m))
@@ -217,7 +217,7 @@ def _poly_mat_mul(a, b, field: FieldSpec):
 
 def _theta_mutation(psi: MotiveMatrix) -> TateElement:
     first = psi.entries[0][0]
-    return tate.from_poly(BivarPoly.theta(psi.field), first.q, first.coeffs[0].prec)
+    return tate.from_poly(BivarPoly.theta(psi.field), first.coeffs[0].prec)
 
 
 def perturb_entry(psi: MotiveMatrix, i: int, j: int) -> MotiveMatrix:
@@ -262,7 +262,7 @@ def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
         raise ValueError("need an exact side and a series side")
     if phi.level % psi.level != 0:
         raise ValueError("twist level of the exact side must be a multiple of the series level")
-    q = psi.entries[0][0].q
+    q = psi.field.order
     shapes = [_entry_shape(e) for row in psi.entries for e in row]
     p0, tdeg = _p0_tdeg(shapes)
     # the exact side has valuations down to -(q-1)*deg_theta; cap high enough
@@ -272,7 +272,7 @@ def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
     )
     cap = p0 + (q - 1) * maxdeg + 8
     mats = [
-        [None if pe.is_zero() else tate.from_poly(pe, q, cap) for pe in row] for row in phi.entries
+        [None if pe.is_zero() else tate.from_poly(pe, cap) for pe in row] for row in phi.entries
     ]
     tw = [[tate.twist(e, phi.level).cap_precision(cap) for e in row] for row in psi.entries]
     return _Residual(q, p0, cap, tdeg, shapes, mats, [list(c) for c in zip(*tw)])
@@ -416,7 +416,7 @@ def component_collapse_report(
     if i == j:
         w = omega_power(ctx, sum(s.entries[i - 1 :]), tdeg, prec)
         prod = w * tate.invert_unit(w)
-        resid = prod - tate.one(fld, q, min(c.prec for c in prod.coeffs), 0)
+        resid = prod - tate.one(fld, min(c.prec for c in prod.coeffs), 0)
         return ResidualReport.from_zero_check(
             tate.zero_check(resid),
             q,
@@ -429,13 +429,13 @@ def component_collapse_report(
         for b in range(1, a):
             window = CmplSpec(Index(s.entries[b - 1 : a - 1]), tuple(u[b - 1 : a - 1]))
             L[(a, b)] = cmpl_series(ctx, window, tdeg, prec)
-        L[(a, a)] = tate.one(fld, q, prec + 4, 0)
+        L[(a, a)] = tate.one(fld, prec + 4, 0)
     ompow = omega_power(ctx, sum(s.entries[j - 1 : i - 1]), tdeg, prec)
     acc = None
     for n in range(j, i + 1):
         # inverse-of-unipotent chain coefficient from n up to i
         if n == i:
-            coeff = tate.one(fld, q, prec + 4, 0)
+            coeff = tate.one(fld, prec + 4, 0)
         else:
             coeff = None
             mids = list(range(n + 1, i))
@@ -463,6 +463,7 @@ class FiniteFieldDomain:
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self._o = ops(spec)
+        self.draws = spec.order - 1  # distinct values of sample_nonzero
 
     name = "finite-field"
 
@@ -505,12 +506,16 @@ class FiniteFieldDomain:
         return rng.randrange(1, self._o.n)
 
 
+MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degree <= 2
+
+
 class RationalFunctionDomain:
     """F_p(t) with unreduced fractions; equality by cross-multiplication."""
 
-    def __init__(self, p: int, max_sample_degree: int = 2):
+    def __init__(self, p: int):
         self.p = p
-        self.max_deg = max_sample_degree
+        # distinct values of sample_nonzero, counting only those over denominator 1
+        self.draws = p ** (MAX_SAMPLE_DEGREE + 1) - 1
 
     name = "rational-function"
 
@@ -580,13 +585,13 @@ class RationalFunctionDomain:
         return all(c == 0 for c in a[0])
 
     def sample(self, rng: random.Random):
-        num = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, self.max_deg + 2)))
+        num = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2)))
         den = self._sample_nonzero_poly(rng)
         return (num if any(num) else (0,), den)
 
     def _sample_nonzero_poly(self, rng):
         while True:
-            c = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, self.max_deg + 2)))
+            c = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2)))
             if any(c):
                 return c
 
@@ -751,14 +756,22 @@ def _random_shape(dom, index_set, rng) -> BlockShape:
     return BlockShape(dom, tuple(index_set), a, xmap)
 
 
-def _sampled_report(failures: list, samples: int, bound: int) -> CheckReport:
+def _sampled_report(failures: list, samples: int, bound: int, draws: int) -> CheckReport:
+    """The report of a sampled law of degree at most `bound`: it certifies
+    (Schwartz-Zippel) only if both the samples and the distinct nonzero values
+    the domain can draw exceed the bound."""
+    note = (
+        f"degree bound {bound} (Schwartz-Zippel); samples {samples} "
+        f"{'exceed' if samples > bound else 'DO NOT exceed'} it"
+    )
+    if draws <= bound:
+        note += f"; only {draws} distinct nonzero draws, which DO NOT exceed it"
     return CheckReport(
         passed=not failures,
         checked=samples,
         failures=failures,
-        note=f"degree bound {bound} (Schwartz-Zippel); samples {samples} "
-        f"{'exceed' if samples > bound else 'DO NOT exceed'} it",
-        bound=bound,
+        note=note,
+        certified=samples > bound and draws > bound,
     )
 
 
@@ -767,8 +780,9 @@ def closure_report(domain, index_set, samples: int, seed: int) -> CheckReport:
     parameter multiplying; exact over the sample domain.
 
     The coordinate identities are polynomial in the parameters with degree
-    span at most 2*wt + 1, so sample counts beyond that bound certify them
-    over a field larger than the bound (reported in the note).
+    span at most 2*wt + 1, so the report certifies them only when both the
+    sample count and the domain's distinct nonzero draws exceed that bound
+    (reported in the note).
     """
     index_set = tuple(index_set)
     rng = random.Random(seed)
@@ -786,7 +800,7 @@ def closure_report(domain, index_set, samples: int, seed: int) -> CheckReport:
                 failures.append((trial, "inverse scalar is not a^-1"))
         except ShapeParseError as exc:
             failures.append((trial, str(exc)))
-    return _sampled_report(failures, samples, 2 * max(ix.wt for ix in index_set) + 1)
+    return _sampled_report(failures, samples, 2 * max(ix.wt for ix in index_set) + 1, domain.draws)
 
 
 def commutator_report(domain, index_set, samples: int, seed: int) -> CheckReport:
@@ -829,4 +843,4 @@ def commutator_report(domain, index_set, samples: int, seed: int) -> CheckReport
             expect_comm = domain.mul(v, domain.sub(domain.one(), domain.pow(b, -wt)))
             if not (comm.is_v_element() and domain.eq(comm.x_last(), expect_comm)):
                 failures.append((trial, tag, "commutator coordinate is not v*(1-b^-wt)"))
-    return _sampled_report(failures, samples, 2 * wt + 1)
+    return _sampled_report(failures, samples, 2 * wt + 1, domain.draws)

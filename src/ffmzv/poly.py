@@ -127,30 +127,31 @@ class BivarPoly:
 
     # -- specializations ------------------------------------------------------
 
-    def eval_theta(self, q: int, prec: int) -> LaurentSeries:
+    def eval_theta(self, prec: int) -> LaurentSeries:
         """Substitute t = theta and expand in z (theta^k = (-1)^k z^(-k(q-1)))."""
-        return self.eval_theta_twisted(0, q, prec)
+        return self.eval_theta_twisted(0, prec)
 
-    def eval_theta_twisted(self, n: int, q: int, prec: int) -> LaurentSeries:
+    def eval_theta_twisted(self, n: int, prec: int) -> LaurentSeries:
         """(self twisted n-fold) evaluated at t = theta, as a z-series."""
         if not self.terms:
-            return ls_zero(self.field, q, prec)
+            return ls_zero(self.field, prec)
         o = ops(self.field)
         s = self.field.p**n
+        step = self.field.order - 1
         acc: dict[int, int] = {}
         for (a, b), c in self.terms.items():
             k = a + b * s
             cc = o.frob_n(c, n) if n else c
             if k % 2:
                 cc = o.neg[cc]
-            z = -k * (q - 1)
+            z = -k * step
             prev = acc.get(z, 0)
             acc[z] = o.add[prev * o.n + cc] if prev else cc
         val = min(acc)
         out = [0] * (max(acc) - val + 1)
         for z, c in acc.items():
             out[z - val] = c
-        return LaurentSeries(self.field, q, val, out, prec)
+        return LaurentSeries(self.field, val, out, prec)
 
     def subs_theta_to_t(self) -> "BivarPoly":
         """Rename theta to t; only valid for polynomials with no t-support."""

@@ -60,4 +60,4 @@ class CheckReport:
     checked: int = 0
     failures: list = field(default_factory=list)
     note: str = ""
-    bound: int | None = None  # a sampled check certifies only beyond this many samples
+    certified: bool = True  # False for a sampled check with too few samples or draws

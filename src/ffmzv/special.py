@@ -163,7 +163,7 @@ def _monic_power_sum_dp(ctx: CarlitzContext, d: int, s: int, prec: int) -> Laure
         c = w * _binom_mod_p(s + k - 1, k, p)
         n = d * s + dd
         coeffs[step * n] += -c if (d + k + n) % 2 else c
-    return LaurentSeries(ctx.field, q, 0, [c % p for c in coeffs], prec)
+    return LaurentSeries(ctx.field, 0, [c % p for c in coeffs], prec)
 
 
 def _decreasing_tuples(d: int, contrib, stop: int):
@@ -188,20 +188,6 @@ def _decreasing_tuples(d: int, contrib, stop: int):
     yield from rec(d - 1, 0, 0)
 
 
-def _all_decreasing_tuples(d: int, max_first: int):
-    def rec(pos: int, lo: int, prefix):
-        if pos < 0:
-            yield tuple(prefix)
-            return
-        for v in range(lo, max_first + 1):
-            if v + pos > max_first:
-                break
-            prefix[pos] = v
-            yield from rec(pos - 1, v + 1, prefix)
-
-    yield from rec(d - 1, 0, [0] * d)
-
-
 def mzv(
     ctx: CarlitzContext,
     s: Index,
@@ -220,12 +206,12 @@ def mzv(
     entries = s.entries
     d = len(entries)
     if max_degree is not None:
-        tuples = _all_decreasing_tuples(d, max_degree)
+        tuples = _decreasing_tuples(d, lambda j, v: v > max_degree, 1)
     else:
         tuples = _decreasing_tuples(
             d, lambda j, v: power_sum_val_bound(q, v, entries[j]), work
         )
-    acc = ls_zero(fld, q, work)
+    acc = ls_zero(fld, work)
     for tup in tuples:
         term = monic_power_sum(ctx, tup[0], entries[0], work)
         for j in range(1, d):
@@ -253,22 +239,20 @@ def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) ->
     d = len(entries)
     # a degree tuple holds q^(sum of degrees) monic tuples; stop counting at the cap
     count = 0
-    for tup in _all_decreasing_tuples(d, max_degree):
+    for tup in _decreasing_tuples(d, lambda j, v: v > max_degree, 1):
         count += q ** sum(tup)
         if count > ctx.enum_budget:
             raise BudgetError(
                 f"more than {ctx.enum_budget} monic tuples up to degree {max_degree}"
             )
-    acc = ls_zero(fld, q, prec + 2)
-    for tup in _all_decreasing_tuples(d, max_degree):
+    acc = ls_zero(fld, prec + 2)
+    for tup in _decreasing_tuples(d, lambda j, v: v > max_degree, 1):
         pools = [list(monic_coeff_lists(q, dv)) for dv in tup]
         stack = [(0, [1])]  # (position, accumulated denominator poly)
         while stack:
             pos, den = stack.pop()
             if pos == d:
-                acc = acc + from_rational(
-                    fld, q, {0: 1}, {k: c for k, c in enumerate(den)}, prec + 2
-                )
+                acc = acc + from_rational(fld, {0: 1}, dict(enumerate(den)), prec + 2)
                 continue
             for a in pools[pos]:
                 a_pow = a
@@ -410,7 +394,7 @@ def _ell_inv_pow(ctx: CarlitzContext, i: int, e: int, rel: int) -> LaurentSeries
         poly = BivarPoly.one(fld)
         for a in range(1, i + 1):
             poly = poly * BivarPoly(fld, {(0, 1): 1, (0, q**a): neg[1]})
-        ser = poly.eval_theta(q, rel + 2)  # negative valuation, so relative > rel
+        ser = poly.eval_theta(rel + 2)  # negative valuation, so relative > rel
         return ser.inv() ** e
 
     return ctx.cached(("ellinv", i, e, rel), build)
@@ -432,7 +416,7 @@ def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> 
     if not rep.passed:
         raise ValueError(f"convergence condition violated: {rep.note}")
     if any(ui.is_zero() for ui in spec.u):
-        return ls_zero(fld, q, prec)
+        return ls_zero(fld, prec)
     entries = spec.s.entries
     d = spec.s.dep
     deltas = _deltas(ctx, spec)
@@ -444,17 +428,17 @@ def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> 
 
     tuples = list(_decreasing_tuples(d, contrib, work))
     if not tuples:
-        return ls_zero(fld, q, prec)
+        return ls_zero(fld, prec)
     bmin = min(sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples)
     rel = work - min(bmin, 0) + 6
-    acc = ls_zero(fld, q, work)
+    acc = ls_zero(fld, work)
     for tup in tuples:
         term = None
         bound = 0
         for j, ij in enumerate(tup):
             bound += contrib(j, ij)
             low = -(q - 1) * (spec.u[j].deg_t() + spec.u[j].deg_theta() * q**ij)
-            f = spec.u[j].eval_theta_twisted(ij * ctx.l, q, low + rel)
+            f = spec.u[j].eval_theta_twisted(ij * ctx.l, low + rel)
             term = f if term is None else term * f
             if ij > 0:
                 term = term * _ell_inv_pow(ctx, ij, entries[j], rel)
@@ -482,7 +466,7 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
     if not rep.passed:
         raise ValueError(f"convergence condition violated: {rep.note}")
     if any(ui.is_zero() for ui in spec.u):
-        return tate.zero(fld, q, prec, tdeg)
+        return tate.zero(fld, prec, tdeg)
     entries = spec.s.entries
     d = spec.s.dep
     deltas = _deltas(ctx, spec)
@@ -497,12 +481,12 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
         (sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples), default=0
     )
     rel = work - min(bmin, 0) + 6
-    acc = tate.zero(fld, q, work, tdeg)
+    acc = tate.zero(fld, work, tdeg)
     for tup in tuples:
         num = spec.u[0].twist(tup[0] * ctx.l)
         for j in range(1, d):
             num = num * spec.u[j].twist(tup[j] * ctx.l)
-        term = tate.from_poly(num, q, -(q - 1) * num.deg_theta() + rel)
+        term = tate.from_poly(num, -(q - 1) * num.deg_theta() + rel)
         # group the inverted linear factors by twist exponent
         for a in range(1, tup[0] + 1):
             e = sum(entries[j] for j in range(d) if tup[j] >= a)
@@ -511,15 +495,15 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
         acc = acc + term
     coeffs = [c.truncate(work) for c in acc.coeffs]
     while len(coeffs) < tdeg + 1:
-        coeffs.append(ls_zero(fld, q, work))
+        coeffs.append(ls_zero(fld, work))
     tau_min = sum(deltas) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
-    return TateElement(fld, q, coeffs[: tdeg + 1], (sigma, tau_min), False)
+    return TateElement(fld, coeffs[: tdeg + 1], (sigma, tau_min), False)
 
 
 def _teinv(ctx: CarlitzContext, a: int, e: int, tdeg: int, rel: int) -> TateElement:
     """(t - theta^{q^a})^-e to t-degree tdeg, with rel relative z-digits."""
     q = ctx.q
-    c = theta_pow(ctx.field, q, q**a, -(q - 1) * q**a + rel)
+    c = theta_pow(ctx.field, q**a, -(q - 1) * q**a + rel)
     return tate.invert_linear_factor(c, e, tdeg)
 
 
@@ -552,7 +536,7 @@ def period_identity_report(
     work = prec + (q - 1) * gamma.deg_theta() + 4
     lhs = cmpl_value(ctx, CmplSpec(s, u), work)
     zeta = mzv(ctx, s, work)
-    rhs = gamma.eval_theta(q, work + (q - 1) * gamma.deg_theta() + 2) * zeta
+    rhs = gamma.eval_theta(work + (q - 1) * gamma.deg_theta() + 2) * zeta
     return IdentityReport.from_comparison(
         compare_to_precision(lhs, rhs), prec, note=f"index {s}, AT-argument path vs factorial*zeta path"
     )

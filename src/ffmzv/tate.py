@@ -32,16 +32,13 @@ from .laurent import twist as ls_twist
 from .laurent import zero as ls_zero
 from .poly import BivarPoly
 
-_BIG = 1 << 60
-
 
 class TateElement:
-    __slots__ = ("field", "q", "tdeg", "coeffs", "tail", "exact")
+    __slots__ = ("field", "tdeg", "coeffs", "tail", "exact")
 
     def __init__(
         self,
         field: FieldSpec,
-        q: int,
         coeffs: list[LaurentSeries],
         tail: tuple | None,
         exact: bool,
@@ -49,14 +46,13 @@ class TateElement:
         if not coeffs:
             raise ValueError("a Tate element stores at least the t^0 coefficient")
         self.field = field
-        self.q = q
         self.coeffs = coeffs
         self.tdeg = len(coeffs) - 1
         self.tail = tail
         self.exact = exact
 
     def _compat(self, other: "TateElement") -> None:
-        if (self.field is not other.field and self.field != other.field) or self.q != other.q:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed Tate algebras")
 
     def coeff(self, k: int) -> LaurentSeries:
@@ -76,34 +72,30 @@ class TateElement:
         # min_k (v(c_k) - sigma*k): how an exact operand shifts a partner's offset
         return min(self._coeff_val_bound(k) - sigma * k for k in range(self.tdeg + 1))
 
+    def _combine(self, other: "TateElement", product: bool) -> tuple[int, tuple | None, bool]:
+        """(t-degree, tail, exact) of self + other, or of self * other.
+
+        Two exact operands give an exact result.  Otherwise the result is
+        known up to the least t-degree of the non-exact operands and takes
+        their weaker slope sigma; each operand contributes an offset at
+        sigma (a series its own tau, an exact operand its _tail_shift), and
+        a sum keeps the smaller offset, a product their sum.
+        """
+        if self.exact and other.exact:
+            return (self.tdeg + other.tdeg if product else max(self.tdeg, other.tdeg)), None, True
+        series = [f for f in (self, other) if not f.exact]
+        d = min(f.tdeg for f in series)
+        if any(f.tail is None for f in series):
+            return d, None, False
+        sigma = min(f.tail[0] for f in series)
+        offsets = [f.tail[1] for f in series] + [
+            f._tail_shift(sigma) for f in (self, other) if f.exact
+        ]
+        return d, (sigma, sum(offsets) if product else min(offsets)), False
+
     def __add__(self, other: "TateElement") -> "TateElement":
         self._compat(other)
-        if self.exact and other.exact:
-            d = max(self.tdeg, other.tdeg)
-            exact, tail = True, None
-        elif self.exact:
-            d = other.tdeg
-            exact = False
-            tail = (
-                None
-                if other.tail is None
-                else (other.tail[0], min(other.tail[1], self._tail_shift(other.tail[0])))
-            )
-        elif other.exact:
-            d = self.tdeg
-            exact = False
-            tail = (
-                None
-                if self.tail is None
-                else (self.tail[0], min(self.tail[1], other._tail_shift(self.tail[0])))
-            )
-        else:
-            d = min(self.tdeg, other.tdeg)
-            exact = False
-            if self.tail is None or other.tail is None:
-                tail = None
-            else:
-                tail = (min(self.tail[0], other.tail[0]), min(self.tail[1], other.tail[1]))
+        d, tail, exact = self._combine(other, product=False)
         out = []
         for k in range(d + 1):
             if k > self.tdeg:
@@ -112,42 +104,17 @@ class TateElement:
                 out.append(self.coeffs[k])
             else:
                 out.append(self.coeffs[k] + other.coeffs[k])
-        return TateElement(self.field, self.q, out, tail, exact)
+        return TateElement(self.field, out, tail, exact)
 
     def __neg__(self) -> "TateElement":
-        return TateElement(self.field, self.q, [-c for c in self.coeffs], self.tail, self.exact)
+        return TateElement(self.field, [-c for c in self.coeffs], self.tail, self.exact)
 
     def __sub__(self, other: "TateElement") -> "TateElement":
         return self + (-other)
 
     def __mul__(self, other: "TateElement") -> "TateElement":
         self._compat(other)
-        ua = self.tdeg + 1 if not self.exact else _BIG
-        ub = other.tdeg + 1 if not other.exact else _BIG
-        d = min(ua, ub, self.tdeg + other.tdeg + 1) - 1
-        if self.exact and other.exact:
-            d = self.tdeg + other.tdeg
-            exact, tail = True, None
-        elif self.exact:
-            exact = False
-            tail = (
-                None
-                if other.tail is None
-                else (other.tail[0], other.tail[1] + self._tail_shift(other.tail[0]))
-            )
-        elif other.exact:
-            exact = False
-            tail = (
-                None
-                if self.tail is None
-                else (self.tail[0], self.tail[1] + other._tail_shift(self.tail[0]))
-            )
-        else:
-            exact = False
-            if self.tail is None or other.tail is None:
-                tail = None
-            else:
-                tail = (min(self.tail[0], other.tail[0]), self.tail[1] + other.tail[1])
+        d, tail, exact = self._combine(other, product=True)
         out = []
         for k in range(d + 1):
             acc = None
@@ -157,14 +124,14 @@ class TateElement:
                 term = self.coeffs[i] * other.coeffs[k - i]
                 acc = term if acc is None else acc + term
             if acc is None:
-                acc = ls_zero(self.field, self.q, self.coeffs[0].prec)
+                acc = ls_zero(self.field, self.coeffs[0].prec)
             out.append(acc)
-        return TateElement(self.field, self.q, out, tail, exact)
+        return TateElement(self.field, out, tail, exact)
 
     def __pow__(self, e: int) -> "TateElement":
         if e < 0:
             raise ValueError("negative Tate power; use invert_unit")
-        result = one(self.field, self.q, self.coeffs[0].prec, 0)
+        result = one(self.field, self.coeffs[0].prec, 0)
         base = self
         while e:
             if e & 1:
@@ -176,13 +143,13 @@ class TateElement:
 
     def cap_precision(self, prec: int) -> "TateElement":
         return TateElement(
-            self.field, self.q, [c.truncate(prec) for c in self.coeffs], self.tail, self.exact
+            self.field, [c.truncate(prec) for c in self.coeffs], self.tail, self.exact
         )
 
     def truncate_tdeg(self, d: int) -> "TateElement":
         if d >= self.tdeg:
             return self
-        return TateElement(self.field, self.q, self.coeffs[: d + 1], self.tail, False)
+        return TateElement(self.field, self.coeffs[: d + 1], self.tail, False)
 
     def __repr__(self) -> str:
         return f"TateElement({to_text(self)})"
@@ -199,37 +166,33 @@ def twist(f: TateElement, n: int) -> TateElement:
         return f
     s = f.field.p**n
     tail = None if f.tail is None else (f.tail[0] * s, f.tail[1] * s)
-    return TateElement(f.field, f.q, [ls_twist(c, n) for c in f.coeffs], tail, f.exact)
+    return TateElement(f.field, [ls_twist(c, n) for c in f.coeffs], tail, f.exact)
 
 
 # -- constructors ---------------------------------------------------------------
 
 
-def zero(field: FieldSpec, q: int, prec: int, tdeg: int = 0) -> TateElement:
-    return TateElement(field, q, [ls_zero(field, q, prec) for _ in range(tdeg + 1)], None, True)
+def zero(field: FieldSpec, prec: int, tdeg: int = 0) -> TateElement:
+    return TateElement(field, [ls_zero(field, prec) for _ in range(tdeg + 1)], None, True)
 
 
-def one(field: FieldSpec, q: int, prec: int, tdeg: int = 0) -> TateElement:
-    c = [ls_zero(field, q, prec) for _ in range(tdeg + 1)]
-    c[0] = LaurentSeries(field, q, 0, [1], prec)
-    return TateElement(field, q, c, None, True)
+def one(field: FieldSpec, prec: int, tdeg: int = 0) -> TateElement:
+    c = [ls_zero(field, prec) for _ in range(tdeg + 1)]
+    c[0] = LaurentSeries(field, 0, [1], prec)
+    return TateElement(field, c, None, True)
 
 
-def t_var(field: FieldSpec, q: int, prec: int) -> TateElement:
+def t_var(field: FieldSpec, prec: int) -> TateElement:
     return TateElement(
-        field,
-        q,
-        [ls_zero(field, q, prec), LaurentSeries(field, q, 0, [1], prec)],
-        None,
-        True,
+        field, [ls_zero(field, prec), LaurentSeries(field, 0, [1], prec)], None, True
     )
 
 
 def from_laurent(c: LaurentSeries) -> TateElement:
-    return TateElement(c.field, c.q, [c], None, True)
+    return TateElement(c.field, [c], None, True)
 
 
-def from_poly(poly: BivarPoly, q: int, prec: int) -> TateElement:
+def from_poly(poly: BivarPoly, prec: int) -> TateElement:
     """Exact Tate element of a (t, theta)-polynomial, coefficients mod O(z^prec)."""
     field = poly.field
     rows: dict[int, dict[int, int]] = {}
@@ -240,8 +203,8 @@ def from_poly(poly: BivarPoly, q: int, prec: int) -> TateElement:
 
     out = []
     for k in range(d + 1):
-        out.append(from_theta_poly(field, q, rows.get(k, {}), prec))
-    return TateElement(field, q, out, None, True)
+        out.append(from_theta_poly(field, rows.get(k, {}), prec))
+    return TateElement(field, out, None, True)
 
 
 # -- the operations -------------------------------------------------------------
@@ -271,7 +234,7 @@ def invert_linear_factor(c: LaurentSeries, s: int, tdeg: int) -> TateElement:
         if k < tdeg:
             w = w * inv_c
     slope = -c.val
-    return TateElement(c.field, c.q, out, (slope, s * slope), False)
+    return TateElement(c.field, out, (slope, s * slope), False)
 
 
 def invert_unit(f: TateElement, tdeg: int | None = None) -> TateElement:
@@ -293,9 +256,9 @@ def invert_unit(f: TateElement, tdeg: int | None = None) -> TateElement:
             term = cj * out[k - j]
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = ls_zero(f.field, f.q, f.coeffs[0].prec)
+            acc = ls_zero(f.field, f.coeffs[0].prec)
         out.append(-(g0 * acc))
-    return TateElement(f.field, f.q, out, None, False)
+    return TateElement(f.field, out, None, False)
 
 
 def eval_at_theta(f: TateElement) -> LaurentSeries:
@@ -304,7 +267,7 @@ def eval_at_theta(f: TateElement) -> LaurentSeries:
     Requires an exact tail or a certificate with slope > q - 1, so the
     omitted tail is O(z^((slope-(q-1))(D+1)+offset)).
     """
-    q = f.q
+    q = f.field.order
     o = ops(f.field)
     acc = None
     for k, c in enumerate(f.coeffs):
@@ -335,7 +298,7 @@ def gauss_norm(f: TateElement) -> tuple[Fraction | None, bool]:
     if f.tail is None:
         return best, True
     sigma, tau = f.tail
-    tail_exp = Fraction(-(sigma * (f.tdeg + 1) + tau), f.q - 1)
+    tail_exp = Fraction(-(sigma * (f.tdeg + 1) + tau), f.field.order - 1)
     return best, best is None or tail_exp > best
 
 

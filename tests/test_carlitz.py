@@ -15,7 +15,7 @@ from ffmzv.carlitz import (
     pi_tilde,
 )
 from ffmzv.errors import BudgetError
-from ffmzv.ffield import ops
+from ffmzv.ffield import field, ops
 from ffmzv.laurent import compare_to_precision, monomial, theta_pow, zero as ls_zero
 from ffmzv.poly import BivarPoly
 from ffmzv.tate import certificate_ok, eval_at_theta
@@ -40,6 +40,15 @@ def test_d_recursion_equals_enumeration_to_budget(p, l):
         i += 1
     for k in range(i + 1):
         assert carlitz_d(ctx, k) == carlitz_d_bruteforce(ctx, k)
+
+
+def test_context_field_and_q_derive_from_p_and_l():
+    ctx = CarlitzContext(2, 2)
+    assert ctx.field is field(2, 2) and ctx.q == 4
+    with pytest.raises(TypeError):
+        CarlitzContext(2, 1, field=field(2, 2))
+    with pytest.raises(TypeError):
+        CarlitzContext(2, 1, q=4)
 
 
 def test_bruteforce_budget():
@@ -86,10 +95,10 @@ def test_omega_linear_coefficient_from_expansion():
     F = 3
     om = omega_series(ctx, tdeg=3, prec=60, factors=F)
     neg1 = ops(ctx.field).neg[1]
-    expect = ls_zero(ctx.field, 3, 60)
+    expect = ls_zero(ctx.field, 60)
     for i in range(1, F + 1):
-        expect = expect + theta_pow(ctx.field, 3, 3**i, 80).inv()
-    expect = (monomial(ctx.field, 3, 3, neg1, 80) * expect).truncate(om.coeffs[1].prec)
+        expect = expect + theta_pow(ctx.field, 3**i, 80).inv()
+    expect = (monomial(ctx.field, 3, neg1, 80) * expect).truncate(om.coeffs[1].prec)
     assert compare_to_precision(om.coeffs[1], expect).status == "equal"
 
 
@@ -111,7 +120,7 @@ def test_omega_drop_factor_control_fails(p, l):
 
 def test_omega_zero_sanity_precheck():
     ctx = CarlitzContext(2, 1, prec=30)
-    rep = omega_functional_residual(ctx, tate.zero(ctx.field, 2, 30, 4))
+    rep = omega_functional_residual(ctx, tate.zero(ctx.field, 30, 4))
     assert not rep.passed and "precheck" in rep.note
 
 

@@ -108,6 +108,22 @@ def test_group_commands_need_samples_beyond_the_degree_bound(capsys):
         assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
 
 
+def test_group_commands_need_sample_fields_beyond_the_degree_bound(capsys):
+    # F_2 and F_4 have 1 and 3 nonzero values, no more than the bound 7: b
+    # cannot take enough values for Schwartz-Zippel, however many samples
+    for cmd in ("group-closure", "group-commutator"):
+        for gf, draws in (("2,1", 1), ("2,2", 3)):
+            code, out, _ = run_cli(capsys, cmd, "--indices", "1,2", "--gf", gf, "--samples", "100")
+            check = json.loads(out)["checks"][0]
+            assert code == 1 and check["status"] == "incomparable", (cmd, gf, check)
+            assert f"only {draws} distinct nonzero draws" in check["detail"]
+        # F_9 has 8 > 7 nonzero values
+        code, out, _ = run_cli(capsys, cmd, "--indices", "1,2", "--gf", "3,2", "--samples", "100")
+        check = json.loads(out)["checks"][0]
+        assert code == 0 and check["status"] == "pass"
+        assert check["detail"] == "degree bound 7 (Schwartz-Zippel); samples 100 exceed it"
+
+
 def test_residual_certified_below_the_requested_precision_is_incomparable(capsys):
     for argv, floor in (
         (("verify-rat", "--p", "3", "--index", "2,1", "--prec", "2", "--tdeg", "5"), -12),

@@ -25,15 +25,15 @@ F3 = field(3, 1)
 F2 = field(2, 1)
 
 
-def _rand_series(rng, fld, q, minval=-6, length=12, prec=24):
+def _rand_series(rng, fld, minval=-6, length=12, prec=24):
     val = rng.randrange(minval, 3)
     coeffs = [rng.randrange(fld.order) for _ in range(length)]
     coeffs[0] = rng.randrange(1, fld.order)
-    return LaurentSeries(fld, q, val, coeffs, prec)
+    return LaurentSeries(fld, val, coeffs, prec)
 
 
 def test_theta_is_minus_z_pow():
-    th = theta(F3, 3, 20)
+    th = theta(F3, 20)
     assert (th.val, th.coeffs) == (-2, [2])
     inv = th.inv()
     assert (inv.val, inv.coeffs) == (2, [2])  # 1/theta = -z^(q-1)
@@ -42,35 +42,35 @@ def test_theta_is_minus_z_pow():
 
 def test_embed_rational_divides_back():
     # 1/(theta^3 - theta) at q=3: valuation +6, and multiplying back gives 1
-    s = from_rational(F3, 3, {0: 1}, {3: 1, 1: 2}, 30)
+    s = from_rational(F3, {0: 1}, {3: 1, 1: 2}, 30)
     assert s.val == 6
-    back = s * from_theta_poly(F3, 3, {3: 1, 1: 2}, 60)
-    assert compare_to_precision(back, one(F3, 3, 30)).status == "equal"
+    back = s * from_theta_poly(F3, {3: 1, 1: 2}, 60)
+    assert compare_to_precision(back, one(F3, 30)).status == "equal"
 
 
 def test_embed_rational_exact_polynomial():
-    s = from_rational(F3, 3, {1: 1}, {0: 1}, 20)
+    s = from_rational(F3, {1: 1}, {0: 1}, 20)
     assert (s.val, s.coeffs) == (-2, [2])
     with pytest.raises(ZeroDivisionError):
-        from_rational(F3, 3, {0: 1}, {}, 20)
+        from_rational(F3, {0: 1}, {}, 20)
 
 
 def test_geometric_series():
-    g = LaurentSeries(F3, 3, 0, [1, 2], 10)  # 1 - z
+    g = LaurentSeries(F3, 0, [1, 2], 10)  # 1 - z
     assert g.inv().coeffs == [1] * 10
 
 
 def test_valuation_additivity_random():
     rng = random.Random(11)
     for _ in range(200):
-        a = _rand_series(rng, F3, 3)
-        b = _rand_series(rng, F3, 3)
+        a = _rand_series(rng, F3)
+        b = _rand_series(rng, F3)
         assert (a * b).val == a.val + b.val
 
 
 def test_pow_theta_matches_twist():
     for fld, q, l in [(F3, 3, 1), (F2, 2, 1), (field(2, 2), 4, 2)]:
-        th = theta(fld, q, 40)
+        th = theta(fld, 40)
         diff = th**q - twist(th, l)
         assert diff.is_zero()
 
@@ -78,14 +78,14 @@ def test_pow_theta_matches_twist():
 def test_twist_is_ring_homomorphism():
     rng = random.Random(5)
     for _ in range(100):
-        a = _rand_series(rng, F2, 2)
-        b = _rand_series(rng, F2, 2)
+        a = _rand_series(rng, F2)
+        b = _rand_series(rng, F2)
         assert compare_to_precision(twist(a * b, 1), twist(a, 1) * twist(b, 1)).status == "equal"
         assert compare_to_precision(twist(a + b, 1), twist(a, 1) + twist(b, 1)).status == "equal"
 
 
 def test_twist_scales_valuation_and_precision():
-    z1 = monomial(F2, 2, 1, 1, 9)
+    z1 = monomial(F2, 1, 1, 9)
     t = twist(z1, 1)
     assert (t.val, t.prec) == (2, 18)
     t3 = twist(z1, 3)
@@ -93,60 +93,60 @@ def test_twist_scales_valuation_and_precision():
 
 
 def test_inverse_twist_roundtrip_and_errors():
-    assert inverse_twist(monomial(F2, 2, 2, 1, 20), 1).val == 1
-    th = theta(F3, 3, 30)
+    assert inverse_twist(monomial(F2, 2, 1, 20), 1).val == 1
+    th = theta(F3, 30)
     assert compare_to_precision(inverse_twist(twist(th, 1), 1), th).status == "equal"
     with pytest.raises(ValueError, match="divisible"):
-        inverse_twist(monomial(F2, 2, 1, 1, 20), 1)
+        inverse_twist(monomial(F2, 1, 1, 20), 1)
 
 
 def test_double_inverse():
     rng = random.Random(3)
     for _ in range(100):
-        a = _rand_series(rng, F3, 3)
+        a = _rand_series(rng, F3)
         assert compare_to_precision(a.inv().inv(), a).status == "equal"
 
 
 def test_rational_multiplicativity():
     num, den = {2: 1, 0: 1}, {3: 1, 1: 2}
-    lhs = from_rational(F3, 3, num, den, 24) * from_theta_poly(F3, 3, den, 48)
-    rhs = from_theta_poly(F3, 3, num, 24)
+    lhs = from_rational(F3, num, den, 24) * from_theta_poly(F3, den, 48)
+    rhs = from_theta_poly(F3, num, 24)
     assert compare_to_precision(lhs, rhs).status == "equal"
 
 
 def test_norm_exponents():
-    assert theta(F3, 3, 10).norm_exponent() == 1
-    assert theta(F3, 3, 10).inv().norm_exponent() == -1
-    assert zero(F3, 3, 10).norm_exponent() is None
-    a, b = theta_pow(F3, 3, 2, 20), theta_pow(F3, 3, 3, 20)
+    assert theta(F3, 10).norm_exponent() == 1
+    assert theta(F3, 10).inv().norm_exponent() == -1
+    assert zero(F3, 10).norm_exponent() is None
+    a, b = theta_pow(F3, 2, 20), theta_pow(F3, 3, 20)
     assert (a * b).norm_exponent() == a.norm_exponent() + b.norm_exponent()
 
 
 def test_compare_cases():
-    f = _rand_series(random.Random(1), F3, 3)
+    f = _rand_series(random.Random(1), F3)
     assert compare_to_precision(f, f).status == "equal"
-    a = LaurentSeries(F3, 3, 1, [1], 9)  # z
-    b = LaurentSeries(F3, 3, 1, [1, 1], 9)  # z + z^2
+    a = LaurentSeries(F3, 1, [1], 9)  # z
+    b = LaurentSeries(F3, 1, [1, 1], 9)  # z + z^2
     st = compare_to_precision(a, b)
     assert (st.status, st.exponent) == ("unequal", 2)
     # zero to O(z^5) vs z^7 + O(z^9): difference below joint precision
-    za = zero(F3, 3, 5)
-    zb = LaurentSeries(F3, 3, 7, [1], 9)
+    za = zero(F3, 5)
+    zb = LaurentSeries(F3, 7, [1], 9)
     cmp = compare_to_precision(za, zb)
     assert (cmp.status, cmp.exponent) == ("equal", 5)
     # a vacuous equality carries its (useless) joint precision for the caller
-    low = compare_to_precision(zero(F3, 3, -3), one(F3, 3, 20))
+    low = compare_to_precision(zero(F3, -3), one(F3, 20))
     assert (low.status, low.exponent) == ("equal", -3)
 
 
 def test_inverting_zero_to_precision_raises():
     with pytest.raises(PrecisionError):
-        zero(F3, 3, 8).inv()
+        zero(F3, 8).inv()
 
 
 def test_precision_rules():
-    a = LaurentSeries(F3, 3, -2, [1, 1], 10)
-    b = LaurentSeries(F3, 3, 1, [2], 7)
+    a = LaurentSeries(F3, -2, [1, 1], 10)
+    b = LaurentSeries(F3, 1, [2], 7)
     assert (a + b).prec == 7
     assert (a * b).prec == min(-2 + 7, 1 + 10)
     assert a.inv().prec == 10 - 2 * (-2)
@@ -155,7 +155,7 @@ def test_precision_rules():
 from hypothesis import given, settings, strategies as st
 
 _series = st.builds(
-    lambda val, coeffs, slack: LaurentSeries(F3, 3, val, coeffs, val + len(coeffs) + slack),
+    lambda val, coeffs, slack: LaurentSeries(F3, val, coeffs, val + len(coeffs) + slack),
     st.integers(-5, 5),
     st.lists(st.integers(0, 2), min_size=1, max_size=10),
     st.integers(0, 4),

@@ -52,7 +52,7 @@ def test_phi_determinant_nonzero_at_theta():
     det = BivarPoly.one(ctx.field)
     for k in range(phi.size):
         det = det * phi.entry(k, k)
-    assert not det.eval_theta(ctx.q, 40).is_zero()
+    assert not det.eval_theta(40).is_zero()
 
 
 def test_psi_shape_depth_one_zero_argument():
@@ -66,7 +66,7 @@ def test_psi_shape_depth_one_zero_argument():
 
     om2 = omega_series(ctx) ** 2
     assert tate.zero_check(psi.entry(0, 0) - om2).ok
-    assert tate.zero_check(psi.entry(1, 1) - tate.one(ctx.field, 3, 20, 0)).ok
+    assert tate.zero_check(psi.entry(1, 1) - tate.one(ctx.field, 20, 0)).ok
 
 
 @pytest.mark.parametrize("p,l", [(2, 1), (3, 1)])
@@ -85,7 +85,7 @@ def test_residual_zeroed_entry_fails_with_location():
     u = at_arguments(ctx, s)
     phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
     rows = [list(r) for r in psi.entries]
-    rows[0][0] = tate.zero(ctx.field, ctx.q, 44, 8)
+    rows[0][0] = tate.zero(ctx.field, 44, 8)
     broken = MotiveMatrix(psi.level, psi.size, psi.kind, tuple(map(tuple, rows)), psi.field)
     rep = frobenius_residual(phi, broken)
     assert not rep.passed
@@ -156,7 +156,7 @@ def test_mutation_moving_the_precision_is_recomputed_in_full(monkeypatch):
     assert len(calls) == 1  # the spot check
     # theta below the least stored precision lowers p0: no shared set-up
     low = motive._residual_setup(phi, psi).p0 - 5
-    th = tate.from_poly(BivarPoly.theta(ctx.field), ctx.q, low)
+    th = tate.from_poly(BivarPoly.theta(ctx.field), low)
     monkeypatch.setattr(motive, "_theta_mutation", lambda _psi: th)
     calls.clear()
     assert mutation_kill_report(ctx, phi, psi).passed
@@ -250,7 +250,7 @@ def test_collapse_report_is_unchanged_and_reuses_psi_omega_powers(monkeypatch):
     reports = collapse_reports()
     # the reports built with square-and-multiply powers, as before omega_power
     om = omega_series(CarlitzContext(3, 1, prec=40, tdeg=8))
-    one = tate.one(field(3, 1), 3, 40 + 3 + 2, 0)
+    one = tate.one(field(3, 1), 40 + 3 + 2, 0)
     monkeypatch.setattr(motive, "omega_power", lambda ctx, e, tdeg, prec: om**e if e else one)
     assert collapse_reports() == reports
     monkeypatch.undo()

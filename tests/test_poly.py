@@ -63,15 +63,15 @@ def test_twist_homomorphism_and_eval():
         f = _rand_poly(rng, F4)
         g = _rand_poly(rng, F4)
         assert (f * g).twist(1) == f.twist(1) * g.twist(1)
-        lhs = f.eval_theta_twisted(2, 4, 40)
-        rhs = f.twist(2).eval_theta(4, 40)
+        lhs = f.eval_theta_twisted(2, 40)
+        rhs = f.twist(2).eval_theta(40)
         assert compare_to_precision(lhs, rhs).status == "equal"
 
 
 def test_t_minus_theta_frob():
     lin = t_minus_theta_frob(F3, 1)
     assert lin.terms == {(1, 0): 1, (0, 3): 2}
-    at_theta = lin.eval_theta(3, 30)
+    at_theta = lin.eval_theta(30)
     assert at_theta.val == -6  # theta - theta^3 has valuation -(q-1)q
 
 
