@@ -32,8 +32,7 @@ def main() -> int:
             t0 = time.perf_counter()
             rep = period_identity_report(ctx, s, args.prec)
             dt = time.perf_counter() - t0
-            mark = "ok " if rep.passed else rep.status
-            print(f"p={p} l={l} s={str(s):12s} {mark:12s} prec={rep.precision} ({dt * 1000:.0f} ms)")
+            print(f"p={p} l={l} s={str(s):12s} {rep.verdict():12s} prec={rep.precision} ({dt * 1000:.0f} ms)")
             failures += 0 if rep.passed else 1
     print(f"failures: {failures}")
     return 1 if failures else 0

@@ -17,11 +17,6 @@ from ffmzv.motive import FiniteFieldDomain, RationalFunctionDomain, closure_repo
 from ffmzv.special import parse_index_set, subclosure
 
 
-def _status(rep) -> str:
-    """FAIL on a witness; ok only where the samples certify the law."""
-    return "FAIL" if not rep.passed else "ok" if rep.certified else "incomparable"
-
-
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--indices", default="1,2", help="semicolon-separated seed indices")
@@ -39,13 +34,13 @@ def main() -> int:
         dom = FiniteFieldDomain(field(p, n))
         for tag, fn in (("closure", closure_report), ("commutator", commutator_report)):
             rep = fn(dom, idx, args.samples, args.seed)
-            print(f"F_({p}^{n}) {tag:10s} {_status(rep)}  {rep.note}")
-            failures += 0 if rep.passed else 1
+            print(f"F_({p}^{n}) {tag:10s} {rep.verdict()}  {rep.note}")
+            failures += rep.verdict() == "fail"
         if args.rational:
             dom_r = RationalFunctionDomain(p)
             rep = closure_report(dom_r, idx, max(10, args.samples // 10), args.seed)
-            print(f"F_{p}(t)  closure    {_status(rep)}  {rep.note}")
-            failures += 0 if rep.passed else 1
+            print(f"F_{p}(t)  closure    {rep.verdict()}  {rep.note}")
+            failures += rep.verdict() == "fail"
     return 1 if failures else 0
 
 

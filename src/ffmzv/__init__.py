@@ -55,7 +55,7 @@ from .motive import (
     phi_matrix,
     psi_matrix,
 )
-from .tate import TateElement, eval_at_theta, gauss_norm, invert_linear_factor
+from .tate import TateElement, eval_at_theta, invert_linear_factor
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .carlitz import CarlitzContext, omega_functional_residual, omega_series, pi_tilde
 from .errors import FfmzvError
@@ -48,80 +49,85 @@ from .suite import CONVENTIONS, RunConfig, SCHEMA_VERSION, check_entry, run_suit
 from .tate import to_text as tate_text
 
 
-def _add_common(sp: argparse.ArgumentParser, level: bool = True) -> None:
-    if level:
-        sp.add_argument("--p", type=int, default=2, help="characteristic (prime)")
-        sp.add_argument("--l", default="1", help="level(s), comma separated, distinct")
-    sp.add_argument("--prec", type=int, default=40, help="target z-precision")
-    sp.add_argument("--tdeg", type=int, default=12, help="t-truncation degree")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--enum-budget",
-        type=int,
-        default=10**6,
-        help="cap on monic polynomials or tuples an enumeration oracle may visit "
-        "(the suite's brute-force checks); zeta values never enumerate",
-    )
-    sp.add_argument("--format", choices=("text", "json"), default="json")
-    sp.add_argument("--timings", action="store_true", help="report real runtimes (non-deterministic)")
+# argparse keywords of every option ("index?" is an optional --index); each
+# command lists the ones it reads
+_OPTIONS = {
+    "p": dict(type=int, default=2, help="characteristic (prime)"),
+    "l": dict(type=int, default=1, help="level: the constant field is F_q, q = p^l"),
+    "index": dict(required=True, help="e.g. '2,1'"),
+    "index?": dict(help="e.g. '2,1'; the Carlitz system if omitted"),
+    "prec": dict(type=int, default=40, help="target z-precision"),
+    "tdeg": dict(type=int, default=12, help="t-truncation degree"),
+    "smax": dict(type=int, default=4),
+    "u": dict(help="semicolon-separated polynomials in t, theta"),
+    "derive": dict(type=int, default=2),
+    "indices": dict(required=True, help="index set, e.g. '1,2' or '1;2'"),
+    "gf": dict(default="3,4", help="sample field 'p,N'"),
+    "samples": dict(type=int, default=100),
+    "rational": dict(action="store_true", help="sample over F_p(t) instead"),
+    "seed": dict(type=int, default=0),
+    "enum-budget": dict(type=int, default=10**6, help="cap on tuples the brute-force checks visit"),
+    "timings": dict(action="store_true", help="report real runtimes (non-deterministic)"),
+    "fixtures": dict(help="override golden fixtures directory"),
+}
+
+_GROUP = "indices gf samples rational seed"
+
+# name: (help, options read)
+_COMMANDS = {
+    "mzv": ("zeta value by direct summation", "p l index prec"),
+    "atpoly": ("generating-series polynomials H_0..H_smax", "p l smax"),
+    "omega": ("period product series and its functional equation", "p l prec tdeg"),
+    "pitilde": ("the fundamental period by its product formula", "p l prec"),
+    "cmpl": ("multiple polylogarithm value and series", "p l index u prec tdeg"),
+    "verify-period": ("factorial*zeta = polylog value at the H arguments", "p l index prec"),
+    "verify-rat": ("series side satisfies the twisted difference equation", "p l index prec tdeg"),
+    "verify-derived": (
+        "same trivialization for the derived system",
+        "p l index? derive prec tdeg",
+    ),
+    "group-closure": ("block shape closure/inverse re-parse on samples", _GROUP),
+    "group-commutator": ("exact commutator coordinate law on samples", _GROUP),
+    "suite": ("the full verification matrix", "seed enum-budget timings fixtures"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ffmzv", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, hlp in [
-        ("mzv", "zeta value by direct summation"),
-        ("atpoly", "generating-series polynomials H_0..H_smax"),
-        ("omega", "period product series and its functional equation"),
-        ("pitilde", "the fundamental period by its product formula"),
-        ("cmpl", "multiple polylogarithm value and series"),
-        ("verify-period", "factorial*zeta = polylog value at the H arguments"),
-        ("verify-rat", "series side satisfies the twisted difference equation"),
-        ("verify-derived", "same trivialization for the derived system"),
-        ("group-closure", "block shape closure/inverse re-parse on samples"),
-        ("group-commutator", "exact commutator coordinate law on samples"),
-        ("suite", "the full verification matrix"),
-    ]:
+    for name, (hlp, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=hlp)
-        if name in ("group-closure", "group-commutator"):
-            sp.add_argument("--indices", required=True, help="index set, e.g. '1,2' or '1;2'")
-            sp.add_argument("--gf", default="3,4", help="sample field 'p,N'")
-            sp.add_argument("--samples", type=int, default=100)
-            sp.add_argument("--rational", action="store_true", help="sample over F_p(t) instead")
-            _add_common(sp, level=False)
-        elif name == "suite":
-            sp.add_argument("--fixtures", default=None, help="override golden fixtures directory")
-            _add_common(sp, level=False)
-        else:
-            if name in ("mzv", "cmpl", "verify-period", "verify-rat"):
-                sp.add_argument("--index", required=True, help="e.g. '2,1'")
-            if name == "cmpl":
-                sp.add_argument("--u", default=None, help="semicolon-separated polynomials in t, theta")
-            if name == "atpoly":
-                sp.add_argument("--smax", type=int, default=4)
-            if name == "verify-derived":
-                sp.add_argument("--derive", type=int, default=2)
-                sp.add_argument("--index", default=None)
-            _add_common(sp)
+        for opt in options.split():
+            sp.add_argument("--" + opt.rstrip("?"), **_OPTIONS[opt])
+        sp.add_argument("--format", choices=("text", "json"), default="json")
     return ap
+
+
+# least value of each integer option (argparse has checked that it is one)
+_LEAST = {"l": 1, "prec": 1, "tdeg": 0, "smax": 0, "derive": 1, "samples": 1}
+
+
+def _check_ranges(args) -> None:
+    for name, least in _LEAST.items():
+        value = getattr(args, name, least)
+        if value < least:
+            kind = "positive" if least else "non-negative"
+            raise UsageError(f"--{name} must be {kind}, got {value}")
+
+
+def _parse(option: str, parse, text: str):
+    """parse(text), where a malformed text is a usage error naming the option."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{option}: {exc}") from None
 
 
 def _ctx_from(args) -> CarlitzContext:
     if not _is_prime(args.p):
         raise UsageError("p must be prime")
-    levels = [int(x) for x in str(args.l).split(",")]
-    if any(x < 1 for x in levels):
-        raise UsageError("levels must be positive integers")
-    if len(set(levels)) != len(levels):
-        raise UsageError("levels must be distinct")
-    if len(levels) != 1:
-        raise UsageError("this command takes a single level")
-    if args.prec < 1:
-        raise UsageError("precision must be positive")
-    return CarlitzContext(
-        args.p, levels[0], prec=args.prec, tdeg=args.tdeg, enum_budget=args.enum_budget
-    )
+    sizes = {k: getattr(args, k) for k in ("prec", "tdeg") if hasattr(args, k)}
+    return CarlitzContext(args.p, args.l, **sizes)
 
 
 class UsageError(Exception):
@@ -129,19 +135,14 @@ class UsageError(Exception):
 
 
 def _envelope(args, **payload) -> dict:
-    cfg = {
-        k: getattr(args, k)
-        for k in ("p", "l", "prec", "tdeg", "seed", "enum_budget")
-        if hasattr(args, k)
-    }
-    out = {
+    cfg = {k: getattr(args, k) for k in ("p", "l", "prec", "tdeg", "seed") if hasattr(args, k)}
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "config": cfg,
         "conventions": CONVENTIONS,
+        **payload,
     }
-    out.update(payload)
-    return out
 
 
 def _verdict(args, report: dict) -> int:
@@ -167,15 +168,16 @@ def _emit(args, report: dict) -> None:
 
 
 def _residual_entry(name: str, rep: ResidualReport, prec: int, located: bool = False) -> dict:
-    """The check entry of a residual verdict; `located` names the worst entry.
-    A zero certified below `prec` z-digits is "incomparable"."""
-    if rep.passed:
-        detail = f"floor {rep.floor_z} z-digits"
-        if rep.floor_z < prec:
-            return check_entry(name, "incomparable", f"{detail}, below the requested {prec}")
-        return check_entry(name, "pass", detail)
-    where = f"entry {rep.location} " if located else ""
-    return check_entry(name, "fail", f"{where}residual exponent {rep.worst_exponent}")
+    """The check entry of a residual verdict at `prec` z-digits; `located`
+    names the worst entry."""
+    status = rep.verdict(prec)
+    if status == "fail":
+        where = f"entry {rep.location} " if located else ""
+        return check_entry(name, status, f"{where}residual exponent {rep.worst_exponent}")
+    detail = f"floor {rep.floor_z} z-digits"
+    if status == "incomparable":
+        detail += f", below the requested {prec}"
+    return check_entry(name, status, detail)
 
 
 def _gf_field(text: str) -> tuple[int, int]:
@@ -192,6 +194,7 @@ def _gf_field(text: str) -> tuple[int, int]:
 
 def _run(args) -> int:
     cmd = args.command
+    _check_ranges(args)
     if cmd == "suite":
         cfg = RunConfig(
             seed=args.seed,
@@ -204,26 +207,25 @@ def _run(args) -> int:
         return 0 if report["passed"] else 1
 
     if cmd in ("group-closure", "group-commutator"):
-        if args.samples < 1:
-            raise UsageError(f"--samples must be positive, got {args.samples}")
         p, ndeg = _gf_field(args.gf)
         dom = RationalFunctionDomain(p) if args.rational else FiniteFieldDomain(ff_field(p, ndeg))
-        idx = subclosure(parse_index_set(args.indices))
+        idx = subclosure(_parse("--indices", parse_index_set, args.indices))
         fn = closure_report if cmd == "group-closure" else commutator_report
         rep = fn(dom, idx, args.samples, args.seed)
-        status = "fail" if not rep.passed else "pass" if rep.certified else "incomparable"
+        detail = rep.note if rep.passed else str(rep.failures[:3])
         report = _envelope(
             args,
             index_set=[str(i) for i in idx],
             domain=dom.name,
-            checks=[check_entry(cmd, status, rep.note if rep.passed else str(rep.failures[:3]))],
+            checks=[check_entry(cmd, rep.verdict(), detail)],
         )
         return _verdict(args, report)
 
     ctx = _ctx_from(args)
+    index = getattr(args, "index", None)
+    s = None if index is None else _parse("--index", parse_index, index)
 
     if cmd == "mzv":
-        s = parse_index(args.index)
         value = mzv(ctx, s, args.prec)
         report = _envelope(
             args,
@@ -263,11 +265,11 @@ def _run(args) -> int:
         return 0
 
     if cmd == "cmpl":
-        s = parse_index(args.index)
         if args.u is None:
             u = at_arguments(ctx, s)
         else:
-            u = tuple(parse_poly(ctx.field, part) for part in args.u.split(";"))
+            parse = partial(parse_poly, ctx.field)
+            u = tuple(_parse("--u", parse, part) for part in args.u.split(";"))
         spec = CmplSpec(s, u)
         value = cmpl_value(ctx, spec, args.prec)
         ser = cmpl_series(ctx, spec, args.tdeg, args.prec)
@@ -282,31 +284,22 @@ def _run(args) -> int:
         return 0
 
     if cmd == "verify-period":
-        s = parse_index(args.index)
         rep = period_identity_report(ctx, s, args.prec)
-        detail = (
-            f"equal to {rep.precision} z-digits"
-            if rep.passed
-            else f"{rep.status}"
-            + (f" at z-exponent {rep.exponent}" if rep.exponent is not None else "")
-        )
-        report = _envelope(
-            args, checks=[check_entry("period-identity", rep.status if rep.status != "equal" else "pass", detail)]
-        )
+        at = "" if rep.exponent is None else f" at z-exponent {rep.exponent}"
+        detail = f"equal to {rep.precision} z-digits" if rep.passed else rep.status + at
+        report = _envelope(args, checks=[check_entry("period-identity", rep.verdict(), detail)])
         return _verdict(args, report)
 
     if cmd == "verify-rat":
-        s = parse_index(args.index)
         u = at_arguments(ctx, s)
         rep = frobenius_residual(phi_matrix(ctx, u, s), psi_matrix(ctx, u, s))
         entry = _residual_entry("rigid-analytic-trivialization", rep, args.prec, located=True)
         return _verdict(args, _envelope(args, checks=[entry]))
 
     if cmd == "verify-derived":
-        if args.index is None:
+        if s is None:
             phi, psi = carlitz_system(ctx)
         else:
-            s = parse_index(args.index)
             u = at_arguments(ctx, s)
             phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
         rep = frobenius_residual(derived_matrix(phi, args.derive), psi)
@@ -316,8 +309,6 @@ def _run(args) -> int:
             checks=[_residual_entry("derived-same-trivialization", rep, args.prec)],
         )
         return _verdict(args, report)
-
-    raise UsageError(f"unknown command {cmd!r}")
 
 
 def main(argv=None) -> int:

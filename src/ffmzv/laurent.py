@@ -207,7 +207,7 @@ def compare_to_precision(a: LaurentSeries, b: LaurentSeries) -> Comparison:
 def twist(f: LaurentSeries, n: int) -> LaurentSeries:
     """n-fold Frobenius twist: exponents i -> i*p^n, coefficients a -> a^{p^n}."""
     if n < 0:
-        raise ValueError("twist requires n >= 0; use inverse_twist")
+        raise ValueError("twist requires n >= 0")
     if n == 0:
         return f
     o = ops(f.field)
@@ -219,27 +219,6 @@ def twist(f: LaurentSeries, n: int) -> LaurentSeries:
         if c:
             out[i * s] = o.frob_n(c, n)
     return LaurentSeries(f.field, f.val * s, out, f.prec * s)
-
-
-def inverse_twist(f: LaurentSeries, n: int) -> LaurentSeries:
-    """Exact inverse of twist; requires every supported exponent divisible by p^n."""
-    if n <= 0:
-        raise ValueError("inverse_twist requires n >= 1")
-    o = ops(f.field)
-    s = f.field.p**n
-    prec = -(-f.prec // s)
-    if not f.coeffs:
-        return LaurentSeries(f.field, prec, [], prec)
-    if f.val % s:
-        raise ValueError(f"support exponent {f.val} not divisible by p^{n}")
-    out = [0] * (len(f.coeffs) // s + 1)
-    k = f.field.m - (n % f.field.m) if n % f.field.m else 0
-    for i, c in enumerate(f.coeffs):
-        if c:
-            if i % s:
-                raise ValueError(f"support exponent {f.val + i} not divisible by p^{n}")
-            out[i // s] = o.frob_n(c, k)
-    return LaurentSeries(f.field, f.val // s, out, prec)
 
 
 # -- constructors --------------------------------------------------------------

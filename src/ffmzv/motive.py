@@ -16,15 +16,16 @@ exact logical equivalence: apply the bijective l-fold twist to both sides.
 
 Mutation testing adds theta to each entry of Psi in turn, and every mutated
 residual must fail.  Entry (a, b) of the residual reads only row a of Phi,
-column b of the twisted Psi and Psi[a][b], and the mutation leaves the
-residual's precision and t-degree unchanged, so the mutation (i, j) twists
-only the mutated entry and recomputes only the entries (a, j) with a == i or
-Phi[a][i] != 0; the other entry checks are those of the unmutated residual.
-Should a mutation ever move the precision or t-degree, its residual is
-recomputed in full.  One mutation is always also recomputed in full by
-`frobenius_residual` as a spot check, and a mismatch raises ConventionError:
-(r-2, 0) when r >= 2, whose update covers both the mutated entry and the
-entry (r-1, 0) below it that Phi's subdiagonal feeds, else (0, 0).
+column b of the twisted Psi and Psi[a][b].  The added theta is exact, of
+t-degree 0 and known to the z-precision of Psi[0][0], which is at least the
+least precision of Psi, so the mutation leaves the residual's precision and
+t-degree unchanged: the mutation (i, j) twists only the mutated entry and
+recomputes only the entries (a, j) with a == i or Phi[a][i] != 0; the other
+entry checks are those of the unmutated residual.  One mutation is always
+also recomputed in full by `frobenius_residual` as a spot check, and a
+mismatch raises ConventionError: (r-2, 0) when r >= 2, whose update covers
+both the mutated entry and the entry (r-1, 0) below it that Phi's
+subdiagonal feeds, else (0, 0).
 
 The block-group shells of the independence argument live at the bottom of
 the module: parameterized lower-triangular shapes (a) + X_{s_1} + ... with
@@ -236,23 +237,10 @@ class _Residual(NamedTuple):
     """What every entry of Psi - Phi_stored * Psi^{(n)} shares."""
 
     q: int
-    p0: int  # least stored z-precision of Psi
     cap: int  # z-precision the twisted entries are capped at
     tdeg: int  # t-degree the residual is checked to
-    shapes: list  # (least z-precision, exact, tdeg) of each Psi entry, row-major
     mats: list  # Phi entries as exact Tate elements at cap, None where zero
     cols: list  # columns of Psi^{(n)}, capped at cap
-
-
-def _p0_tdeg(shapes) -> tuple[int, int]:
-    p0 = min(m for m, _, _ in shapes)
-    # exact entries (the 1s and 0s) are reliable at every t-degree
-    tdeg = min((d for _, ex, d in shapes if not ex), default=max(d for _, _, d in shapes))
-    return p0, tdeg
-
-
-def _entry_shape(e: TateElement) -> tuple[int, bool, int]:
-    return min(c.prec for c in e.coeffs), e.exact, e.tdeg
 
 
 def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
@@ -263,8 +251,10 @@ def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
     if phi.level % psi.level != 0:
         raise ValueError("twist level of the exact side must be a multiple of the series level")
     q = psi.field.order
-    shapes = [_entry_shape(e) for row in psi.entries for e in row]
-    p0, tdeg = _p0_tdeg(shapes)
+    entries = [e for row in psi.entries for e in row]
+    p0 = min(c.prec for e in entries for c in e.coeffs)  # least stored z-precision
+    # exact entries (the 1s and 0s) are reliable at every t-degree
+    tdeg = min((e.tdeg for e in entries if not e.exact), default=max(e.tdeg for e in entries))
     # the exact side has valuations down to -(q-1)*deg_theta; cap high enough
     # that multiplying by it still leaves p0 digits
     maxdeg = max(
@@ -275,7 +265,7 @@ def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
         [None if pe.is_zero() else tate.from_poly(pe, cap) for pe in row] for row in phi.entries
     ]
     tw = [[tate.twist(e, phi.level).cap_precision(cap) for e in row] for row in psi.entries]
-    return _Residual(q, p0, cap, tdeg, shapes, mats, [list(c) for c in zip(*tw)])
+    return _Residual(q, cap, tdeg, mats, [list(c) for c in zip(*tw)])
 
 
 def _residual_entry(res: _Residual, a: int, entry: TateElement, col) -> tate.ZeroCheck:
@@ -333,11 +323,6 @@ def _mutation_residual(
     """The report of frobenius_residual(phi, perturb_entry(psi, i, j)), given
     the set-up and entry checks of the unmutated residual."""
     new = psi.entries[i][j] + th
-    shapes = list(res.shapes)
-    shapes[i * psi.size + j] = _entry_shape(new)
-    if _p0_tdeg(shapes) != (res.p0, res.tdeg):
-        # the set-up is not shared: recompute in full
-        return frobenius_residual(phi, perturb_entry(psi, i, j))
     col = list(res.cols[j])
     col[i] = tate.twist(new, phi.level).cap_precision(res.cap)
     out = [row[:] for row in checks]

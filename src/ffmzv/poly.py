@@ -33,10 +33,6 @@ class BivarPoly:
         return BivarPoly(field, {(0, 0): 1})
 
     @staticmethod
-    def t(field: FieldSpec) -> "BivarPoly":
-        return BivarPoly(field, {(1, 0): 1})
-
-    @staticmethod
     def theta(field: FieldSpec) -> "BivarPoly":
         return BivarPoly(field, {(0, 1): 1})
 
@@ -236,8 +232,10 @@ def parse_poly(field: FieldSpec, text: str) -> BivarPoly:
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"cannot parse polynomial {text!r}")
-            name, _, exp = factor.partition("^")
-            e = int(exp) if exp else 1
+            name, caret, exp = factor.partition("^")
+            if caret and not exp.isdecimal():
+                raise ValueError(f"factor {factor!r}: exponents are non-negative integers")
+            e = int(exp) if caret else 1
             if name == "t":
                 dt += e
             elif name == "theta":

@@ -2,6 +2,10 @@
 
 Exponents are reported on the |theta|-scale (|f| = |theta|^e, so e = -v_z/(q-1));
 z-precision floors are reported directly in z-digits.
+
+Each record's `verdict` is the one rule that turns it into the status a
+report prints: "pass", "incomparable" (nothing was disproved, but nothing
+was certified either) or "fail".
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ class ResidualReport:
         loc = None if prefix is None else (*prefix, chk.worst_tdeg)
         return cls(False, Fraction(-chk.worst_zval, q - 1), chk.floor_z, loc, note)
 
+    def verdict(self, target: int) -> str:
+        """A zero certified below `target` z-digits is "incomparable"."""
+        return "fail" if not self.passed else "incomparable" if self.floor_z < target else "pass"
+
 
 @dataclass
 class IdentityReport:
@@ -43,6 +51,9 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return self.status == "equal"
+
+    def verdict(self) -> str:
+        return {"equal": "pass", "unequal": "fail"}.get(self.status, "incomparable")
 
     @classmethod
     def from_comparison(cls, cmp: Comparison, target: int, note: str = "") -> "IdentityReport":
@@ -61,3 +72,6 @@ class CheckReport:
     failures: list = field(default_factory=list)
     note: str = ""
     certified: bool = True  # False for a sampled check with too few samples or draws
+
+    def verdict(self) -> str:
+        return "fail" if not self.passed else "pass" if self.certified else "incomparable"

@@ -102,8 +102,8 @@ def check_omega_functional(cfg: RunConfig):
         ctx = CarlitzContext(p, l, prec=64, tdeg=20)
         om = omega_series(ctx)
         rep = omega_functional_residual(ctx, om)
-        if not rep.passed or rep.floor_z < 60:
-            return "fail", f"(p,l)=({p},{l}): passed={rep.passed} floor={rep.floor_z}"
+        if (status := rep.verdict(60)) != "pass":
+            return status, f"(p,l)=({p},{l}): passed={rep.passed} floor={rep.floor_z}"
         bad = omega_series(ctx, drop_factor=1)
         ctrl = omega_functional_residual(ctx, bad)
         if ctrl.passed:
@@ -117,10 +117,8 @@ def check_pi_two_path(cfg: RunConfig):
     for p, l in [(2, 1), (3, 1), (2, 2)]:
         ctx = CarlitzContext(p, l)
         rep = pi_omega_cross_check(ctx, 50)
-        if rep.status != "equal":
-            return rep.status if rep.status == "incomparable" else "fail", (
-                f"(p,l)=({p},{l}): {rep.status} at exponent {rep.exponent}"
-            )
+        if (status := rep.verdict()) != "pass":
+            return status, f"(p,l)=({p},{l}): {rep.status} at exponent {rep.exponent}"
         details.append(f"({p},{l}) agree to {rep.precision} z-digits")
     return "pass", "; ".join(details)
 
@@ -148,15 +146,15 @@ def check_period_identity(cfg: RunConfig):
         ctx = CarlitzContext(p, l)
         for s in indices:
             rep = period_identity_report(ctx, s, 30)
-            if rep.status != "equal":
-                return "fail", f"(p,l)=({p},{l}), s={s}: {rep.status} at {rep.exponent}"
+            if (status := rep.verdict()) != "pass":
+                return status, f"(p,l)=({p},{l}), s={s}: {rep.status} at {rep.exponent}"
             count += 1
         # perturbation negative controls: shifted first argument must break it
         for s in (Index((1,)), Index((2, 1))):
             u = at_arguments(ctx, s)
             bad = (u[0] + BivarPoly.one(ctx.field),) + u[1:]
             rep = period_identity_report(ctx, s, 30, u=bad)
-            if rep.status != "unequal" or rep.exponent is None:
+            if rep.verdict() != "fail" or rep.exponent is None:
                 return "fail", f"(p,l)=({p},{l}), s={s}: perturbed control was {rep.status}"
     return "pass", f"{count} indices (wt <= 6, dep <= 3) equal to >= 30 z-digits; controls fail"
 
@@ -171,11 +169,11 @@ def check_rigid_analytic(cfg: RunConfig):
             phi = phi_matrix(ctx, u, s)
             psi = psi_matrix(ctx, u, s)
             rep = frobenius_residual(phi, psi)
-            if not rep.passed or rep.floor_z < 40:
-                return "fail", f"(p,l)=({p},{l}), s={s}: passed={rep.passed} floor={rep.floor_z}"
+            if (status := rep.verdict(40)) != "pass":
+                return status, f"(p,l)=({p},{l}), s={s}: passed={rep.passed} floor={rep.floor_z}"
             kill = mutation_kill_report(ctx, phi, psi)
-            if not kill.passed:
-                return "fail", f"(p,l)=({p},{l}), s={s}: mutations survived at {kill.failures}"
+            if (status := kill.verdict()) != "pass":
+                return status, f"(p,l)=({p},{l}), s={s}: mutations survived at {kill.failures}"
         details.append(f"({p},{l}) floors >= 40, kill rate 100%")
     return "pass", "; ".join(details)
 
@@ -187,8 +185,8 @@ def check_derived(cfg: RunConfig):
         phi, psi = carlitz_system(ctx)
         for s in (2, 3):
             rep = frobenius_residual(derived_matrix(phi, s), psi)
-            if not rep.passed:
-                return "fail", f"p={p}, s={s}: worst exponent {rep.worst_exponent}"
+            if (status := rep.verdict(ctx.prec)) != "pass":
+                return status, f"p={p}, s={s}: floor {rep.floor_z}, exponent {rep.worst_exponent}"
             details.append(f"p={p} s={s} floor {rep.floor_z}")
     return "pass", "same trivialization satisfies the s-fold equations; " + "; ".join(details)
 
@@ -197,8 +195,8 @@ def check_group_closure(cfg: RunConfig):
     dom = FiniteFieldDomain(ff_field(3, 4))
     idx = subclosure([Index((1, 2))])
     rep = closure_report(dom, idx, 100, cfg.seed + 1)
-    if not rep.passed:
-        return "fail", f"witnesses: {rep.failures[:3]}"
+    if (status := rep.verdict()) != "pass":
+        return status, f"witnesses: {rep.failures[:3]}; {rep.note}"
     return "pass", f"100 product+inverse re-parses over F_(3^4); {rep.note}"
 
 
@@ -206,8 +204,8 @@ def check_group_commutator(cfg: RunConfig):
     dom = FiniteFieldDomain(ff_field(3, 4))
     idx = subclosure([Index((1, 2))])
     rep = commutator_report(dom, idx, 100, cfg.seed + 2)
-    if not rep.passed:
-        return "fail", f"witnesses: {rep.failures[:3]}"
+    if (status := rep.verdict()) != "pass":
+        return status, f"witnesses: {rep.failures[:3]}; {rep.note}"
     return "pass", f"x -> v*b^wt and v*(1-b^-wt) exact on 100 samples; {rep.note}"
 
 
@@ -219,8 +217,8 @@ def check_telescoping(cfg: RunConfig):
             for i in range(1, s.dep + 2):
                 for j in range(1, i):
                     rep = component_collapse_report(ctx, s, i, j, prec=40)
-                    if not rep.passed or rep.floor_z < 30:
-                        return "fail", (
+                    if (status := rep.verdict(30)) != "pass":
+                        return status, (
                             f"(p,l)=({p},{l}), s={s}, (i,j)=({i},{j}): "
                             f"passed={rep.passed} floor={rep.floor_z}"
                         )

@@ -55,9 +55,6 @@ class TateElement:
         if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed Tate algebras")
 
-    def coeff(self, k: int) -> LaurentSeries:
-        return self.coeffs[k]
-
     def is_zero_to_precision(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -284,22 +281,6 @@ def eval_at_theta(f: TateElement) -> LaurentSeries:
         raise CertificateError(f"tail slope {sigma} <= q-1 = {q - 1}: evaluation not certified")
     cap = math.floor((sigma - (q - 1)) * (f.tdeg + 1) + tau)
     return acc.truncate(min(acc.prec, cap))
-
-
-def gauss_norm(f: TateElement) -> tuple[Fraction | None, bool]:
-    """(sup-norm exponent over stored coefficients, tail-could-dominate flag)."""
-    best: Fraction | None = None
-    for c in f.coeffs:
-        e = c.norm_exponent()
-        if e is not None and (best is None or e > best):
-            best = e
-    if f.exact:
-        return best, False
-    if f.tail is None:
-        return best, True
-    sigma, tau = f.tail
-    tail_exp = Fraction(-(sigma * (f.tdeg + 1) + tau), f.field.order - 1)
-    return best, best is None or tail_exp > best
 
 
 class ZeroCheck(NamedTuple):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ffmzv.cli import main
 from ffmzv.carlitz import CarlitzContext
 from ffmzv.laurent import to_text
@@ -21,8 +23,10 @@ def test_nonprime_p_is_usage_error(capsys):
 
 
 def test_bad_levels_are_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "mzv", "--p", "2", "--l", "1,1", "--index", "2")
-    assert code == 2 and "distinct" in err
+    # --l is one integer: a list is rejected by the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["mzv", "--p", "2", "--l", "1,1", "--index", "2"])
+    assert exc.value.code == 2 and "argument --l" in capsys.readouterr().err
     code, _, err = run_cli(capsys, "mzv", "--p", "2", "--l", "0", "--index", "2")
     assert code == 2
 
@@ -148,11 +152,7 @@ def test_malformed_gf_is_usage_error(capsys):
 
 
 def test_budget_cap_reported(capsys):
-    # zeta values never enumerate; the budget binds the suite's oracle checks
-    code, _, _ = run_cli(
-        capsys, "mzv", "--p", "3", "--l", "1", "--index", "1", "--enum-budget", "2"
-    )
-    assert code == 0
+    # the budget binds the suite's oracle checks
     code, out, _ = run_cli(capsys, "suite", "--enum-budget", "2")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1
@@ -204,3 +204,73 @@ def test_suite_golden_tamper_reports_first_difference(tmp_path, capsys):
     golden = [c for c in report["checks"] if c["name"] == "golden-regression"][0]
     assert golden["status"] == "fail"
     assert "first differing term" in golden["detail"] and "z^2" in golden["detail"]
+
+
+OPTIONS = {
+    "mzv": {"--p", "--l", "--index", "--prec"},
+    "atpoly": {"--p", "--l", "--smax"},
+    "omega": {"--p", "--l", "--prec", "--tdeg"},
+    "pitilde": {"--p", "--l", "--prec"},
+    "cmpl": {"--p", "--l", "--index", "--u", "--prec", "--tdeg"},
+    "verify-period": {"--p", "--l", "--index", "--prec"},
+    "verify-rat": {"--p", "--l", "--index", "--prec", "--tdeg"},
+    "verify-derived": {"--p", "--l", "--index", "--derive", "--prec", "--tdeg"},
+    "group-closure": {"--indices", "--gf", "--samples", "--rational", "--seed"},
+    "group-commutator": {"--indices", "--gf", "--samples", "--rational", "--seed"},
+    "suite": {"--seed", "--enum-budget", "--timings", "--fixtures"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    import argparse
+
+    from ffmzv.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(OPTIONS)
+    settable = 0
+    for name, parser in sub.choices.items():
+        opts = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert opts - {"--help"} == OPTIONS[name] | {"--format"}, name
+        settable += len(opts) - 1
+    assert settable == 60
+    index = {a.dest: a for a in sub.choices["verify-derived"]._actions}["index"]
+    assert not index.required and index.default is None
+
+
+def test_config_lists_only_the_options_read(capsys):
+    for argv, keys in (
+        (("mzv", "--index", "1"), {"p", "l", "prec"}),
+        (("atpoly",), {"p", "l"}),
+        (("omega", "--prec", "20", "--tdeg", "4"), {"p", "l", "prec", "tdeg"}),
+        (("group-closure", "--indices", "1", "--samples", "4"), {"seed"}),
+    ):
+        _, out, _ = run_cli(capsys, *argv)
+        assert set(json.loads(out)["config"]) == keys, argv
+
+
+def test_malformed_values_are_usage_errors(capsys):
+    for argv, option in (
+        (("mzv", "--index", "0"), "--index"),
+        (("mzv", "--index", "x"), "--index"),
+        (("verify-period", "--index", "2,,1"), "--index"),
+        (("group-closure", "--indices", "1,x"), "--indices"),
+        (("verify-derived", "--derive", "0"), "--derive"),
+        (("omega", "--tdeg", "-1"), "--tdeg"),
+        (("atpoly", "--smax", "-1"), "--smax"),
+        (("pitilde", "--prec", "0"), "--prec"),
+        (("cmpl", "--p", "3", "--index", "1", "--u", "t^-1"), "--u"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and f"error: {option}" in err, (argv, err)
+
+
+def test_verify_period_unequal_is_a_failure(capsys, monkeypatch):
+    from ffmzv import cli
+    from ffmzv.reports import IdentityReport
+
+    monkeypatch.setattr(cli, "period_identity_report", lambda *args: IdentityReport("unequal", None, 7))
+    code, out, _ = run_cli(capsys, "verify-period", "--index", "2")
+    check = json.loads(out)["checks"][0]
+    assert code == 1 and check["status"] == "fail"
+    assert check["detail"] == "unequal at z-exponent 7"

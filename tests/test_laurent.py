@@ -11,7 +11,6 @@ from ffmzv.laurent import (
     compare_to_precision,
     from_rational,
     from_theta_poly,
-    inverse_twist,
     monomial,
     one,
     theta,
@@ -92,14 +91,6 @@ def test_twist_scales_valuation_and_precision():
     assert (t3.val, t3.prec) == (8, 72)
 
 
-def test_inverse_twist_roundtrip_and_errors():
-    assert inverse_twist(monomial(F2, 2, 1, 20), 1).val == 1
-    th = theta(F3, 30)
-    assert compare_to_precision(inverse_twist(twist(th, 1), 1), th).status == "equal"
-    with pytest.raises(ValueError, match="divisible"):
-        inverse_twist(monomial(F2, 1, 1, 20), 1)
-
-
 def test_double_inverse():
     rng = random.Random(3)
     for _ in range(100):
@@ -168,9 +159,3 @@ def test_ring_laws(a, b, c):
     assert compare_to_precision((a + b) * c, a * c + b * c).status == "equal"
     assert compare_to_precision(a * (b * c), (a * b) * c).status == "equal"
     assert compare_to_precision(a * b, b * a).status == "equal"
-
-
-@settings(max_examples=40, deadline=None)
-@given(_series)
-def test_twist_then_inverse_twist(f):
-    assert compare_to_precision(inverse_twist(twist(f, 2), 2), f).status == "equal"

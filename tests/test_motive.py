@@ -144,7 +144,21 @@ def test_incremental_mutation_residual_equals_full_example_system():
     _assert_incremental_equals_full(*example_system(ctx, 1, 3))
 
 
-def test_mutation_moving_the_precision_is_recomputed_in_full(monkeypatch):
+def test_mutations_keep_the_residual_set_up():
+    # theta is exact, of t-degree 0 and known to the precision of Psi[0][0],
+    # so no mutation moves the cap or the t-degree the residual is checked to
+    systems = [sys_ for p, l in [(2, 1), (3, 1), (2, 2)] for sys_ in _mutation_systems(p, l)]
+    phi8, psi8 = example_system(CarlitzContext(2, 1, prec=40, tdeg=6), 1, 2)
+    assert psi8.size == 8
+    for phi, psi in systems + [(phi8, psi8)]:
+        res = motive._residual_setup(phi, psi)
+        for i in range(psi.size):
+            for j in range(psi.size):
+                mutated = motive._residual_setup(phi, perturb_entry(psi, i, j))
+                assert (mutated.cap, mutated.tdeg) == (res.cap, res.tdeg), (i, j)
+
+
+def test_mutation_kill_recomputes_one_residual_in_full(monkeypatch):
     ctx = CarlitzContext(3, 1, prec=40, tdeg=6)
     s = Index((1, 2))
     u = at_arguments(ctx, s)
@@ -154,14 +168,6 @@ def test_mutation_moving_the_precision_is_recomputed_in_full(monkeypatch):
     monkeypatch.setattr(motive, "frobenius_residual", lambda *a: calls.append(a) or full(*a))
     assert mutation_kill_report(ctx, phi, psi).passed
     assert len(calls) == 1  # the spot check
-    # theta below the least stored precision lowers p0: no shared set-up
-    low = motive._residual_setup(phi, psi).p0 - 5
-    th = tate.from_poly(BivarPoly.theta(ctx.field), low)
-    monkeypatch.setattr(motive, "_theta_mutation", lambda _psi: th)
-    calls.clear()
-    assert mutation_kill_report(ctx, phi, psi).passed
-    assert len(calls) == psi.size**2 + 1
-    _assert_incremental_equals_full(phi, psi)
 
 
 def test_mutation_spot_check_catches_a_missed_mutation(monkeypatch):

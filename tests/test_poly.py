@@ -1,6 +1,7 @@
 """Exact polynomial layer: division in t, packed products, twists, parsing."""
 
 import random
+import re
 
 import pytest
 
@@ -82,3 +83,13 @@ def test_parse_poly_roundtrip():
         assert f == again
     with pytest.raises(ValueError):
         parse_poly(F3, "x + 1")
+
+
+def test_parse_poly_exponents_are_non_negative_integers():
+    # "t^-1" used to read as the two terms "t^" and "-1", that is t + 2
+    for text, factor in (("t^-1", "'t^'"), ("theta^-2", "'theta^'"), ("t^", "'t^'")):
+        with pytest.raises(ValueError, match=re.escape(f"factor {factor}")):
+            parse_poly(F3, text)
+    assert parse_poly(F3, "t^0") == BivarPoly.one(F3)
+    assert parse_poly(F3, "theta^12") == BivarPoly(F3, {(0, 12): 1})
+    assert parse_poly(F3, "2*t*theta^3 - 1") == BivarPoly(F3, {(1, 3): 2, (0, 0): 2})

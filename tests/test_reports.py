@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+from ffmzv import suite
 from ffmzv.cli import _residual_entry
 from ffmzv.laurent import Comparison
-from ffmzv.reports import IdentityReport, ResidualReport
+from ffmzv.reports import CheckReport, IdentityReport, ResidualReport
 from ffmzv.suite import check_entry
 from ffmzv.tate import ZeroCheck
 
@@ -42,3 +43,43 @@ def test_residual_entries_name_the_worst_entry_only_when_located():
     assert _residual_entry("x", ResidualReport(True, None, 39), 40) == check_entry(
         "x", "incomparable", "floor 39 z-digits, below the requested 40"
     )
+
+
+def test_verdicts():
+    assert [ResidualReport(True, None, f).verdict(40) for f in (39, 40, 41)] == [
+        "incomparable",
+        "pass",
+        "pass",
+    ]
+    assert ResidualReport(False, Fraction(1), 99, (0,)).verdict(40) == "fail"
+    statuses = ("equal", "unequal", "incomparable")
+    assert [IdentityReport(s, None).verdict() for s in statuses] == ["pass", "fail", "incomparable"]
+    assert [CheckReport(passed, certified=c).verdict() for passed, c in
+            ((True, True), (True, False), (False, True), (False, False))] == [
+        "pass",
+        "incomparable",
+        "fail",
+        "fail",
+    ]
+
+
+def test_suite_group_check_without_certificate_is_incomparable(monkeypatch):
+    uncertified = CheckReport(True, 100, [], "samples DO NOT exceed it", certified=False)
+    monkeypatch.setattr(suite, "closure_report", lambda *args: uncertified)
+    monkeypatch.setattr(suite, "commutator_report", lambda *args: uncertified)
+    for check in (suite.check_group_closure, suite.check_group_commutator):
+        status, detail = check(suite.RunConfig())
+        assert status == "incomparable" and "DO NOT exceed" in detail
+
+
+def test_suite_residual_check_below_its_threshold_is_incomparable(monkeypatch):
+    # the derived check's target is its context precision, 56
+    monkeypatch.setattr(suite, "frobenius_residual", lambda *args: ResidualReport(True, None, 55))
+    status, detail = suite.check_derived(suite.RunConfig())
+    assert status == "incomparable" and "floor 55" in detail
+    monkeypatch.setattr(suite, "frobenius_residual", lambda *args: ResidualReport(True, None, 56))
+    assert suite.check_derived(suite.RunConfig())[0] == "pass"
+    monkeypatch.setattr(
+        suite, "component_collapse_report", lambda *args, **kw: ResidualReport(True, None, 29)
+    )
+    assert suite.check_telescoping(suite.RunConfig())[0] == "incomparable"

@@ -1,0 +1,39 @@
+"""Smoke runs of the sweep scripts in scripts/: exit codes and status columns."""
+
+import pathlib
+import runpy
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exc.value.code, capsys.readouterr().out.splitlines()
+
+
+def test_period_scan(monkeypatch, capsys):
+    code, lines = run_script(monkeypatch, capsys, "period_scan.py", "--max-wt", "2", "--max-dep", "1")
+    rows = [line.split() for line in lines[:-1]]
+    # (1) and (2) at each of (p, l) = (2, 1), (3, 1), (2, 2)
+    assert code == 0 and len(rows) == 6 and lines[-1] == "failures: 0"
+    assert all(row[3] == "pass" for row in rows), lines
+
+
+def test_shell_sampling(monkeypatch, capsys):
+    argv = ("--fields", "3,2", "--samples", "10", "--rational")
+    code, lines = run_script(monkeypatch, capsys, "shell_sampling.py", *argv)
+    assert code == 0 and lines[0] == "index set: (1); (2); (1,2)"
+    assert [line.split()[:3] for line in lines[1:]] == [
+        ["F_(3^2)", "closure", "pass"],
+        ["F_(3^2)", "commutator", "pass"],
+        ["F_3(t)", "closure", "pass"],
+    ]
+    # F_2 draws 1 nonzero value, F_2(t) (counted as 7 numerators) no more than
+    # the degree bound 7: such runs certify nothing, but nothing failed either
+    code, lines = run_script(monkeypatch, capsys, "shell_sampling.py", "--fields", "2,1", "--rational")
+    assert code == 0 and [line.split()[2] for line in lines[1:]] == ["incomparable"] * 3

@@ -16,7 +16,6 @@ from ffmzv.tate import (
     certificate_ok,
     eval_at_theta,
     from_poly,
-    gauss_norm,
     invert_linear_factor,
     invert_unit,
     one,
@@ -147,14 +146,6 @@ def test_eval_is_ring_homomorphism_on_certified_products():
         lhs = eval_at_theta(f * g)
         rhs = eval_at_theta(f) * eval_at_theta(g)
         assert compare_to_precision(lhs, rhs).status == "equal"
-
-
-def test_gauss_norm():
-    t = t_var(F3, 20)
-    e, flag = gauss_norm(t)
-    assert e == 0 and not flag
-    th_plus_t = from_poly(BivarPoly(F3, {(0, 1): 1, (1, 0): 1}), 20)
-    assert gauss_norm(th_plus_t)[0] == 1
 
 
 def test_invert_unit():
