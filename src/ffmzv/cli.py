@@ -34,6 +34,7 @@ from .special import (
     anderson_thakur_polynomials,
     at_arguments,
     at_bound_report,
+    check_convergence,
     cmpl_series,
     cmpl_value,
     CmplSpec,
@@ -125,7 +126,7 @@ def _parse(option: str, parse, text: str):
 
 def _ctx_from(args) -> CarlitzContext:
     if not _is_prime(args.p):
-        raise UsageError("p must be prime")
+        raise UsageError("--p must be prime")
     sizes = {k: getattr(args, k) for k in ("prec", "tdeg") if hasattr(args, k)}
     return CarlitzContext(args.p, args.l, **sizes)
 
@@ -186,7 +187,7 @@ def _gf_field(text: str) -> tuple[int, int]:
     except ValueError:
         raise UsageError(f"--gf must be two integers 'p,N', got {text!r}") from None
     if not _is_prime(p):
-        raise UsageError("p must be prime")
+        raise UsageError(f"--gf characteristic must be prime, got {text!r}")
     if ndeg < 1:
         raise UsageError(f"--gf degree N must be positive, got {text!r}")
     return p, ndeg
@@ -266,17 +267,17 @@ def _run(args) -> int:
 
     if cmd == "cmpl":
         if args.u is None:
-            u = at_arguments(ctx, s)
+            spec = CmplSpec(s, at_arguments(ctx, s))
         else:
             parse = partial(parse_poly, ctx.field)
             u = tuple(_parse("--u", parse, part) for part in args.u.split(";"))
-        spec = CmplSpec(s, u)
+            spec = _parse("--u", lambda u: check_convergence(ctx, CmplSpec(s, u)), u)
         value = cmpl_value(ctx, spec, args.prec)
         ser = cmpl_series(ctx, spec, args.tdeg, args.prec)
         report = _envelope(
             args,
             index=str(s),
-            arguments=[poly_text(x) for x in u],
+            arguments=[poly_text(x) for x in spec.u],
             value=ls_text(value),
             series=tate_text(ser),
         )

@@ -47,7 +47,7 @@ from .errors import ConventionError, ShapeParseError
 from .ffield import FieldSpec, ops
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
-from .special import CmplSpec, Index, cmpl_series, convergence_report, is_subclosed, subclosure
+from .special import CmplSpec, Index, check_convergence, cmpl_series, is_subclosed, subclosure
 from . import tate
 from .tate import TateElement, to_text as tate_text
 
@@ -119,12 +119,7 @@ def psi_matrix(
     series below, bottom-right 1; entries carry valid tail certificates."""
     prec = ctx.prec if prec is None else prec
     tdeg = ctx.tdeg if tdeg is None else tdeg
-    if len(u) != s.dep:
-        raise ValueError("argument list length must equal the depth")
-    for k in range(s.dep):
-        rep = convergence_report(ctx, CmplSpec(Index(s.entries[k : k + 1]), (u[k],)))
-        if not rep.passed:
-            raise ValueError(f"convergence fails at position {k + 1}: {rep.note}")
+    check_convergence(ctx, CmplSpec(s, u))
     fld = ctx.field
     d = s.dep
     sw = _suffix_weights(s)
@@ -499,8 +494,9 @@ class RationalFunctionDomain:
 
     def __init__(self, p: int):
         self.p = p
-        # distinct values of sample_nonzero, counting only those over denominator 1
-        self.draws = p ** (MAX_SAMPLE_DEGREE + 1) - 1
+        # distinct values of sample_nonzero: the nonzero n/d with deg n, deg d <= k
+        # number exactly p^(2k+1) - 1
+        self.draws = p ** (2 * MAX_SAMPLE_DEGREE + 1) - 1
 
     name = "rational-function"
 

@@ -29,8 +29,12 @@ power-sum loop in tests/test_special.py run under the context's enumeration
 budget.
 
 Anderson-Thakur polynomials come from inverting the generating series
-1 - sum_i (prod_j (t^{q^i}-theta^{q^j}) / prod_j (t^{q^i}-t^{q^j})) x^{q^i}
-as a power series in x and scaling slot s by Gamma_{s+1}|_{theta=t}.  The
+1 - sum_i N_i / D_i x^{q^i}, N_i = prod_{j=1..i} (t^{q^i} - theta^{q^j}), as
+a power series in x and scaling slot n by Gamma_{n+1}, with theta renamed t
+in D_i and Gamma.  Multiplied through, this is the integral recurrence
+H_0 = 1, H_n = sum_{q^i <= n} B_{n,i} N_i H_{n-q^i}, where each
+B_{n,i} = Gamma_{n+1} / (Gamma_{n-q^i+1} D_i) is an exact division in t:
+no fraction is ever formed, and a remainder raises ConventionError.  The
 extraction convention is the plain x^s coefficient slot: it is the one that
 reproduces H_s = 1 for 0 <= s <= q-1 and is validated operationally by the
 period identity against the convention-free monic-sum path, which never
@@ -45,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .carlitz import CarlitzContext, carlitz_factorial, monic_coeff_lists
+from .carlitz import CarlitzContext, carlitz_d, carlitz_factorial, monic_coeff_lists
 from .errors import BudgetError, ConventionError
 from .ffield import ops
 from .laurent import LaurentSeries, compare_to_precision, from_rational, theta_pow
@@ -88,7 +92,10 @@ def parse_index(text: str) -> Index:
 
 
 def parse_index_set(text: str) -> tuple[Index, ...]:
-    return tuple(parse_index(part) for part in text.split(";") if part)
+    indices = tuple(parse_index(part) for part in text.split(";") if part)
+    if not indices:
+        raise ValueError(f"{text!r} names no index")
+    return indices
 
 
 def subclosure(indices) -> tuple[Index, ...]:
@@ -265,22 +272,6 @@ def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) ->
 # -- Anderson-Thakur polynomials ---------------------------------------------------
 
 
-class _Frac:
-    """num/den with num in F[t, theta] and den monic in t (no gcd reduction)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BivarPoly, den: BivarPoly):
-        self.num = num
-        self.den = den
-
-    def __add__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.num, self.den * other.den)
-
-
 def anderson_thakur_polynomials(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
     """H_0..H_{s_max}; integral by construction (exact division, loud abort)."""
     return ctx.cached(("AT", s_max), lambda: _at_polys(ctx, s_max))
@@ -288,43 +279,31 @@ def anderson_thakur_polynomials(ctx: CarlitzContext, s_max: int) -> list[BivarPo
 
 def _at_polys(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
     q, fld = ctx.q, ctx.field
-    one = BivarPoly.one(fld)
-    neg = ops(fld).neg
-
-    def tpow(e: int) -> BivarPoly:
-        return BivarPoly(fld, {(e, 0): 1})
-
-    # generating coefficients a_i of x^{q^i}; a_0 = 1
-    a: dict[int, _Frac] = {0: _Frac(one, one)}
-    i = 1
+    neg1 = ops(fld).neg[1]
+    # (q^i, N_i, D_i(t)) per term; H_n follows the module docstring's recurrence
+    steps = []
+    i = 0
     while q**i <= s_max:
-        num = one
-        den = one
+        num = BivarPoly.one(fld)
         for j in range(1, i + 1):
-            num = num * BivarPoly(fld, {(q**i, 0): 1, (0, q**j): neg[1]})
-        for j in range(i):
-            den = den * (tpow(q**i) - tpow(q**j))
-        a[i] = _Frac(num, den)
+            num = num * BivarPoly(fld, {(q**i, 0): 1, (0, q**j): neg1})
+        steps.append((q**i, num, carlitz_d(ctx, i).subs_theta_to_t()))
         i += 1
-    # series inversion: c_n = sum_i a_i c_{n - q^i}
-    c: list[_Frac] = [_Frac(one, one)]
+    gammas = [carlitz_factorial(ctx, n).subs_theta_to_t() for n in range(s_max + 1)]
+    hs = [BivarPoly.one(fld)]
     for n in range(1, s_max + 1):
-        acc: _Frac | None = None
-        for i, ai in a.items():
-            if q**i <= n:
-                term = ai * c[n - q**i]
-                acc = term if acc is None else acc + term
-        c.append(acc)
-    out = []
-    for s_idx in range(s_max + 1):
-        gamma_t = carlitz_factorial(ctx, s_idx).subs_theta_to_t()
-        quot, rem = (gamma_t * c[s_idx].num).divmod_t(c[s_idx].den)
-        if not rem.is_zero():
-            raise ConventionError(
-                f"generating-series slot {s_idx} did not divide out: convention bug"
-            )
-        out.append(quot)
-    return out
+        h = BivarPoly.zero(fld)
+        for qi, num, d_t in steps:
+            if qi > n:
+                break
+            b, rem = gammas[n].divmod_t(gammas[n - qi] * d_t)
+            if not rem.is_zero():
+                raise ConventionError(
+                    f"generating-series slot {n} did not divide out: convention bug"
+                )
+            h = h + b * num * hs[n - qi]
+        hs.append(h)
+    return hs
 
 
 def at_bound_report(ctx: CarlitzContext, hs: list[BivarPoly]) -> CheckReport:
@@ -376,6 +355,14 @@ def convergence_report(ctx: CarlitzContext, spec: CmplSpec) -> CheckReport:
     )
 
 
+def check_convergence(ctx: CarlitzContext, spec: CmplSpec) -> CmplSpec:
+    """`spec` itself, or ValueError with the report's note if an argument diverges."""
+    rep = convergence_report(ctx, spec)
+    if not rep.passed:
+        raise ValueError(f"convergence condition violated: {rep.note}")
+    return spec
+
+
 def _deltas(ctx: CarlitzContext, spec: CmplSpec) -> list[int]:
     q = ctx.q
     out = []
@@ -412,9 +399,7 @@ def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> 
     """
     prec = ctx.prec if prec is None else prec
     q, fld = ctx.q, ctx.field
-    rep = convergence_report(ctx, spec)
-    if not rep.passed:
-        raise ValueError(f"convergence condition violated: {rep.note}")
+    check_convergence(ctx, spec)
     if any(ui.is_zero() for ui in spec.u):
         return ls_zero(fld, prec)
     entries = spec.s.entries
@@ -462,9 +447,7 @@ def cmpl_series(
 
 def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> TateElement:
     q, fld = ctx.q, ctx.field
-    rep = convergence_report(ctx, spec)
-    if not rep.passed:
-        raise ValueError(f"convergence condition violated: {rep.note}")
+    check_convergence(ctx, spec)
     if any(ui.is_zero() for ui in spec.u):
         return tate.zero(fld, prec, tdeg)
     entries = spec.s.entries

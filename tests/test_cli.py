@@ -80,10 +80,11 @@ def test_omega_pitilde_atpoly_cmpl(capsys):
 
 
 def test_cmpl_divergent_arguments_fail(capsys):
+    # an argument outside the convergence condition is a usage error naming --u
     code, _, err = run_cli(
         capsys, "cmpl", "--p", "2", "--l", "1", "--index", "1", "--u", "theta^2", "--prec", "20"
     )
-    assert code == 1 and "convergence" in err
+    assert code == 2 and "error: --u: convergence" in err
 
 
 def test_group_commands(capsys):
@@ -126,6 +127,16 @@ def test_group_commands_need_sample_fields_beyond_the_degree_bound(capsys):
         check = json.loads(out)["checks"][0]
         assert code == 0 and check["status"] == "pass"
         assert check["detail"] == "degree bound 7 (Schwartz-Zippel); samples 100 exceed it"
+
+
+def test_rational_group_runs_over_f2_certify(capsys):
+    # F_2(t) draws 31 distinct nonzero fractions, more than the bound 7
+    code, out, _ = run_cli(
+        capsys, "group-closure", "--indices", "1,2", "--gf", "2,1", "--rational", "--samples", "30"
+    )
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["status"] == "pass"
+    assert check["detail"] == "degree bound 7 (Schwartz-Zippel); samples 30 exceed it"
 
 
 def test_residual_certified_below_the_requested_precision_is_incomparable(capsys):
@@ -263,6 +274,37 @@ def test_malformed_values_are_usage_errors(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and f"error: {option}" in err, (argv, err)
+
+
+def test_index_sets_naming_no_index_are_usage_errors(capsys):
+    for cmd in ("group-closure", "group-commutator"):
+        for text in (";", "", ";;"):
+            code, out, err = run_cli(capsys, cmd, "--indices", text)
+            assert code == 2 and out == "" and "error: --indices: " in err, (cmd, text, err)
+            assert "names no index" in err
+
+
+def test_cmpl_argument_count_is_a_usage_error(capsys):
+    for index, u in (("1,1", "t"), ("1", "t;theta")):
+        code, out, err = run_cli(capsys, "cmpl", "--index", index, "--u", u)
+        assert code == 2 and out == "" and "error: --u: " in err and "depth" in err, err
+
+
+def test_cmpl_argument_outside_convergence_is_a_usage_error(capsys):
+    # ||theta^5|| = |theta|^5 against the bound |theta|^(3/2)
+    code, out, err = run_cli(capsys, "cmpl", "--p", "3", "--index", "1", "--u", "theta^5")
+    assert code == 2 and out == ""
+    assert "error: --u: convergence condition violated: u_1: ||u|| exponent 5 vs bound 3/2" in err
+    # AT arguments converge, so without --u the same index is computed
+    code, out, _ = run_cli(capsys, "cmpl", "--p", "3", "--index", "1")
+    assert code == 0 and json.loads(out)["arguments"] == ["1"]
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_atpoly_reaches_slot_40(capsys, p):
+    code, out, _ = run_cli(capsys, "atpoly", "--p", p, "--smax", "40")
+    doc = json.loads(out)
+    assert code == 0 and doc["bounds_ok"] and len(doc["polynomials"]) == 41
 
 
 def test_verify_period_unequal_is_a_failure(capsys, monkeypatch):

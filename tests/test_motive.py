@@ -1,5 +1,6 @@
 """Matrix systems, derived systems, and the block-group shells."""
 
+import itertools
 import json
 import random
 import time
@@ -15,6 +16,7 @@ from ffmzv.motive import (
     BlockShape,
     FiniteFieldDomain,
     MotiveMatrix,
+    MAX_SAMPLE_DEGREE,
     RationalFunctionDomain,
     carlitz_system,
     closure_report,
@@ -491,6 +493,50 @@ def test_block_rational_function_mode():
     dom = RationalFunctionDomain(3)
     assert closure_report(dom, I_12, 12, 4).passed
     assert commutator_report(dom, I_12, 6, 4).passed
+
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pdivmod(a, b, p):
+    """Quotient and remainder of coefficient lists (lowest first) over F_p."""
+    a, b = _trim(a), _trim(b)
+    inv = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] * inv % p
+        k = len(a) - len(b)
+        quot[k] = c
+        for i, x in enumerate(b):
+            a[i + k] = (a[i + k] - c * x) % p
+        a = _trim(a)
+    return quot, a
+
+
+def _lowest_terms(p, num, den):
+    """num/den as (numerator, monic denominator) with a gcd of 1 (oracle)."""
+    g, r = _trim(num), _trim(den)
+    while r:
+        g, r = r, _pdivmod(g, r, p)[1]
+    n, d = _pdivmod(num, g, p)[0], _pdivmod(den, g, p)[0]
+    inv = pow(d[-1], p - 2, p)
+    return tuple(c * inv % p for c in n), tuple(c * inv % p for c in d)
+
+
+@pytest.mark.parametrize("p,draws", [(2, 6000), (3, 60000)])
+def test_rational_draws_count_the_distinct_reduced_values(p, draws):
+    nonzero = [c for c in itertools.product(range(p), repeat=MAX_SAMPLE_DEGREE + 1) if any(c)]
+    values = {_lowest_terms(p, n, d) for n in nonzero for d in nonzero}
+    dom = RationalFunctionDomain(p)
+    assert len(values) == dom.draws == p ** (2 * MAX_SAMPLE_DEGREE + 1) - 1
+    # the sampler reaches every one of them
+    rng = random.Random(0)
+    drawn = {dom.sample_nonzero(rng) for _ in range(draws)}
+    assert {_lowest_terms(p, n, d) for n, d in drawn} == values
 
 
 # -- sparse kernels against the dense loops they replaced ----------------------

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import tate
-from ffmzv.carlitz import CarlitzContext, monic_coeff_lists
-from ffmzv.errors import BudgetError
+from ffmzv.carlitz import CarlitzContext, carlitz_factorial, monic_coeff_lists
+from ffmzv.errors import BudgetError, ConventionError
 from ffmzv.ffield import ops
 from ffmzv.laurent import compare_to_precision, from_rational, one as ls_one, zero as ls_zero
 from ffmzv.poly import BivarPoly, dense_theta_mul, t_minus_theta_frob
@@ -306,6 +306,85 @@ def test_at_weight_q_slot():
     o = ops(ctx.field)
     expect = BivarPoly(ctx.field, {(3, 0): 2, (1, 0): o.neg[1], (0, 3): o.neg[1]})
     assert hq == expect
+
+
+class _Frac:
+    """num/den with num in F[t, theta] and den monic in t (no gcd reduction)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return _Frac(self.num * other.num, self.den * other.den)
+
+
+def _at_polys_frac(ctx, s_max):
+    """H_0..H_{s_max} by inverting the generating series over unreduced
+    fractions, then dividing Gamma_{s+1}(t) * c_s out at the end (oracle)."""
+    q, fld = ctx.q, ctx.field
+    one = BivarPoly.one(fld)
+    neg = ops(fld).neg
+
+    def tpow(e):
+        return BivarPoly(fld, {(e, 0): 1})
+
+    # generating coefficients a_i of x^{q^i}; a_0 = 1
+    a = {0: _Frac(one, one)}
+    i = 1
+    while q**i <= s_max:
+        num = one
+        den = one
+        for j in range(1, i + 1):
+            num = num * BivarPoly(fld, {(q**i, 0): 1, (0, q**j): neg[1]})
+        for j in range(i):
+            den = den * (tpow(q**i) - tpow(q**j))
+        a[i] = _Frac(num, den)
+        i += 1
+    # series inversion: c_n = sum_i a_i c_{n - q^i}
+    c = [_Frac(one, one)]
+    for n in range(1, s_max + 1):
+        acc = None
+        for i, ai in a.items():
+            if q**i <= n:
+                term = ai * c[n - q**i]
+                acc = term if acc is None else acc + term
+        c.append(acc)
+    out = []
+    for s_idx in range(s_max + 1):
+        gamma_t = carlitz_factorial(ctx, s_idx).subs_theta_to_t()
+        quot, rem = (gamma_t * c[s_idx].num).divmod_t(c[s_idx].den)
+        assert rem.is_zero(), f"slot {s_idx} did not divide out"
+        out.append(quot)
+    return out
+
+
+# the largest s_max at which the fraction oracle finishes in about a second
+@pytest.mark.parametrize("p,l,s_max", [(3, 1, 18), (2, 1, 12), (2, 2, 20), (5, 1, 30), (3, 2, 20)])
+def test_at_polynomials_match_the_fraction_oracle(p, l, s_max):
+    want = _at_polys_frac(CarlitzContext(p, l), s_max)
+    ctx = CarlitzContext(p, l)
+    for s in range(s_max + 1):
+        assert anderson_thakur_polynomials(ctx, s) == want[: s + 1], s
+
+
+def test_at_slot_that_does_not_divide_out_raises(monkeypatch):
+    from ffmzv import special
+
+    real = special.carlitz_d
+    # D_i (theta + 1) is no factor of Gamma_2 = 1, so slot 1 leaves a remainder
+    monkeypatch.setattr(
+        special,
+        "carlitz_d",
+        lambda ctx, i: real(ctx, i) * BivarPoly(ctx.field, {(0, 1): 1, (0, 0): 1}),
+    )
+    with pytest.raises(ConventionError, match="slot 1 did not divide out"):
+        anderson_thakur_polynomials(CarlitzContext(3, 1), 4)
 
 
 def test_convergence_examples():
