@@ -116,16 +116,16 @@ def _check_ranges(args) -> None:
             raise UsageError(f"--{name} must be {kind}, got {value}")
 
 
-def _parse(option: str, parse, text: str):
-    """parse(text), where a malformed text is a usage error naming the option."""
+def _parse(option: str, parse, value):
+    """parse(value), where a ValueError is a usage error naming the option."""
     try:
-        return parse(text)
+        return parse(value)
     except ValueError as exc:
         raise UsageError(f"{option}: {exc}") from None
 
 
 def _ctx_from(args) -> CarlitzContext:
-    if not _is_prime(args.p):
+    if not _parse("--p", _is_prime, args.p):
         raise UsageError("--p must be prime")
     sizes = {k: getattr(args, k) for k in ("prec", "tdeg") if hasattr(args, k)}
     return CarlitzContext(args.p, args.l, **sizes)
@@ -186,7 +186,7 @@ def _gf_field(text: str) -> tuple[int, int]:
         p, ndeg = (int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"--gf must be two integers 'p,N', got {text!r}") from None
-    if not _is_prime(p):
+    if not _parse("--gf", _is_prime, p):
         raise UsageError(f"--gf characteristic must be prime, got {text!r}")
     if ndeg < 1:
         raise UsageError(f"--gf degree N must be positive, got {text!r}")

@@ -21,16 +21,27 @@ c*p^j rotates digit j.  The build costs O(n^2) list writes instead of one
 polynomial reduction per pair; tests/test_ffield.py keeps the pairwise
 reduction as the oracle every table is compared against.
 
-`dense_mul(spec, a, b, n)` is the one dense product of coefficient lists,
-used by Laurent series and theta-polynomials.  Its path depends on m and on
-the rows a schoolbook would run, the nonzero coefficients of the shorter
-factor (series in z^(q-1) are mostly zeros).  m = 1: one big-int product
-with each coefficient in a byte-aligned `array` slot (8 to 64 bits) wide
-enough for (p-1)^2 * min(len a, len b), so no slot carries.  m = 2:
-Karatsuba, three packed F_p products over the two digits of each encoding.
-m >= 3 or few rows: the table schoolbook.  The oracle for every path is the
-double loop in tests/test_ffield.py.  The primitive-element search keeps its
-own product, because it builds the tables the kernel reads.
+`dense_sums(spec, sums)` is the one dense product kernel, used by Laurent
+series, Tate products and theta-polynomials: for each output it sums the
+products z^s * a * b of coefficient lists, each term shifted by s, and
+`dense_mul(spec, a, b, n)` is its one-term case.  A pair's path depends on
+m and on the rows a schoolbook would run, the nonzero coefficients of its
+shorter factor (series in z^(q-1), and twisted ones, are mostly zeros).
+m = 1 with `_PACKED_MIN` rows: the pair joins its output's packed sum,
+one big-int product per pair, shifted by s slots, added, and unpacked once
+per output; each list is packed once per call into byte-aligned `array`
+slots (8 to 64 bits) wide enough for (p-1)^2 times the largest sum of
+min(len a, len b) over one output, so no slot carries.  m = 2 with
+`_KARATSUBA_MIN` rows: the same over the two digits of each encoding, three
+packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the table
+schoolbook, one row per nonzero coefficient, added into the output.  The
+oracle for every path is the double loop in tests/test_ffield.py.  The
+primitive-element search keeps its own product, because it builds the
+tables the kernel reads.
+
+Primality is a deterministic Miller-Rabin over the prime bases 2..41, exact
+below 3317044064679887385961981 and refused from there on; `field(p, m)`
+checks the table cap before it tests p.
 """
 
 from __future__ import annotations
@@ -46,23 +57,39 @@ from .errors import ConventionError, FieldSizeError
 _TABLE_CAP = 4096
 
 # fewest schoolbook rows at which the packed (m = 1) and Karatsuba (m = 2)
-# paths of dense_mul beat the table schoolbook (measured, see CHANGES.md)
+# paths of dense_sums beat the table schoolbook (measured, see CHANGES.md)
 _PACKED_MIN, _KARATSUBA_MIN = 2, 10
 _SLOTS = tuple((array(c).itemsize * 8, c) for c in "BHIQ")  # (bits, typecode), narrowest first
 
 
+# Miller-Rabin over the primes 2..41 is exact below _PRIME_LIMIT, the least
+# strong pseudoprime to all of them (2..37 alone fail at 318665857834031151167461)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError from _PRIME_LIMIT on, where it is not exact."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -136,18 +163,22 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m})"
 
 
-def _check_table_cap(order: int) -> None:
-    if order > _TABLE_CAP:
+def _check_table_cap(p: int, m: int) -> None:
+    # p >= 2, so p^m is above the cap once m exceeds its bit length: a huge m
+    # never builds p^m, and a huge order is named as a power
+    if m > _TABLE_CAP.bit_length() or p**m > _TABLE_CAP:
+        order = p**m if m * p.bit_length() <= 256 else f"{p}^{m}"
         raise FieldSizeError(f"field order {order} exceeds table cap {_TABLE_CAP}")
 
 
 def field(p: int, m: int) -> FieldSpec:
     """Create the canonical F_{p^m}; deterministic in (p, m)."""
+    if p >= 2 and m >= 1:
+        _check_table_cap(p, m)  # before the primality test and the modulus search
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    _check_table_cap(p**m)  # before the modulus search, which grows with p^m
     return _canonical_field(p, m)
 
 
@@ -197,8 +228,8 @@ class FieldOps:
 
     def __init__(self, spec: FieldSpec):
         p, m = spec.p, spec.m
+        _check_table_cap(p, m)
         n = p**m
-        _check_table_cap(n)
         self.spec = spec
         self.n, self.p, self.m = n, p, m
         exp = _primitive_powers(spec)
@@ -273,56 +304,126 @@ def ops(spec: FieldSpec) -> FieldOps:
 # -- the dense product kernel ----------------------------------------------------
 
 
-def _packed_mul(a: list[int], b: list[int], p: int, n: int) -> array:
-    """First n unreduced coefficients of a*b for digits below p; a slot sum is
-    below 2^24 * min(len a, len b), so 64 bits hold any list that fits in memory."""
-    bound = (p - 1) ** 2 * min(len(a), len(b))
+def _packed_sums(jobs: list, p: int) -> list[array]:
+    """Unreduced packed sums of products of digit lists (digits below p).
+
+    For each (n, terms) of jobs, the first n slots of the sum of z^s * a * b
+    over its terms (a, b, s, w): a no longer than b, w = n - s > 0.  Every
+    list is packed once into byte-aligned `array` slots (8 to 64 bits), one
+    width for all jobs, wide enough for (p-1)^2 times the largest sum over a
+    job of min(len a, w): no slot below n carries, and slots at or above n,
+    which may, are cut off.  A slot sum is below 2^24 * (that sum), so 64
+    bits hold any job that fits in memory.
+    """
+    load = max((sum(min(len(a), w) for a, _, _, w in terms) for _, terms in jobs), default=0)
     for bits, code in _SLOTS:
-        if not bound >> bits:
+        if not (p - 1) ** 2 * load >> bits:
             break
-    x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
-    y = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
-    size = bits // 8
-    return array(code, (x * y).to_bytes(size * (len(a) + len(b) - 1), sys.byteorder)[: size * n])
+    size, order = bits // 8, sys.byteorder
+    packed: dict[int, int] = {}  # by id: every list stays alive until the call returns
+    out = []
+    for n, terms in jobs:
+        total = 0
+        for a, b, s, w in terms:
+            x, y = packed.get(id(a)), packed.get(id(b))
+            if x is None:
+                x = packed[id(a)] = int.from_bytes(array(code, a).tobytes(), order)
+            if y is None:
+                y = packed[id(b)] = int.from_bytes(array(code, b).tobytes(), order)
+            if len(b) > w:  # only the first w coefficients of a factor reach a slot below n
+                mask = (1 << bits * w) - 1
+                x, y = x & mask, y & mask
+            total += x * y << bits * s
+        out.append(array(code, (total & ((1 << bits * n) - 1)).to_bytes(size * n, order)))
+    return out
+
+
+def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
+    """For each (terms, n) of sums, the first n coefficients of the sum of
+    z^s * a * b over its terms (a, b, s): dense lists of encodings, lowest
+    degree first, s >= 0.  Exactly n entries each.
+
+    A pair whose shorter factor has `_PACKED_MIN` (m = 1) or
+    `_KARATSUBA_MIN` (m = 2) nonzero coefficients below the cut joins its
+    sum's packed big-int sum, shifted by s slots; every other pair, and every
+    pair when m >= 3, runs the table schoolbook, one row per nonzero
+    coefficient of its shorter factor.  For m = 2 each list is split once
+    into its digits d0, d1 and d0 + d1 mod p, and three packed sums give the
+    Karatsuba terms.
+    """
+    p, m = spec.p, spec.m
+    least = _PACKED_MIN if m == 1 else _KARATSUBA_MIN if m == 2 else None
+    jobs, school = [], []
+    for terms, n in sums:
+        fast, slow = [], []
+        for a, b, s in terms:
+            w = n - s
+            if w <= 0 or not a or not b:
+                continue
+            if len(a) > len(b):
+                a, b = b, a
+            if least is None or len(a) < least:  # too short to have least rows
+                slow.append((a, b, s, w))
+                continue
+            rows = min(len(a), w) - (a[:w] if len(a) > w else a).count(0)
+            (fast if rows >= least else slow).append((a, b, s, w))
+        jobs.append((n, fast))
+        school.append(slow)
+    if not any(terms for _, terms in jobs):
+        out = [[0] * n for n, _ in jobs]
+    elif m == 1:
+        out = [[c % p for c in slots] for slots in _packed_sums(jobs, p)]
+    else:
+        split: dict[int, tuple] = {}
+
+        def digits(x):
+            got = split.get(id(x))
+            if got is None:
+                d0, d1 = [c % p for c in x], [c // p for c in x]
+                got = split[id(x)] = (d0, d1, [(u + v) % p for u, v in zip(d0, d1)])
+            return got
+
+        lo, hi, mid = (
+            _packed_sums(
+                [(n, [(digits(a)[i], digits(b)[i], s, w) for a, b, s, w in terms]) for n, terms in jobs], p
+            )
+            for i in range(3)
+        )
+        # a = a0 + a1*g digit-wise; the middle product gives the cross term
+        mu0, mu1 = -spec.modulus[0] % p, -spec.modulus[1] % p  # g^2 = mu0 + mu1*g
+        out = [
+            [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(*t)]
+            for t in zip(lo, mid, hi)
+        ]
+    if any(school):
+        o = ops(spec)
+        mul, add, q = o.mul, o.add, o.n
+        for acc, (n, fast), slow in zip(out, jobs, school):
+            fresh = not fast  # acc is all zeros: its first row is written, not added
+            for a, b, s, w in slow:
+                if len(b) > w:
+                    a, b = a[:w], b[:w]
+                lb = len(b)
+                for i, x in enumerate(a):
+                    if x:
+                        base, at = x * q, s + i
+                        if fresh and at + lb <= n:
+                            acc[at : at + lb] = [mul[base + y] for y in b]
+                        else:
+                            acc[at : at + lb] = [add[c * q + mul[base + y]] for c, y in zip(acc[at : at + lb], b)]
+                        fresh = False
+    return out
 
 
 def dense_mul(spec: FieldSpec, a: list[int], b: list[int], n: int | None = None) -> list[int]:
     """The first n coefficients of a*b (all when n is None) for dense lists of
     encodings, lowest degree first: min(n, len(a) + len(b) - 1) entries, never
-    padded, and none when a factor is empty."""
+    padded, and none when a factor is empty.  The one-term case of dense_sums."""
     if not a or not b:
         return []
     full = len(a) + len(b) - 1
     n = full if n is None else max(0, min(n, full))
-    a, b = (a, b) if len(a) <= len(b) else (b, a)  # a is the shorter factor
-    if len(b) > n:
-        a, b = a[:n], b[:n]
-    # the schoolbook runs one row per nonzero coefficient of a
-    rows = len(a) - a.count(0)
-    p, m = spec.p, spec.m
-    if m == 1 and rows >= _PACKED_MIN:
-        return [c % p for c in _packed_mul(a, b, p, n)]
-    if m == 2 and rows >= _KARATSUBA_MIN:
-        # a = a0 + a1*g digit-wise; the middle product gives the cross term
-        a0, a1 = [c % p for c in a], [c // p for c in a]
-        b0, b1 = [c % p for c in b], [c // p for c in b]
-        lo, hi = _packed_mul(a0, b0, p, n), _packed_mul(a1, b1, p, n)
-        a01, b01 = [(x + y) % p for x, y in zip(a0, a1)], [(x + y) % p for x, y in zip(b0, b1)]
-        mid = _packed_mul(a01, b01, p, n)
-        mu0, mu1 = -spec.modulus[0] % p, -spec.modulus[1] % p  # g^2 = mu0 + mu1*g
-        return [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(lo, mid, hi)]
-    o = ops(spec)
-    mul, add, q = o.mul, o.add, o.n
-    if len(a) == 1:  # a scalar multiple of b: no sums
-        base = a[0] * q
-        return [mul[base + y] for y in b]
-    lb = len(b)
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            base = x * q
-            out[i : i + lb] = [add[s * q + mul[base + y]] for s, y in zip(out[i : i + lb], b)]
-    return out
+    return dense_sums(spec, [([(a, b, 0)], n)])[0]
 
 
 def element_text(spec: FieldSpec, value: int) -> str:

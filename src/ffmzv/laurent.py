@@ -22,7 +22,6 @@ raises PrecisionError rather than ZeroDivisionError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PrecisionError
@@ -83,18 +82,13 @@ class LaurentSeries:
         if not other.coeffs:
             return LaurentSeries(self.field, self.val, self.coeffs[:], prec)
         o = ops(self.field)
+        add, n = o.add, o.n
         val = min(self.val, other.val)
         out = [0] * (max(self.val + len(self.coeffs), other.val + len(other.coeffs)) - val)
-        for src in (self, other):
-            off = src.val - val
-            if src is self:
-                for i, c in enumerate(src.coeffs):
-                    out[off + i] = c
-            else:
-                add, n = o.add, o.n
-                for i, c in enumerate(src.coeffs):
-                    if c:
-                        out[off + i] = add[out[off + i] * n + c]
+        lo, hi = self.val - val, self.val - val + len(self.coeffs)
+        out[lo:hi] = self.coeffs
+        lo, hi = other.val - val, other.val - val + len(other.coeffs)
+        out[lo:hi] = [add[x * n + c] for x, c in zip(out[lo:hi], other.coeffs)]
         return LaurentSeries(self.field, val, out, prec)
 
     def __neg__(self) -> "LaurentSeries":
@@ -166,14 +160,6 @@ class LaurentSeries:
         if prec >= self.prec:
             return self
         return LaurentSeries(self.field, self.val, self.coeffs[:], prec)
-
-    # -- norms and comparison -----------------------------------------------
-
-    def norm_exponent(self) -> Fraction | None:
-        """|f| as the exponent e with |f| = |theta|^e; None for zero-to-precision."""
-        if not self.coeffs:
-            return None
-        return Fraction(-self.val, self.field.order - 1)
 
     def __repr__(self) -> str:
         return f"LaurentSeries({to_text(self)})"

@@ -45,6 +45,7 @@ from typing import NamedTuple
 from .carlitz import CarlitzContext, omega_power, omega_series
 from .errors import ConventionError, ShapeParseError
 from .ffield import FieldSpec, ops
+from .laurent import LaurentSeries
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
 from .special import CmplSpec, Index, check_convergence, cmpl_series, is_subclosed, subclosure
@@ -266,14 +267,16 @@ def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
 def _residual_entry(res: _Residual, a: int, entry: TateElement, col) -> tate.ZeroCheck:
     """Zero check of entry - sum_k Phi[a][k] * col[k], where entry is Psi[a][b]
     and col is column b of Psi^{(n)}."""
-    acc = None
-    for mat, tw in zip(res.mats[a], col):
-        if mat is None:
-            continue
-        term = (mat * tw).truncate_tdeg(res.tdeg)
-        acc = term if acc is None else acc + term
-    resid = entry.truncate_tdeg(res.tdeg) - acc if acc is not None else entry
-    return tate.zero_check(resid)
+    pairs = [(mat, tw) for mat, tw in zip(res.mats[a], col) if mat is not None]
+    if not pairs:
+        return tate.zero_check(entry)
+    # the negated residual sum_k Phi[a][k] * col[k] - entry has the same zero
+    # check, and is one dot: entry times -1, known to entry's relative
+    # precision, comes first
+    fld = entry.field
+    rel = max(c.prec - c.val for c in entry.coeffs)
+    minus_one = tate.from_laurent(LaurentSeries(fld, 0, [ops(fld).neg[1]], max(rel, 0)))
+    return tate.zero_check(tate.dot([(entry, minus_one)] + pairs, res.tdeg))
 
 
 def _entry_checks(res: _Residual, psi: MotiveMatrix) -> list[list[tate.ZeroCheck]]:
@@ -329,12 +332,14 @@ def _mutation_residual(
     return _fold_residual(out, res.q)
 
 
-def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatrix) -> CheckReport:
-    """Perturb every entry of the series side once; all residuals must fail.
+def residual_and_kill(phi: MotiveMatrix, psi: MotiveMatrix) -> tuple[ResidualReport, CheckReport]:
+    """frobenius_residual(phi, psi) and the mutation kill report of
+    mutation_kill_report, from one residual set-up and one pass of entry checks.
 
-    The residual of each mutation is computed incrementally; the (r-2, 0)
-    mutation ((0, 0) when r == 1) is also recomputed in full, and a mismatch
-    raises ConventionError.
+    Each mutation perturbs one entry of the series side, and every mutated
+    residual must fail.  The residual of each mutation is computed
+    incrementally; the (r-2, 0) mutation ((0, 0) when r == 1) is also
+    recomputed in full, and a mismatch raises ConventionError.
     """
     res = _residual_setup(phi, psi)
     checks = _entry_checks(res, psi)
@@ -351,12 +356,19 @@ def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatr
                 )
             if rep.passed:
                 survivors.append((i, j))
-    return CheckReport(
+    kill = CheckReport(
         passed=not survivors,
         checked=r * r,
         failures=survivors,
         note="each surviving location is a mutation the residual failed to detect",
     )
+    return _fold_residual(checks, res.q), kill
+
+
+def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatrix) -> CheckReport:
+    """Perturb every entry of the series side once; all residuals must fail
+    (see residual_and_kill)."""
+    return residual_and_kill(phi, psi)[1]
 
 
 # -- the collapsed component identity ------------------------------------------

@@ -34,9 +34,9 @@ from .motive import (
     example_system,
     frobenius_residual,
     derived_matrix,
-    mutation_kill_report,
     phi_matrix,
     psi_matrix,
+    residual_and_kill,
 )
 from .poly import BivarPoly
 from .special import (
@@ -168,10 +168,9 @@ def check_rigid_analytic(cfg: RunConfig):
             u = at_arguments(ctx, s)
             phi = phi_matrix(ctx, u, s)
             psi = psi_matrix(ctx, u, s)
-            rep = frobenius_residual(phi, psi)
+            rep, kill = residual_and_kill(phi, psi)
             if (status := rep.verdict(40)) != "pass":
                 return status, f"(p,l)=({p},{l}), s={s}: passed={rep.passed} floor={rep.floor_z}"
-            kill = mutation_kill_report(ctx, phi, psi)
             if (status := kill.verdict()) != "pass":
                 return status, f"(p,l)=({p},{l}), s={s}: mutations survived at {kill.failures}"
         details.append(f"({p},{l}) floors >= 40, kill rate 100%")

@@ -17,16 +17,29 @@ offsets and keeps the weaker slope, an n-fold twist scales both by p^n.
 
 Evaluation at t = theta is certified: it requires slope > q-1, so that the
 omitted tail sum(c_k theta^k, k > D) is O(z^((sigma-(q-1))(D+1)+tau)).
+
+Products compute each t-degree k as one packed sum (`_convolve`).  A pair
+x_i * y_(k-i) with a factor that is zero to precision is skipped, but its
+precision min(val_x + prec_y, val_y + prec_x) still bounds degree k's, as
+the Laurent product would.  The nonzero pairs go to one `ffield.dense_sums`
+call over all degrees, each shifted by its valuation above the degree's
+least one; there a pair stays sparse (table schoolbook) when its shorter
+factor has fewer nonzero coefficients than the packed or Karatsuba
+threshold, or when m >= 3, which keeps the very sparse twisted columns off
+the big-int path.  `dot(pairs, tdeg)` does the same for a sum of products,
+each truncated to tdeg, and gives exactly the element that adding the
+truncated products left to right would.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .errors import CertificateError, PrecisionError
-from .ffield import FieldSpec, ops
+from .ffield import FieldSpec, dense_sums, ops
 from .laurent import LaurentSeries
 from .laurent import twist as ls_twist
 from .laurent import zero as ls_zero
@@ -55,9 +68,6 @@ class TateElement:
         if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed Tate algebras")
 
-    def is_zero_to_precision(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     # -- certificate plumbing -------------------------------------------------
 
     def _coeff_val_bound(self, k: int) -> int:
@@ -69,30 +79,9 @@ class TateElement:
         # min_k (v(c_k) - sigma*k): how an exact operand shifts a partner's offset
         return min(self._coeff_val_bound(k) - sigma * k for k in range(self.tdeg + 1))
 
-    def _combine(self, other: "TateElement", product: bool) -> tuple[int, tuple | None, bool]:
-        """(t-degree, tail, exact) of self + other, or of self * other.
-
-        Two exact operands give an exact result.  Otherwise the result is
-        known up to the least t-degree of the non-exact operands and takes
-        their weaker slope sigma; each operand contributes an offset at
-        sigma (a series its own tau, an exact operand its _tail_shift), and
-        a sum keeps the smaller offset, a product their sum.
-        """
-        if self.exact and other.exact:
-            return (self.tdeg + other.tdeg if product else max(self.tdeg, other.tdeg)), None, True
-        series = [f for f in (self, other) if not f.exact]
-        d = min(f.tdeg for f in series)
-        if any(f.tail is None for f in series):
-            return d, None, False
-        sigma = min(f.tail[0] for f in series)
-        offsets = [f.tail[1] for f in series] + [
-            f._tail_shift(sigma) for f in (self, other) if f.exact
-        ]
-        return d, (sigma, sum(offsets) if product else min(offsets)), False
-
     def __add__(self, other: "TateElement") -> "TateElement":
         self._compat(other)
-        d, tail, exact = self._combine(other, product=False)
+        d, tail, exact = _combine(self, other, product=False)
         out = []
         for k in range(d + 1):
             if k > self.tdeg:
@@ -111,19 +100,8 @@ class TateElement:
 
     def __mul__(self, other: "TateElement") -> "TateElement":
         self._compat(other)
-        d, tail, exact = self._combine(other, product=True)
-        out = []
-        for k in range(d + 1):
-            acc = None
-            lo = max(0, k - other.tdeg)
-            hi = min(k, self.tdeg)
-            for i in range(lo, hi + 1):
-                term = self.coeffs[i] * other.coeffs[k - i]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = ls_zero(self.field, self.coeffs[0].prec)
-            out.append(acc)
-        return TateElement(self.field, out, tail, exact)
+        d, tail, exact = _combine(self, other, product=True)
+        return TateElement(self.field, _convolve(self.field, [(self, other, d)], d), tail, exact)
 
     def __pow__(self, e: int) -> "TateElement":
         if e < 0:
@@ -150,6 +128,106 @@ class TateElement:
 
     def __repr__(self) -> str:
         return f"TateElement({to_text(self)})"
+
+
+def _combine(f, g, product: bool) -> tuple[int, tuple | None, bool]:
+    """(t-degree, tail, exact) of f + g, or of f * g.
+
+    Two exact operands give an exact result.  Otherwise the result is known
+    up to the least t-degree of the non-exact operands and takes their weaker
+    slope sigma; each operand contributes an offset at sigma (a series its
+    own tau, an exact operand its _tail_shift), and a sum keeps the smaller
+    offset, a product their sum.
+    """
+    if f.exact and g.exact:
+        return (f.tdeg + g.tdeg if product else max(f.tdeg, g.tdeg)), None, True
+    series = [h for h in (f, g) if not h.exact]
+    d = min(h.tdeg for h in series)
+    if any(h.tail is None for h in series):
+        return d, None, False
+    sigma = min(h.tail[0] for h in series)
+    offsets = [h.tail[1] for h in series] + [h._tail_shift(sigma) for h in (f, g) if h.exact]
+    return d, (sigma, sum(offsets) if product else min(offsets)), False
+
+
+# -- products: one packed sum per t-degree ----------------------------------------
+
+
+def _convolve(field: FieldSpec, terms: list, d: int) -> list[LaurentSeries]:
+    """Coefficients of t^0..t^d of the sum of x * y over terms (x, y, e), a
+    term counting in the degrees k <= e only.
+
+    Degree k is one dense_sums entry over every pair x_i * y_(k-i) whose
+    factors are both nonzero, each shifted by its valuation above the least
+    one; a pair with a zero factor adds nothing but its precision
+    min(val_x + prec_y, val_y + prec_x), which every pair folds into the
+    degree's precision.  The result equals the sum of the Laurent products,
+    coefficient for coefficient and in precision.
+    """
+    precs: list = [None] * (d + 1)
+    pairs: list[list] = [[] for _ in range(d + 1)]
+    for x, y, e in terms:
+        e = min(e, d)
+        xs, ys = x.coeffs, y.coeffs
+        xv, xp = [c.val for c in xs], [c.prec for c in xs]
+        yv, yp = [c.val for c in reversed(ys)], [c.prec for c in reversed(ys)]
+        for k in range(e + 1):
+            # x_i meets y_(k-i), which is entry r + i of the reversed lists
+            lo, hi, r = max(0, k - y.tdeg), min(k, x.tdeg) + 1, y.tdeg - k
+            p = min(min(map(add, xv[lo:hi], yp[r + lo : r + hi])), min(map(add, xp[lo:hi], yv[r + lo : r + hi])))
+            if precs[k] is None or p < precs[k]:
+                precs[k] = p
+        nonzero = [(j, b) for j, b in enumerate(ys) if b.coeffs]
+        for i, a in enumerate(xs[: e + 1]):
+            if a.coeffs:
+                for j, b in nonzero:
+                    if i + j > e:
+                        break
+                    pairs[i + j].append((a.coeffs, b.coeffs, a.val + b.val, len(a.coeffs) + len(b.coeffs) - 1))
+    bases, sums = [], []
+    for prec, row in zip(precs, pairs):
+        base = min((v for _, _, v, _ in row), default=prec)
+        # the products end below top: no slot past it, whatever the precision
+        top = max((v + n for _, _, v, n in row), default=base)
+        bases.append(base)
+        sums.append(([(a, b, v - base) for a, b, v, _ in row], max(0, min(prec, top) - base)))
+    out = dense_sums(field, sums)
+    return [LaurentSeries(field, *z) for z in zip(bases, out, precs)]
+
+
+class _Sum(NamedTuple):
+    """A sum of products not yet computed: its terms and (t-degree, tail, exact)."""
+
+    field: FieldSpec
+    terms: list  # (x, y, e) as _convolve takes them
+    tdeg: int
+    tail: tuple | None
+    exact: bool
+
+    def value(self) -> TateElement:
+        return TateElement(self.field, _convolve(self.field, self.terms, self.tdeg), self.tail, self.exact)
+
+    def _tail_shift(self, sigma) -> int | Fraction:
+        return self.value()._tail_shift(sigma)
+
+
+def dot(pairs: list[tuple[TateElement, TateElement]], tdeg: int) -> TateElement:
+    """The sum of x * y over pairs, each product truncated to t-degree tdeg.
+
+    The same element, tail certificate included, as adding the truncated
+    products left to right, but every t-degree is one packed sum over all
+    pairs.  Only an exact partial sum that meets a certified series needs
+    its coefficients early, for its _tail_shift.
+    """
+    acc = None
+    for x, y in pairs:
+        x._compat(y)
+        d, tail, exact = _combine(x, y, product=True)
+        if d > tdeg:
+            d, exact = tdeg, False
+        term = _Sum(x.field, [(x, y, d)], d, tail, exact)
+        acc = term if acc is None else _Sum(acc.field, acc.terms + term.terms, *_combine(acc, term, product=False))
+    return acc.value()
 
 
 # -- twists -------------------------------------------------------------------

@@ -4,8 +4,10 @@ the option, or a typed engine error.
 Ranges (each option is passed as `--name=value`, so a value may start with
 a dash):
 
-* `--p`: 2, 3, 5, 7; the primes 4099, 7919 and 999999937, above the 4096
-  field-table cap; any non-prime in [-10, 10^6]; malformed text.
+* `--p`: 2, 3, 5, 7; the primes 4099, 7919, 999999937 and 100000000000031,
+  above the 4096 field-table cap; 3317044064679887385961981, where the
+  primality test stops being exact; any non-prime in [-10, 10^6]; malformed
+  text.
 * `--l`: 1, 2, 3, 13, 99 and [-3, 0]; malformed text.  With the primes above,
   a valid level gives q = p^l <= 343 or a field above the cap.
 * `--index`: depth 1-3 with entries in [-1, 40]; edge and malformed text.
@@ -28,6 +30,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -57,7 +60,8 @@ def _ints(lo, hi):
 
 
 P = st.one_of(
-    st.sampled_from(["2", "3", "5", "7", "4099", "7919", "999999937"]),
+    st.sampled_from(["2", "3", "5", "7", "4099", "7919", "999999937", "100000000000031",
+                     "3317044064679887385961981"]),
     st.integers(-10, 10**6).filter(lambda n: not _is_prime(n)).map(str),
     JUNK,
 )
@@ -149,3 +153,13 @@ def test_every_argv_ends_in_a_report_a_usage_error_or_a_typed_error(argv):
     else:
         assert code == 1 and re.fullmatch(r"error: (\w+): .*\n", err, re.S), (argv, err)
         assert re.match(r"error: (\w+)", err).group(1) in TYPED, (argv, err)
+
+
+def test_a_fourteen_digit_prime_answers_at_once():
+    # trial division took about a second for this --p; the table cap answers first
+    start = time.perf_counter()
+    code, out, err = _run(["mzv", "--p", "100000000000031", "--index", "1"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == "" and err.startswith("error: FieldSizeError: "), err
+    code, out, err = _run(["mzv", "--p", "3317044064679887385961981", "--index", "1"])
+    assert code == 2 and "--p" in err and "3317044064679887385961981" in err, err

@@ -323,7 +323,8 @@ def test_dense_mul_equals_the_table_schoolbook(case):
 def test_packed_slots_hold_the_largest_coefficient_sums(p, short, bits):
     # all digits p - 1: every slot sum is at its largest
     a, b = [p - 1] * short, [p - 1] * (short + 3)
-    prod = ffield._packed_mul(a, b, p, len(a) + len(b) - 1)
+    n = len(a) + len(b) - 1
+    prod = ffield._packed_sums([(n, [(a, b, 0, n)])], p)[0]
     assert prod.itemsize * 8 == bits
     terms = [min(k, short - 1) - max(0, k - len(b) + 1) + 1 for k in range(len(a) + len(b) - 1)]
     assert list(prod) == [(p - 1) ** 2 * t for t in terms]
@@ -337,3 +338,60 @@ def test_packed_slots_hold_the_largest_coefficient_sums(p, short, bits):
             expect[i + j] += x * y
     assert ffield.dense_mul(field(p, 1), a, b) == [c % p for c in expect]
     assert ffield.dense_mul(field(p, 1), a, b, short) == [c % p for c in expect[:short]]
+
+
+# -- primality -----------------------------------------------------------------
+
+
+def _trial_division(n):
+    """The trial division _is_prime replaced (oracle)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(-10, 10**5) if ffield._is_prime(n)] == [
+        n for n in range(-10, 10**5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_on_large_primes_and_strong_pseudoprimes():
+    for n in [100000000000031, 999999937, 2**61 - 1, 10**24 + 7]:
+        assert ffield._is_prime(n), n
+    # the least strong pseudoprimes to the prime bases up to 7, 31 and 37; a
+    # Carmichael number; squares of primes
+    for n in [3215031751, 3825123056546413051, 318665857834031151167461, 561, 4099**2, (2**31 - 1) ** 2]:
+        assert not ffield._is_prime(n), n
+
+
+def test_is_prime_refuses_numbers_from_the_limit_on():
+    limit = ffield._PRIME_LIMIT
+    assert not ffield._is_prime(limit - 1)
+    for n in (limit, limit + 2, 10**30):
+        with pytest.raises(ValueError, match=str(limit)):
+            ffield._is_prime(n)
+
+
+def test_table_cap_comes_before_the_primality_test(monkeypatch):
+    def no_test(n):
+        raise AssertionError(f"primality tested for {n}")
+
+    monkeypatch.setattr(ffield, "_is_prime", no_test)
+    for p, m in [(100000000000031, 1), (4099, 1), (2, 13)]:
+        with pytest.raises(FieldSizeError, match="table cap 4096"):
+            field(p, m)
+
+
+def test_huge_degrees_are_refused_without_building_the_order(capsys):
+    # 2^20000 has more digits than int-to-text conversion allows by default
+    for m in (20000, 10**12):
+        with pytest.raises(FieldSizeError, match=f"field order 2\\^{m} exceeds table cap 4096"):
+            field(2, m)
+    assert main(["omega", "--l", "20000"]) == 1
+    assert "error: FieldSizeError: field order 2^20000" in capsys.readouterr().err
