@@ -46,6 +46,7 @@ checks the table cap before it tests p.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -339,35 +340,41 @@ def _packed_sums(jobs: list, p: int) -> list[array]:
 
 
 def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
-    """For each (terms, n) of sums, the first n coefficients of the sum of
-    z^s * a * b over its terms (a, b, s): dense lists of encodings, lowest
-    degree first, s >= 0.  Exactly n entries each.
+    """For each (terms, base, n) of sums, the coefficients of z^base ..
+    z^(base+n-1) of the sum of z^v * a * b over its terms (a, b, v), v >= base,
+    for nonempty dense lists of encodings, lowest degree first.  Each list
+    stops where the last product ends, so it is never padded past it.
 
     A pair whose shorter factor has `_PACKED_MIN` (m = 1) or
     `_KARATSUBA_MIN` (m = 2) nonzero coefficients below the cut joins its
-    sum's packed big-int sum, shifted by s slots; every other pair, and every
-    pair when m >= 3, runs the table schoolbook, one row per nonzero
-    coefficient of its shorter factor.  For m = 2 each list is split once
-    into its digits d0, d1 and d0 + d1 mod p, and three packed sums give the
-    Karatsuba terms.
+    sum's packed big-int sum, shifted by v - base slots; every other pair,
+    and every pair when m >= 3, runs the table schoolbook, one row per
+    nonzero coefficient of its shorter factor.  For m = 2 each list is split
+    once into its digits d0, d1 and d0 + d1 mod p, and three packed sums give
+    the Karatsuba terms.
     """
     p, m = spec.p, spec.m
-    least = _PACKED_MIN if m == 1 else _KARATSUBA_MIN if m == 2 else None
+    least = _PACKED_MIN if m == 1 else _KARATSUBA_MIN if m == 2 else math.inf
     jobs, school = [], []
-    for terms, n in sums:
-        fast, slow = [], []
-        for a, b, s in terms:
+    for terms, base, n in sums:
+        fast, slow, top = [], [], 0
+        for a, b, v in terms:
+            s = v - base
             w = n - s
-            if w <= 0 or not a or not b:
+            if w <= 0:
                 continue
-            if len(a) > len(b):
-                a, b = b, a
-            if least is None or len(a) < least:  # too short to have least rows
+            la, lb = len(a), len(b)
+            if la > lb:
+                a, b, la, lb = b, a, lb, la
+            if s + la + lb - 1 > top:
+                top = s + la + lb - 1
+            if la < least:  # too short to have least rows
                 slow.append((a, b, s, w))
-                continue
-            rows = min(len(a), w) - (a[:w] if len(a) > w else a).count(0)
-            (fast if rows >= least else slow).append((a, b, s, w))
-        jobs.append((n, fast))
+            elif min(la, w) - (a[:w] if la > w else a).count(0) < least:
+                slow.append((a, b, s, w))
+            else:
+                fast.append((a, b, s, w))
+        jobs.append((max(0, min(n, top)), fast))
         school.append(slow)
     if not any(terms for _, terms in jobs):
         out = [[0] * n for n, _ in jobs]
@@ -401,9 +408,9 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
         for acc, (n, fast), slow in zip(out, jobs, school):
             fresh = not fast  # acc is all zeros: its first row is written, not added
             for a, b, s, w in slow:
-                if len(b) > w:
-                    a, b = a[:w], b[:w]
                 lb = len(b)
+                if lb > w:
+                    a, b, lb = a[:w], b[:w], w
                 for i, x in enumerate(a):
                     if x:
                         base, at = x * q, s + i
@@ -421,9 +428,7 @@ def dense_mul(spec: FieldSpec, a: list[int], b: list[int], n: int | None = None)
     padded, and none when a factor is empty.  The one-term case of dense_sums."""
     if not a or not b:
         return []
-    full = len(a) + len(b) - 1
-    n = full if n is None else max(0, min(n, full))
-    return dense_sums(spec, [([(a, b, 0)], n)])[0]
+    return dense_sums(spec, [([(a, b, 0)], 0, len(a) + len(b) if n is None else n)])[0]
 
 
 def element_text(spec: FieldSpec, value: int) -> str:

@@ -158,23 +158,24 @@ def _convolve(field: FieldSpec, terms: list, d: int) -> list[LaurentSeries]:
     term counting in the degrees k <= e only.
 
     Degree k is one dense_sums entry over every pair x_i * y_(k-i) whose
-    factors are both nonzero, each shifted by its valuation above the least
-    one; a pair with a zero factor adds nothing but its precision
-    min(val_x + prec_y, val_y + prec_x), which every pair folds into the
-    degree's precision.  The result equals the sum of the Laurent products,
-    coefficient for coefficient and in precision.
+    factors are both nonzero, each placed at its valuation; a pair with a
+    zero factor adds nothing but its precision min(val_x + prec_y,
+    val_y + prec_x), which every pair folds into the degree's precision.
+    The result equals the sum of the Laurent products, coefficient for
+    coefficient and in precision.
     """
     precs: list = [None] * (d + 1)
     pairs: list[list] = [[] for _ in range(d + 1)]
     for x, y, e in terms:
         e = min(e, d)
         xs, ys = x.coeffs, y.coeffs
-        xv, xp = [c.val for c in xs], [c.prec for c in xs]
-        yv, yp = [c.val for c in reversed(ys)], [c.prec for c in reversed(ys)]
+        # (val, prec) of x against (prec, val) of y reversed: x_i meets
+        # y_(k-i), entry r + i of the reversed y, in entries 2i and 2i + 1
+        xvp = [n for c in xs for n in (c.val, c.prec)]
+        ypv = [n for c in reversed(ys) for n in (c.prec, c.val)]
         for k in range(e + 1):
-            # x_i meets y_(k-i), which is entry r + i of the reversed lists
             lo, hi, r = max(0, k - y.tdeg), min(k, x.tdeg) + 1, y.tdeg - k
-            p = min(min(map(add, xv[lo:hi], yp[r + lo : r + hi])), min(map(add, xp[lo:hi], yv[r + lo : r + hi])))
+            p = min(map(add, xvp[2 * lo : 2 * hi], ypv[2 * (r + lo) : 2 * (r + hi)]))
             if precs[k] is None or p < precs[k]:
                 precs[k] = p
         nonzero = [(j, b) for j, b in enumerate(ys) if b.coeffs]
@@ -183,15 +184,9 @@ def _convolve(field: FieldSpec, terms: list, d: int) -> list[LaurentSeries]:
                 for j, b in nonzero:
                     if i + j > e:
                         break
-                    pairs[i + j].append((a.coeffs, b.coeffs, a.val + b.val, len(a.coeffs) + len(b.coeffs) - 1))
-    bases, sums = [], []
-    for prec, row in zip(precs, pairs):
-        base = min((v for _, _, v, _ in row), default=prec)
-        # the products end below top: no slot past it, whatever the precision
-        top = max((v + n for _, _, v, n in row), default=base)
-        bases.append(base)
-        sums.append(([(a, b, v - base) for a, b, v, _ in row], max(0, min(prec, top) - base)))
-    out = dense_sums(field, sums)
+                    pairs[i + j].append((a.coeffs, b.coeffs, a.val + b.val))
+    bases = [min((v for _, _, v in row), default=prec) for row, prec in zip(pairs, precs)]
+    out = dense_sums(field, [(row, base, prec - base) for row, base, prec in zip(pairs, bases, precs)])
     return [LaurentSeries(field, *z) for z in zip(bases, out, precs)]
 
 
