@@ -109,6 +109,10 @@ _LEAST = {"l": 1, "prec": 1, "tdeg": 0, "smax": 0, "derive": 1, "samples": 1}
 
 
 def _check_ranges(args) -> None:
+    for name, value in vars(args).items():
+        # argparse passes `--name=--` on as an empty list, unconverted
+        if isinstance(value, list):
+            raise UsageError(f"--{name} needs a value, got {'--'!r}")
     for name, least in _LEAST.items():
         value = getattr(args, name, least)
         if value < least:

@@ -305,38 +305,40 @@ def ops(spec: FieldSpec) -> FieldOps:
 # -- the dense product kernel ----------------------------------------------------
 
 
-def _packed_sums(jobs: list, p: int) -> list[array]:
-    """Unreduced packed sums of products of digit lists (digits below p).
-
-    For each (n, terms) of jobs, the first n slots of the sum of z^s * a * b
-    over its terms (a, b, s, w): a no longer than b, w = n - s > 0.  Every
-    list is packed once into byte-aligned `array` slots (8 to 64 bits), one
-    width for all jobs, wide enough for (p-1)^2 times the largest sum over a
-    job of min(len a, w): no slot below n carries, and slots at or above n,
-    which may, are cut off.  A slot sum is below 2^24 * (that sum), so 64
-    bits hold any job that fits in memory.
-    """
-    load = max((sum(min(len(a), w) for a, _, _, w in terms) for _, terms in jobs), default=0)
+def _slot(bound: int) -> tuple[int, str]:
+    """(bits, typecode) of the narrowest byte-aligned `array` slot, 8 to 64
+    bits, that holds bound.  A slot sums digit products below 2^24 each, so
+    64 bits hold any sum of products that fits in memory."""
     for bits, code in _SLOTS:
-        if not (p - 1) ** 2 * load >> bits:
+        if not bound >> bits:
             break
+    return bits, code
+
+
+def _packed_sum(terms: list, n: int, slot: tuple[int, str], packed: dict) -> array:
+    """The first n slots, unreduced, of the sum of z^s * a * b over terms
+    (a, b, s, w) of digit lists: a no longer than b, w = n - s > 0.
+
+    The slots of `slot` must hold (p-1)^2 times the sum of min(len a, w) over
+    the terms: then no slot below n carries, and slots at or above n, which
+    may, are cut off.  `packed` keeps each list's packed form by (id, slot
+    type), for lists that stay alive while it is used.
+    """
+    bits, code = slot
     size, order = bits // 8, sys.byteorder
-    packed: dict[int, int] = {}  # by id: every list stays alive until the call returns
-    out = []
-    for n, terms in jobs:
-        total = 0
-        for a, b, s, w in terms:
-            x, y = packed.get(id(a)), packed.get(id(b))
-            if x is None:
-                x = packed[id(a)] = int.from_bytes(array(code, a).tobytes(), order)
-            if y is None:
-                y = packed[id(b)] = int.from_bytes(array(code, b).tobytes(), order)
-            if len(b) > w:  # only the first w coefficients of a factor reach a slot below n
-                mask = (1 << bits * w) - 1
-                x, y = x & mask, y & mask
-            total += x * y << bits * s
-        out.append(array(code, (total & ((1 << bits * n) - 1)).to_bytes(size * n, order)))
-    return out
+    total = 0
+    for a, b, s, w in terms:
+        ka, kb = (id(a), code), (id(b), code)
+        x, y = packed.get(ka), packed.get(kb)
+        if x is None:
+            x = packed[ka] = int.from_bytes(array(code, a).tobytes(), order)
+        if y is None:
+            y = packed[kb] = int.from_bytes(array(code, b).tobytes(), order)
+        if len(b) > w:  # only the first w coefficients of a factor reach a slot below n
+            mask = (1 << bits * w) - 1
+            x, y = x & mask, y & mask
+        total += x * y << bits * s
+    return array(code, (total & ((1 << bits * n) - 1)).to_bytes(size * n, order))
 
 
 def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
@@ -347,17 +349,28 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
 
     A pair whose shorter factor has `_PACKED_MIN` (m = 1) or
     `_KARATSUBA_MIN` (m = 2) nonzero coefficients below the cut joins its
-    sum's packed big-int sum, shifted by v - base slots; every other pair,
-    and every pair when m >= 3, runs the table schoolbook, one row per
-    nonzero coefficient of its shorter factor.  For m = 2 each list is split
-    once into its digits d0, d1 and d0 + d1 mod p, and three packed sums give
-    the Karatsuba terms.
+    sum's packed big-int sum, shifted by v - base slots, in slots sized for
+    that sum; every other pair, and every pair when m >= 3, runs the table
+    schoolbook, one row per nonzero coefficient of its shorter factor.  Each
+    list is packed once per slot width in a call; for m = 2 it is split once
+    into its digits d0, d1 and d0 + d1 mod p, and three packed sums give the
+    Karatsuba terms.
     """
     p, m = spec.p, spec.m
     least = _PACKED_MIN if m == 1 else _KARATSUBA_MIN if m == 2 else math.inf
-    jobs, school = [], []
+    packed: dict = {}  # by (id, slot type): every list stays alive until the call returns
+    split: dict[int, tuple] = {}  # m = 2: the digit lists, by id
+
+    def digits(x):
+        got = split.get(id(x))
+        if got is None:
+            d0, d1 = [c % p for c in x], [c // p for c in x]
+            got = split[id(x)] = (d0, d1, [(u + v) % p for u, v in zip(d0, d1)])
+        return got
+
+    out = []
     for terms, base, n in sums:
-        fast, slow, top = [], [], 0
+        fast, slow, top, load = [], [], 0, 0
         for a, b, v in terms:
             s = v - base
             w = n - s
@@ -368,44 +381,27 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
                 a, b, la, lb = b, a, lb, la
             if s + la + lb - 1 > top:
                 top = s + la + lb - 1
-            if la < least:  # too short to have least rows
-                slow.append((a, b, s, w))
-            elif min(la, w) - (a[:w] if la > w else a).count(0) < least:
+            # too short to have least rows, or too few nonzero below the cut
+            if la < least or min(la, w) - (a[:w] if la > w else a).count(0) < least:
                 slow.append((a, b, s, w))
             else:
                 fast.append((a, b, s, w))
-        jobs.append((max(0, min(n, top)), fast))
-        school.append(slow)
-    if not any(terms for _, terms in jobs):
-        out = [[0] * n for n, _ in jobs]
-    elif m == 1:
-        out = [[c % p for c in slots] for slots in _packed_sums(jobs, p)]
-    else:
-        split: dict[int, tuple] = {}
-
-        def digits(x):
-            got = split.get(id(x))
-            if got is None:
-                d0, d1 = [c % p for c in x], [c // p for c in x]
-                got = split[id(x)] = (d0, d1, [(u + v) % p for u, v in zip(d0, d1)])
-            return got
-
-        lo, hi, mid = (
-            _packed_sums(
-                [(n, [(digits(a)[i], digits(b)[i], s, w) for a, b, s, w in terms]) for n, terms in jobs], p
-            )
-            for i in range(3)
-        )
-        # a = a0 + a1*g digit-wise; the middle product gives the cross term
-        mu0, mu1 = -spec.modulus[0] % p, -spec.modulus[1] % p  # g^2 = mu0 + mu1*g
-        out = [
-            [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(*t)]
-            for t in zip(lo, mid, hi)
-        ]
-    if any(school):
-        o = ops(spec)
-        mul, add, q = o.mul, o.add, o.n
-        for acc, (n, fast), slow in zip(out, jobs, school):
+                load += min(la, w)
+        n = max(0, min(n, top))
+        if not fast:
+            acc = [0] * n
+        elif m == 1:
+            acc = [c % p for c in _packed_sum(fast, n, _slot((p - 1) ** 2 * load), packed)]
+        else:
+            slot = _slot((p - 1) ** 2 * load)
+            fast = [(digits(a), digits(b), s, w) for a, b, s, w in fast]
+            lo, hi, mid = (_packed_sum([(x[i], y[i], s, w) for x, y, s, w in fast], n, slot, packed) for i in range(3))
+            # a = a0 + a1*g digit-wise; the middle product gives the cross term
+            mu0, mu1 = -spec.modulus[0] % p, -spec.modulus[1] % p  # g^2 = mu0 + mu1*g
+            acc = [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(lo, mid, hi)]
+        if slow:
+            o = ops(spec)
+            mul, add, q = o.mul, o.add, o.n
             fresh = not fast  # acc is all zeros: its first row is written, not added
             for a, b, s, w in slow:
                 lb = len(b)
@@ -413,12 +409,13 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
                     a, b, lb = a[:w], b[:w], w
                 for i, x in enumerate(a):
                     if x:
-                        base, at = x * q, s + i
+                        xq, at = x * q, s + i
                         if fresh and at + lb <= n:
-                            acc[at : at + lb] = [mul[base + y] for y in b]
+                            acc[at : at + lb] = [mul[xq + y] for y in b]
                         else:
-                            acc[at : at + lb] = [add[c * q + mul[base + y]] for c, y in zip(acc[at : at + lb], b)]
+                            acc[at : at + lb] = [add[c * q + mul[xq + y]] for c, y in zip(acc[at : at + lb], b)]
                         fresh = False
+        out.append(acc)
     return out
 
 

@@ -276,6 +276,18 @@ def test_malformed_values_are_usage_errors(capsys):
         assert code == 2 and out == "" and f"error: {option}" in err, (argv, err)
 
 
+def test_a_double_dash_value_is_a_usage_error(capsys):
+    # argparse hands `--p=--` over as an empty list, which no check compared
+    for argv, option in (
+        (("omega", "--p=--"), "--p"),
+        (("omega", "--l=--"), "--l"),
+        (("mzv", "--index=--"), "--index"),
+        (("group-closure", "--indices=--"), "--indices"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and f"error: {option} needs a value" in err, (argv, err)
+
+
 def test_index_sets_naming_no_index_are_usage_errors(capsys):
     for cmd in ("group-closure", "group-commutator"):
         for text in (";", "", ";;"):

@@ -324,7 +324,8 @@ def test_packed_slots_hold_the_largest_coefficient_sums(p, short, bits):
     # all digits p - 1: every slot sum is at its largest
     a, b = [p - 1] * short, [p - 1] * (short + 3)
     n = len(a) + len(b) - 1
-    prod = ffield._packed_sums([(n, [(a, b, 0, n)])], p)[0]
+    # the slot dense_sums picks: (p-1)^2 times min(len a, len b) terms per slot
+    prod = ffield._packed_sum([(a, b, 0, n)], n, ffield._slot((p - 1) ** 2 * short), {})
     assert prod.itemsize * 8 == bits
     terms = [min(k, short - 1) - max(0, k - len(b) + 1) + 1 for k in range(len(a) + len(b) - 1)]
     assert list(prod) == [(p - 1) ** 2 * t for t in terms]
