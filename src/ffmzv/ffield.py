@@ -29,9 +29,9 @@ m and on the rows a schoolbook would run, the nonzero coefficients of its
 shorter factor (series in z^(q-1), and twisted ones, are mostly zeros).
 m = 1 with `_PACKED_MIN` rows: the pair joins its output's packed sum,
 one big-int product per pair, shifted by s slots, added, and unpacked once
-per output; each list is packed once per call into byte-aligned `array`
-slots (8 to 64 bits) wide enough for (p-1)^2 times the largest sum of
-min(len a, len b) over one output, so no slot carries.  m = 2 with
+per output, in byte-aligned `array` slots (8 to 64 bits) wide enough for
+(p-1)^2 times that output's sum of min(len a, len b), so no slot carries;
+each list is packed once per slot width in a call.  m = 2 with
 `_KARATSUBA_MIN` rows: the same over the two digits of each encoding, three
 packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the table
 schoolbook, one row per nonzero coefficient, added into the output.  The

@@ -271,11 +271,11 @@ def _residual_entry(res: _Residual, a: int, entry: TateElement, col) -> tate.Zer
     if not pairs:
         return tate.zero_check(entry)
     # the negated residual sum_k Phi[a][k] * col[k] - entry has the same zero
-    # check, and is one dot: entry times -1, known to entry's relative
-    # precision, comes first
+    # check, and is one dot: entry times -1, known to entry's largest
+    # relative precision so that the product keeps entry's, comes first
     fld = entry.field
-    rel = max(c.prec - c.val for c in entry.coeffs)
-    minus_one = tate.from_laurent(LaurentSeries(fld, 0, [ops(fld).neg[1]], max(rel, 0)))
+    rel = max(1, *(c.prec - c.val for c in entry.coeffs))
+    minus_one = tate.from_laurent(LaurentSeries(fld, 0, [ops(fld).neg[1]], rel))
     return tate.zero_check(tate.dot([(entry, minus_one)] + pairs, res.tdeg))
 
 

@@ -207,7 +207,8 @@ class _Sum(NamedTuple):
 
 
 def dot(pairs: list[tuple[TateElement, TateElement]], tdeg: int) -> TateElement:
-    """The sum of x * y over pairs, each product truncated to t-degree tdeg.
+    """The sum of x * y over pairs (at least one), each product truncated to
+    t-degree tdeg.
 
     The same element, tail certificate included, as adding the truncated
     products left to right, but every t-degree is one packed sum over all
