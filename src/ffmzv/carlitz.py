@@ -62,7 +62,9 @@ class CarlitzContext:
     def cached(self, key, build: Callable[[], Any]) -> Any:
         """The value stored under `key`, built by `build()` on the first call.
 
-        Cached values are shared by every caller and must not be mutated.
+        Cached values are shared by every caller and must not be mutated.  A
+        series asked for at several precisions goes through `cached_to`
+        instead, with one entry per key rather than one per precision.
         """
         try:
             val = self._cache[key]
@@ -73,7 +75,29 @@ class CarlitzContext:
         self._hits += 1
         return val
 
+    def cached_to(self, key, level: int, build: Callable[[int], LaurentSeries]) -> LaurentSeries:
+        """The series `build(level)`, for builds whose precision is level plus
+        a constant of the key and whose coefficients below it do not depend
+        on level.
+
+        Precision-monotone: one entry per key holds the highest level built
+        so far.  A request at or below it is that series truncated by the
+        difference in level (a hit); a request above it builds afresh and
+        replaces the entry (a miss).
+        """
+        entry = self._cache.get(key)
+        if entry is not None and entry[0] >= level:
+            self._hits += 1
+            top, val = entry
+            return val.truncate(val.prec - (top - level))
+        self._misses += 1
+        val = build(level)
+        self._cache[key] = (level, val)
+        return val
+
     def cache_stats(self) -> CacheStats:
+        """Hits and misses of `cached` and `cached_to` together (a request
+        served by truncation is a hit), and the number of entries."""
         return CacheStats(self._hits, self._misses, len(self._cache))
 
 

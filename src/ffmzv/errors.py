@@ -15,7 +15,8 @@ class PrecisionError(FfmzvError):
 
 
 class BudgetError(FfmzvError):
-    """An enumeration exceeded the configured budget cap."""
+    """An enumeration, or the estimated size of a computation, exceeded its
+    budget cap; the message names the estimate."""
 
 
 class ConventionError(FfmzvError):

@@ -18,10 +18,18 @@ valuation v known mod z^prec is known mod z^(prec - 2v).  "Zero to
 precision" is distinct from exact zero: comparisons never claim inequality
 below the joint precision floor, and inverting a zero-to-precision series
 raises PrecisionError rather than ZeroDivisionError.
+
+The inverse runs the recurrence out[k] = -a_0^-1 * sum_j a_j out[k-j] over
+the nonzero a_j alone.  With g the gcd of their offsets j, only every g-th
+output can be nonzero: the recurrence runs over those outputs and the result
+is spread back onto the stride.  A theta-polynomial's z-series lives on a
+stride of q-1 and its inverse powers on (q-1)^2; at q = 2, g is 1 and this
+is a loop over the nonzero terms.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .errors import PrecisionError
@@ -117,24 +125,40 @@ class LaurentSeries:
         return LaurentSeries(self.field, self.val + k, self.coeffs[:], self.prec + k)
 
     def inv(self) -> "LaurentSeries":
+        """1/self on the stride of self's nonzero offsets (module docstring)."""
         if not self.coeffs:
             raise PrecisionError("inverting a series that is zero to precision")
         o = ops(self.field)
         v = self.val
         rel = self.prec - v
         fa = self.coeffs
-        la = len(fa)
         c0inv = o.inv[fa[0]]
-        out = [0] * rel
-        out[0] = c0inv
-        mul, add, neg, n = o.mul, o.add, o.neg, o.n
-        for k in range(1, rel):
-            acc = 0
-            for j in range(1, min(k, la - 1) + 1):
-                aj = fa[j]
-                if aj:
-                    acc = add[acc * n + mul[aj * n + out[k - j]]]
-            out[k] = mul[c0inv * n + neg[acc]]
+        terms = [(j, a) for j, a in enumerate(fa[1:rel], 1) if a]
+        g = 0
+        for j, _ in terms:
+            g = gcd(g, j)
+        g = g or rel  # the lead alone: only out[0] is nonzero
+        terms = [(j // g, a) for j, a in terms]
+        # out[k] of the stride sits at buf[top + k]; the top leading zeros
+        # stand in for the terms that reach below out[0]
+        top = terms[-1][0] if terms else 0
+        buf = [0] * top + [c0inv]
+        stop = top + (rel - 1) // g + 1
+        if o.m == 1:  # F_p encodes c as the integer c
+            p = o.p
+            neg_c0inv = p - c0inv
+            for k in range(top + 1, stop):
+                buf.append(neg_c0inv * sum(a * buf[k - j] for j, a in terms) % p)
+        else:
+            mul, add, n = o.mul, o.add, o.n
+            row = o.neg[c0inv] * n
+            for k in range(top + 1, stop):
+                acc = 0
+                for j, a in terms:
+                    acc = add[acc * n + mul[a * n + buf[k - j]]]
+                buf.append(mul[row + acc])
+        out = [0] * ((stop - top - 1) * g + 1)
+        out[::g] = buf[top:]
         return LaurentSeries(self.field, -v, out, self.prec - 2 * v)
 
     def __pow__(self, e: int) -> "LaurentSeries":

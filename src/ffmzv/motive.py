@@ -43,7 +43,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .carlitz import CarlitzContext, omega_power, omega_series
-from .errors import ConventionError, ShapeParseError
+from .errors import BudgetError, ConventionError, ShapeParseError
 from .ffield import FieldSpec, ops
 from .laurent import LaurentSeries
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
@@ -499,6 +499,7 @@ class FiniteFieldDomain:
 
 
 MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degree <= 2
+MAX_POWER_DEGREE = 128  # F_p(t) refuses a power whose degree bound is larger
 
 
 class RationalFunctionDomain:
@@ -559,6 +560,14 @@ class RationalFunctionDomain:
         return (a[1], a[0])
 
     def pow(self, a, e):
+        """a^e; BudgetError up front when its degree bound |e| * deg(a) (deg a
+        the larger of numerator and denominator degree) exceeds MAX_POWER_DEGREE."""
+        bound = abs(e) * (max(len(a[0]), len(a[1])) - 1)
+        if bound > MAX_POWER_DEGREE:
+            raise BudgetError(
+                f"a power a^{e} over F_p(t) of degree bound {bound} (|e| * deg a) "
+                f"exceeds MAX_POWER_DEGREE = {MAX_POWER_DEGREE}"
+            )
         if e < 0:
             return self.pow(self.inv(a), -e)
         out = self.one()

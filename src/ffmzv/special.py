@@ -18,6 +18,8 @@ over exponent vectors e = (e_1..e_d) of positive multiples of q-1, with
 K = sum e_j and D = sum j e_j.  Every coefficient lies in F_p, so a dynamic
 program over j with state (K, D) and Lucas binomials mod p computes S_d(s)
 to any precision in time polynomial in the precision, independent of q^d.
+From state K it steps only to the e that add to K without a carry in base
+p: by Kummer those are exactly the e with C(K+e, e) != 0 mod p.
 The same expansion gives the certified valuation bound
 
     v_z(S_d(s)) >= (q-1) * (d*s + (q-1)*d*(d+1)/2),
@@ -135,13 +137,27 @@ def _binom_mod_p(n: int, k: int, p: int) -> int:
     return r
 
 
+@lru_cache(maxsize=1 << 12)
+def _carry_free(k: int, p: int, step: int, limit: int) -> tuple[tuple[int, int], ...]:
+    """(e, C(k+e, e) mod p), ascending, for the multiples e of step in
+    1..limit whose base-p digits add to those of k without a carry: by
+    Kummer, exactly the e with C(k+e, e) != 0 mod p."""
+    es = [0]  # the carry-free e below `place`, ascending
+    kk, place = k, 1
+    while place <= limit:
+        kk, digit = divmod(kk, p)
+        es = [x + c * place for c in range(p - digit) for x in es if x + c * place <= limit]
+        place *= p
+    return tuple((e, _binom_mod_p(k + e, e, p)) for e in es if e and e % step == 0)
+
+
 def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int | None = None) -> LaurentSeries:
     """S_d(s) = sum of a^-s over the q^d monic polynomials of degree d,
     from the exponent-vector closed form (see the module docstring)."""
     if s < 1 or d < 0:
         raise ValueError("need s >= 1 and d >= 0")
     prec = ctx.prec if prec is None else prec
-    return ctx.cached(("S", d, s, prec), lambda: _monic_power_sum_dp(ctx, d, s, prec))
+    return ctx.cached_to(("S", d, s), prec, lambda prec: _monic_power_sum_dp(ctx, d, s, prec))
 
 
 def _monic_power_sum_dp(ctx: CarlitzContext, d: int, s: int, prec: int) -> LaurentSeries:
@@ -152,17 +168,17 @@ def _monic_power_sum_dp(ctx: CarlitzContext, d: int, s: int, prec: int) -> Laure
     # DP over j = d..1: (K, D) -> sum over e_j..e_d of the multinomial, mod p;
     # `reserve` is the least D that e_1..e_{j-1} must still add
     states = {(0, 0): 1} if top >= 0 else {}
+    limit = 1 << max(top, 0).bit_length()  # rounded up, so that calls share moves
     for j in range(d, 0, -1):
         reserve = step * j * (j - 1) // 2
         nxt: dict[tuple[int, int], int] = {}
         for (k, dd), w in states.items():
-            e = step
-            while dd + j * e + reserve <= top:
-                c = _binom_mod_p(k + e, e, p)
-                if c:
-                    st = (k + e, dd + j * e)
-                    nxt[st] = (nxt.get(st, 0) + w * c) % p
-                e += step
+            room = top - dd - reserve
+            for e, c in _carry_free(k, p, step, limit):
+                if j * e > room:
+                    break
+                st = (k + e, dd + j * e)
+                nxt[st] = (nxt.get(st, 0) + w * c) % p
         states = nxt
     # F_p coefficients: the field encoding of c in F_p is c itself
     coeffs = [0] * (step * (top + d * s) + 1) if states else []
@@ -273,12 +289,39 @@ def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) ->
 
 
 def anderson_thakur_polynomials(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
-    """H_0..H_{s_max}; integral by construction (exact division, loud abort)."""
+    """H_0..H_{s_max}; integral by construction (exact division, loud abort).
+
+    Raises BudgetError before any work when `at_slot_estimate` exceeds the
+    context's enumeration budget."""
     return ctx.cached(("AT", s_max), lambda: _at_polys(ctx, s_max))
+
+
+def at_slot_estimate(q: int, s_max: int, cap: int) -> int:
+    """Estimated coefficient slots of H_0..H_{s_max}, counted up to the first
+    sum above cap: H_n has t-degree about that of Gamma_{n+1} and
+    theta-degree below (n+1)q/(q-1), so it takes the sum over n of
+    (deg Gamma_{n+1} + 1) * ((n+1)q // (q-1) + 1)."""
+    total = 0
+    for n in range(s_max + 1):
+        deg, i, m = 0, 0, n
+        while m:
+            m, digit = divmod(m, q)
+            deg += digit * i * q**i
+            i += 1
+        total += (deg + 1) * ((n + 1) * q // (q - 1) + 1)
+        if total > cap:
+            break
+    return total
 
 
 def _at_polys(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
     q, fld = ctx.q, ctx.field
+    slots = at_slot_estimate(q, s_max, ctx.enum_budget)
+    if slots > ctx.enum_budget:
+        raise BudgetError(
+            f"H_0..H_{s_max}: at least {slots} estimated coefficient slots "
+            f"(at_slot_estimate) exceed the budget {ctx.enum_budget}"
+        )
     neg1 = ops(fld).neg[1]
     # (q^i, N_i, D_i(t)) per term; H_n follows the module docstring's recurrence
     steps = []
@@ -373,18 +416,20 @@ def _deltas(ctx: CarlitzContext, spec: CmplSpec) -> list[int]:
 
 
 def _ell_inv_pow(ctx: CarlitzContext, i: int, e: int, rel: int) -> LaurentSeries:
-    """((theta - theta^q)...(theta - theta^{q^i}))^-e with rel relative z-digits."""
+    """((theta - theta^q)...(theta - theta^{q^i}))^-e with rel relative z-digits;
+    its precision is rel plus a constant of (i, e)."""
 
-    def build() -> LaurentSeries:
+    def build(rel: int) -> LaurentSeries:
+        if e > 1:  # the e-th power of the cached inverse
+            return _ell_inv_pow(ctx, i, 1, rel) ** e
         q, fld = ctx.q, ctx.field
         neg = ops(fld).neg
         poly = BivarPoly.one(fld)
         for a in range(1, i + 1):
             poly = poly * BivarPoly(fld, {(0, 1): 1, (0, q**a): neg[1]})
-        ser = poly.eval_theta(rel + 2)  # negative valuation, so relative > rel
-        return ser.inv() ** e
+        return poly.eval_theta(rel + 2).inv()  # negative valuation, so relative > rel
 
-    return ctx.cached(("ellinv", i, e, rel), build)
+    return ctx.cached_to(("ellinv", i, e), rel, build)
 
 
 def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> LaurentSeries:
@@ -510,16 +555,28 @@ def period_identity_report(
     Passing `u` overrides the arguments (perturbation controls).
     """
     prec = ctx.prec if prec is None else prec
-    q, fld = ctx.q, ctx.field
     if u is None:
+        # before the factorials: its budget check refuses runaway weights
         u = at_arguments(ctx, s)
-    gamma = BivarPoly.one(fld)
-    for si in s.entries:
-        gamma = gamma * carlitz_factorial(ctx, si - 1)
-    work = prec + (q - 1) * gamma.deg_theta() + 4
+    gamma = factorial_product(ctx, s)
+    work = prec + (ctx.q - 1) * gamma.deg_theta() + 4
     lhs = cmpl_value(ctx, CmplSpec(s, u), work)
-    zeta = mzv(ctx, s, work)
-    rhs = gamma.eval_theta(work + (q - 1) * gamma.deg_theta() + 2) * zeta
+    rhs = zeta_side(ctx, s, gamma, work)
     return IdentityReport.from_comparison(
         compare_to_precision(lhs, rhs), prec, note=f"index {s}, AT-argument path vs factorial*zeta path"
     )
+
+
+def factorial_product(ctx: CarlitzContext, s: Index) -> BivarPoly:
+    """Gamma_{s_1} ... Gamma_{s_d}."""
+    gamma = BivarPoly.one(ctx.field)
+    for si in s.entries:
+        gamma = gamma * carlitz_factorial(ctx, si - 1)
+    return gamma
+
+
+def zeta_side(ctx: CarlitzContext, s: Index, gamma: BivarPoly, work: int) -> LaurentSeries:
+    """The identity's zeta side, `gamma` (the factorial product) times zeta(s);
+    the other side is `cmpl_value` at `at_arguments`."""
+    zeta = mzv(ctx, s, work)
+    return gamma.eval_theta(work + (ctx.q - 1) * gamma.deg_theta() + 2) * zeta

@@ -17,10 +17,13 @@ a dash):
 * `--indices`: 1-2 indices of depth 1-2 with entries in [1, 3]; edge and
   malformed text.  `--gf`: fields of order <= 343, above the cap, malformed;
   `--samples` in [1, 10].
-* Random text is at most 6 characters over the digits and the option syntax.
+* Random text is at most 6 characters over the digits and the option syntax,
+  so junk digit text reaches index weights and `--smax` up to 999999: the
+  Anderson-Thakur polynomials and F_p(t) powers refuse those up front with a
+  `BudgetError` (`at_slot_estimate` against the enumeration budget, and
+  `MAX_POWER_DEGREE`).
 
-`--prec` and `--tdeg` keep their defaults (40 and 12): `mzv` at high
-precision stays slow until the power-sum work of ROADMAP item 3 lands.
+`--prec` and `--tdeg` keep their defaults (40 and 12).
 `verify-rat` and `verify-derived` are left out: at q = 343 and index
 (8,8,8), `verify-derived` exhausts memory and `verify-rat` takes seconds.
 """
@@ -32,7 +35,7 @@ import json
 import re
 import time
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ffmzv import errors
 from ffmzv.cli import main
@@ -138,6 +141,12 @@ def _run(argv):
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
+# junk digit text reaching huge weights: F_p(t) powers to 79700, AT polynomials
+# to 973517, and a period identity whose AT budget check must come before its
+# factorial Gamma_12132
+@example(["group-closure", "--indices=079700", "--samples=1", "--rational"])
+@example(["cmpl", "--index=973518"])
+@example(["verify-period", "--index=12132"])
 def test_every_argv_ends_in_a_report_a_usage_error_or_a_typed_error(argv):
     code, out, err = _run(argv)
     named = [w for w in re.findall(r"\w+", err) if w in BUILTIN]

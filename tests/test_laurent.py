@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ffmzv.errors import PrecisionError
-from ffmzv.ffield import field
+from ffmzv.ffield import field, ops
 from ffmzv.laurent import (
     LaurentSeries,
     compare_to_precision,
@@ -162,3 +162,72 @@ def test_ring_laws(a, b, c):
     assert compare_to_precision((a + b) * c, a * c + b * c).status == "equal"
     assert compare_to_precision(a * (b * c), (a * b) * c).status == "equal"
     assert compare_to_precision(a * b, b * a).status == "equal"
+
+
+# -- the strided inverse against the dense recurrence ------------------------------
+
+
+def _dense_inv(f):
+    """1/f by the dense recurrence over every output and offset (oracle)."""
+    o = ops(f.field)
+    v = f.val
+    rel = f.prec - v
+    fa = f.coeffs
+    la = len(fa)
+    c0inv = o.inv[fa[0]]
+    out = [0] * rel
+    out[0] = c0inv
+    mul, add, neg, n = o.mul, o.add, o.neg, o.n
+    for k in range(1, rel):
+        acc = 0
+        for j in range(1, min(k, la - 1) + 1):
+            aj = fa[j]
+            if aj:
+                acc = add[acc * n + mul[aj * n + out[k - j]]]
+        out[k] = mul[c0inv * n + neg[acc]]
+    return LaurentSeries(f.field, -v, out, f.prec - 2 * v)
+
+
+_INV_FIELDS = {2: field(2, 1), 3: F3, 4: field(2, 2), 5: field(5, 1), 9: field(3, 2)}
+
+
+@st.composite
+def _strided_series(draw):
+    """A series whose nonzero offsets lie on a stride, optionally with one
+    off-stride term, at a random precision."""
+    fld = _INV_FIELDS[draw(st.sampled_from(sorted(_INV_FIELDS)))]
+    q = fld.order
+    stride = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.integers(0, q - 1), min_size=0, max_size=24))
+    coeffs = [draw(st.integers(1, q - 1))]
+    for c in rows:
+        coeffs += [0] * (stride - 1) + [c]
+    off = draw(st.integers(0, len(coeffs)))
+    if off % stride and draw(st.booleans()):
+        # one term off the stride: the gcd drops although most terms lie on it
+        coeffs += [0] * (off + 1 - len(coeffs))
+        coeffs[off] = draw(st.integers(1, q - 1))
+    val = draw(st.integers(-40, 10))
+    return LaurentSeries(fld, val, coeffs, val + draw(st.integers(1, 160)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strided_series())
+def test_strided_inverse_matches_dense_recurrence(f):
+    got, want = f.inv(), _dense_inv(f)
+    assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
+def test_strided_inverse_edge_cases():
+    for fld in _INV_FIELDS.values():
+        c = fld.order - 1  # a nonzero encoding
+        cases = [
+            LaurentSeries(fld, -3, [c], 40),  # the lead alone
+            LaurentSeries(fld, 0, [c, 0, 0, 0, 1], 3),  # every other term at or past prec
+            LaurentSeries(fld, 2, [1] + [0] * 5 + [c] + [0] * 5 + [1] + [0] * 4 + [c], 90),
+            # gcd 1 although all but one term lie on a stride of 6
+            LaurentSeries(fld, -5, [1, 0, 0, 0, 0, 0, c, 0, 0, 0, 0, 0, 1, c], 70),
+        ]
+        for f in cases:
+            got, want = f.inv(), _dense_inv(f)
+            assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)

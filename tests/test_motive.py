@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from ffmzv import motive, tate
 from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_power, omega_series
-from ffmzv.errors import ConventionError, ShapeParseError
+from ffmzv.errors import BudgetError, ConventionError, ShapeParseError
 from ffmzv.ffield import field
 from ffmzv.motive import (
     BlockShape,
     FiniteFieldDomain,
     MotiveMatrix,
+    MAX_POWER_DEGREE,
     MAX_SAMPLE_DEGREE,
     RationalFunctionDomain,
     carlitz_system,
@@ -654,3 +655,20 @@ def test_depth_three_rational_function_shapes_verify_quickly():
         for rep in (closure_report(dom, iset, 10, 3), commutator_report(dom, iset, 10, 4)):
             assert rep.passed and rep.checked == 10, rep.failures
     assert time.perf_counter() - start < 20
+
+
+def test_rational_function_powers_refuse_a_degree_bound_over_the_cap():
+    dom = RationalFunctionDomain(3)
+    a = ((1, 2), (2, 0, 1))  # degree 2
+    assert dom.eq(dom.pow(a, MAX_POWER_DEGREE // 2), dom.pow(dom.inv(a), -(MAX_POWER_DEGREE // 2)))
+    for e in (MAX_POWER_DEGREE // 2 + 1, -(MAX_POWER_DEGREE // 2 + 1)):
+        with pytest.raises(BudgetError, match="MAX_POWER_DEGREE"):
+            dom.pow(a, e)
+    assert dom.pow(dom.one(), 10**6) == dom.one()  # degree 0: nothing to refuse
+    # junk index text of weight 79700 used to run for minutes in realize
+    start = time.perf_counter()
+    iset = subclosure([Index((79700,))])
+    for report in (closure_report, commutator_report):
+        with pytest.raises(BudgetError):
+            report(dom, iset, 1, 0)
+    assert time.perf_counter() - start < 1

@@ -9,15 +9,24 @@ from ffmzv import tate
 from ffmzv.carlitz import CarlitzContext, carlitz_factorial, monic_coeff_lists
 from ffmzv.errors import BudgetError, ConventionError
 from ffmzv.ffield import ops
-from ffmzv.laurent import compare_to_precision, from_rational, one as ls_one, zero as ls_zero
+from ffmzv.laurent import (
+    LaurentSeries,
+    compare_to_precision,
+    from_rational,
+    one as ls_one,
+    zero as ls_zero,
+)
 from ffmzv.poly import BivarPoly, dense_theta_mul, t_minus_theta_frob
 from ffmzv.reports import ResidualReport
 from ffmzv.special import (
     CmplSpec,
     Index,
+    _binom_mod_p,
+    _monic_power_sum_dp,
     anderson_thakur_polynomials,
     at_arguments,
     at_bound_report,
+    at_slot_estimate,
     cmpl_series,
     cmpl_value,
     convergence_report,
@@ -46,6 +55,33 @@ def _monic_power_sum_enum(ctx, d, s, prec):
             a_pow = dense_theta_mul(fld, a_pow, coeffs)
         acc = acc + from_rational(fld, {0: 1}, {k: c for k, c in enumerate(a_pow)}, prec)
     return acc
+
+
+def _monic_power_sum_stepwise(ctx, d, s, prec):
+    """The power-sum DP walking every positive multiple e of q-1 and testing
+    its binomial (oracle for the carry-free enumeration)."""
+    q, p = ctx.q, ctx.p
+    step = q - 1
+    top = (prec - 1) // step - d * s
+    states = {(0, 0): 1} if top >= 0 else {}
+    for j in range(d, 0, -1):
+        reserve = step * j * (j - 1) // 2
+        nxt = {}
+        for (k, dd), w in states.items():
+            e = step
+            while dd + j * e + reserve <= top:
+                c = _binom_mod_p(k + e, e, p)
+                if c:
+                    st = (k + e, dd + j * e)
+                    nxt[st] = (nxt.get(st, 0) + w * c) % p
+                e += step
+        states = nxt
+    coeffs = [0] * (step * (top + d * s) + 1) if states else []
+    for (k, dd), w in states.items():
+        c = w * _binom_mod_p(s + k - 1, k, p)
+        n = d * s + dd
+        coeffs[step * n] += -c if (d + k + n) % 2 else c
+    return LaurentSeries(ctx.field, 0, [c % p for c in coeffs], prec)
 
 
 def cmpl_frobenius_residual(ctx, spec, tdeg=None, prec=None):
@@ -171,6 +207,31 @@ def test_power_sum_matches_enumeration(case):
     assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
 
 
+def _assert_dp_matches_stepwise(level, d, s, prec):
+    ctx = CarlitzContext(*level)
+    got = _monic_power_sum_dp(ctx, d, s, prec)
+    want = _monic_power_sum_stepwise(ctx, d, s, prec)
+    assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_ORACLE_LEVELS + [(7, 1), (3, 3)]),
+    st.integers(0, 10),
+    st.integers(1, 8),
+    st.integers(-5, 300),
+)
+def test_carry_free_power_sum_dp_matches_stepwise(level, d, s, prec):
+    _assert_dp_matches_stepwise(level, d, s, prec)
+
+
+@pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
+def test_carry_free_power_sum_dp_matches_stepwise_at_high_precision(p, l):
+    for d in range(1, 5):
+        for s in (1, 2, 3):
+            _assert_dp_matches_stepwise((p, l), d, s, 400)
+
+
 @pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
 def test_power_sum_negative_precision_matches_enumeration(p, l):
     # below z^0 both paths must return the zero-to-precision series
@@ -208,6 +269,17 @@ def test_power_sum_val_bound_beyond_enumeration():
                 assert (got.val, got.coeffs) == (want.val, want.coeffs)
             else:
                 assert monic_power_sum(ctx, d, 1, 200).is_zero()
+
+
+def test_at_polynomials_refuse_an_estimate_over_the_budget():
+    ctx = CarlitzContext(2, 1)
+    with pytest.raises(BudgetError, match="at_slot_estimate"):
+        anderson_thakur_polynomials(ctx, 973517)
+    assert at_slot_estimate(2, 40, ctx.enum_budget) <= ctx.enum_budget
+    starved = CarlitzContext(3, 1, enum_budget=100)
+    with pytest.raises(BudgetError, match="budget 100"):
+        anderson_thakur_polynomials(starved, 20)
+    assert anderson_thakur_polynomials(starved, 2) == [BivarPoly.one(starved.field)] * 3
 
 
 def test_mzv_bruteforce_budget():
