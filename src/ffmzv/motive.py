@@ -30,15 +30,18 @@ subdiagonal feeds, else (0, 0).
 The block-group shells of the independence argument live at the bottom of
 the module: parameterized lower-triangular shapes (a) + X_{s_1} + ... with
 exact closure, inversion, and commutator checks over finite fields or a
-univariate rational function field.
+univariate rational function field.  A shape is block diagonal, so the checks
+multiply, invert and parse it block by block, and run their first trial on
+the whole matrices as well.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -485,11 +488,8 @@ class FiniteFieldDomain:
     def pow(self, a, e):
         return self._o.pow(a, e)
 
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == 0
+    eq = staticmethod(operator.eq)
+    is_zero = staticmethod(operator.not_)
 
     def sample(self, rng: random.Random):
         return rng.randrange(self._o.n)
@@ -584,7 +584,7 @@ class RationalFunctionDomain:
         return self._pmul(a[0], b[1]) == self._pmul(b[0], a[1])
 
     def is_zero(self, a):
-        return all(c == 0 for c in a[0])
+        return not any(a[0])
 
     def sample(self, rng: random.Random):
         num = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2)))
@@ -603,15 +603,18 @@ class RationalFunctionDomain:
 
 class _ShapeLayout(NamedTuple):
     size: int
-    entries: tuple  # (row, col, exponent, window) below (0, 0); window None on the diagonal
+    spans: tuple  # (first row, end) of each diagonal block; block 0 is the scalar slot
+    diagonals: tuple  # per block after the scalar slot: the power of a down its diagonal
+    entries: tuple  # per block after the scalar slot: (row, col, exponent, window id) below its diagonal
+    windows: tuple  # the window of each id
     exponents: frozenset
-    row_starts: tuple  # the first column of each row's block
     error: str | None  # why the index set carries no shape
 
 
 @lru_cache(maxsize=256)
 def _shape_layout(index_set: tuple[Index, ...]) -> _ShapeLayout:
-    """Where (a) + X_{s_1} + ... puts which power of a and which window."""
+    """Where (a) + X_{s_1} + ... puts which power of a and which window, in
+    the coordinates of each diagonal block."""
     error = None
     if not is_subclosed(index_set):
         have = set(index_set)
@@ -619,16 +622,18 @@ def _shape_layout(index_set: tuple[Index, ...]) -> _ShapeLayout:
         error = f"index set is not window-closed; missing {missing}"
     elif [ix.dep for ix in index_set] != sorted(ix.dep for ix in index_set):
         error = "index set must be enumerated depth-ascending"
-    entries, starts, off = [], [0], 1
+    spans, diagonals, entries, ids = [(0, 1)], [], [], {}
     for idx in index_set:
-        d = idx.dep
+        d, off = idx.dep, spans[-1][1]
         sw = [sum(idx.entries[k:]) for k in range(d + 1)]
-        for c in range(d + 1):
-            entries.append((off + c, off + c, sw[c], None))
-            entries += [(off + r, off + c, sw[c], idx.window(c + 1, r)) for r in range(c + 1, d + 1)]
-        starts += [off] * (d + 1)
-        off += d + 1
-    return _ShapeLayout(off, tuple(entries), frozenset(e[2] for e in entries), tuple(starts), error)
+        spans.append((off, off + d + 1))
+        diagonals.append(tuple(sw))
+        entries.append(tuple(
+            (r, c, sw[c], ids.setdefault(idx.window(c + 1, r), len(ids)))
+            for c in range(d + 1) for r in range(c + 1, d + 1)
+        ))
+    exponents = frozenset(e for sw in diagonals for e in sw)
+    return _ShapeLayout(spans[-1][1], tuple(spans), tuple(diagonals), tuple(entries), tuple(ids), exponents, error)
 
 
 @dataclass
@@ -637,7 +642,9 @@ class BlockShape:
 
     Within block X_s, column c carries a^{s_{c+1}+...+s_d} on the diagonal
     and a^{s_{c+1}+...+s_d} x_{(s_{c+1},...,s_r)} below it; the x-parameter of
-    a window is shared wherever that window value recurs, in any block.
+    a window is shared wherever that window value recurs, in any block.  All
+    entries outside the diagonal blocks are zero, so `blocks` and
+    `from_blocks` hold a shape as its diagonal blocks, the scalar slot first.
     """
 
     domain: object
@@ -647,25 +654,86 @@ class BlockShape:
 
     def __post_init__(self):
         self.index_set = tuple(self.index_set)
-        error = _shape_layout(self.index_set).error
-        if error:
-            raise ValueError(error)
+        lay = self._layout = _shape_layout(self.index_set)
+        if lay.error:
+            raise ValueError(lay.error)
+        if self.xmap.keys() != set(lay.windows):
+            missing = [str(w) for w in lay.windows if w not in self.xmap]
+            extra = [str(w) for w in self.xmap if w not in lay.windows]
+            raise ValueError(f"xmap must map exactly the windows of the index set; missing {missing}, extra {extra}")
         if self.domain.is_zero(self.a):
             raise ValueError("the scalar parameter must be invertible")
 
     @property
     def size(self) -> int:
-        return _shape_layout(self.index_set).size
+        return self._layout.size
+
+    def blocks(self) -> list:
+        dom, lay = self.domain, self._layout
+        pw = {e: dom.pow(self.a, e) for e in lay.exponents}
+        xs = [self.xmap[w] for w in lay.windows]
+        zero, mul = dom.zero(), dom.mul
+        out = [[[self.a]]]
+        for diag, entries in zip(lay.diagonals, lay.entries):
+            block = [[zero] * r + [pw[e]] + [zero] * (len(diag) - r - 1) for r, e in enumerate(diag)]
+            for r, c, e, w in entries:
+                block[r][c] = mul(pw[e], xs[w])
+            out.append(block)
+        return out
 
     def realize(self):
-        dom, lay = self.domain, _shape_layout(self.index_set)
-        pw = {e: dom.pow(self.a, e) for e in lay.exponents}
-        zero = dom.zero()
-        m = [[zero] * lay.size for _ in range(lay.size)]
-        m[0][0] = self.a
-        for r, c, e, w in lay.entries:
-            m[r][c] = pw[e] if w is None else dom.mul(pw[e], self.xmap[w])
-        return m
+        n, zero = self.size, self.domain.zero()
+        return [
+            [zero] * lo + row + [zero] * (n - hi)
+            for (lo, hi), block in zip(self._layout.spans, self.blocks())
+            for row in block
+        ]
+
+    @classmethod
+    def _read(cls, domain, index_set, rows, whole: bool) -> "BlockShape":
+        """The shape whose k-th diagonal block is rows[k], or (whole) the
+        span of the whole matrix rows[k] holds; ShapeParseError names the
+        first entry off the shape in row-major order.
+
+        In exact arithmetic an entry below a diagonal is a^e times the value
+        extracted from it, so only recurring windows, the diagonals and the
+        zeros around the blocks are compared.
+        """
+        lay = _shape_layout(index_set)
+        a = rows[0][0][0]
+        if domain.is_zero(a):
+            raise ShapeParseError("scalar parameter is zero")
+        eq, is_zero, mul = domain.eq, domain.is_zero, domain.mul
+        pw = {e: domain.pow(a, e) for e in lay.exponents}
+        ainv = {e: domain.inv(x) for e, x in pw.items()}
+        starts = [lo if whole else 0 for lo, _ in lay.spans]
+        xs = [None] * len(lay.windows)
+        for o, entries, block in zip(starts[1:], lay.entries, rows[1:]):
+            for r, c, e, w in entries:
+                x = mul(block[r][o + c], ainv[e])
+                if xs[w] is None:
+                    xs[w] = x
+                elif not eq(xs[w], x):
+                    raise ShapeParseError(f"window {lay.windows[w]} extracted twice with different values")
+        shape = cls(domain, index_set, a, dict(zip(lay.windows, xs)))
+        diagonals = [(a,)] + [[pw[e] for e in diag] for diag in lay.diagonals]
+        for (lo, _), o, diag, block in zip(lay.spans, starts, diagonals, rows):
+            for r, (x, row) in enumerate(zip(diag, block)):
+                d = o + r  # row r holds x in column d and zeros outside columns o..d
+                if not (eq(row[d], x) and all(map(is_zero, row[d + 1 :])) and all(map(is_zero, row[:o]))):
+                    fixed = (*range(o), *range(d, len(row)))
+                    j = next(j for j in fixed if not (eq(x, row[j]) if j == d else is_zero(row[j])))
+                    raise ShapeParseError(f"entry ({lo + r}, {lo - o + j}) off the parameterized shape")
+        return shape
+
+    @classmethod
+    def from_blocks(cls, domain, index_set, blocks) -> "BlockShape":
+        """Inverse of blocks; raises ShapeParseError on any mismatch."""
+        index_set = tuple(index_set)
+        sizes = [(hi - lo,) * (hi - lo) for lo, hi in _shape_layout(index_set).spans]
+        if [tuple(map(len, block)) for block in blocks] != sizes:
+            raise ShapeParseError(f"expected diagonal blocks of sizes {[len(s) for s in sizes]}")
+        return cls._read(domain, index_set, blocks, False)
 
     @classmethod
     def parse(cls, domain, index_set, matrix) -> "BlockShape":
@@ -675,32 +743,7 @@ class BlockShape:
         n = lay.size
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ShapeParseError(f"expected a {n}x{n} matrix")
-        a = matrix[0][0]
-        if domain.is_zero(a):
-            raise ShapeParseError("scalar parameter is zero")
-        ainv = {e: domain.inv(domain.pow(a, e)) for e in lay.exponents}
-        xmap: dict[Index, object] = {}
-        for r, c, e, w in lay.entries:
-            if w is None:
-                continue
-            x = domain.mul(matrix[r][c], ainv[e])
-            if w in xmap:
-                if not domain.eq(xmap[w], x):
-                    raise ShapeParseError(f"window {w} extracted twice with different values")
-            else:
-                xmap[w] = x
-        shape = cls(domain, index_set, a, xmap)
-        # every entry is compared: row i may be nonzero only in columns lo..i
-        eq, is_zero = domain.eq, domain.is_zero
-        for i, (lo, erow, mrow) in enumerate(zip(lay.row_starts, shape.realize(), matrix)):
-            if not (
-                all(map(is_zero, mrow[:lo]))
-                and all(map(eq, erow[lo : i + 1], mrow[lo : i + 1]))
-                and all(map(is_zero, mrow[i + 1 :]))
-            ):
-                j = next(j for j in range(n) if not eq(erow[j], mrow[j]))
-                raise ShapeParseError(f"entry ({i}, {j}) off the parameterized shape")
-        return shape
+        return cls._read(domain, index_set, [matrix[lo:hi] for lo, hi in lay.spans], True)
 
     def is_v_element(self) -> bool:
         """Identity scalar, all windows zero except possibly the last index."""
@@ -758,6 +801,51 @@ def _random_shape(dom, index_set, rng) -> BlockShape:
     return BlockShape(dom, tuple(index_set), a, xmap)
 
 
+def _mul(dom, *factors) -> list:
+    """The product of shapes held as lists of blocks, block by block."""
+    return [reduce(partial(_mat_mul, dom), blocks) for blocks in zip(*factors)]
+
+
+def _inv(dom, blocks) -> list:
+    return [_mat_inv_lower(dom, block) for block in blocks]
+
+
+def _closure_law(dom, m1, m2) -> list:
+    """S1 S2 and S1^{-1}."""
+    return [_mul(dom, m1, m2), _inv(dom, m1)]
+
+
+def _commutator_law(dom, rm, *qms) -> list:
+    """Q^{-1} R Q and R Q R^{-1} Q^{-1}, for each Q."""
+    rinv = _inv(dom, rm)
+    out = []
+    for qm in qms:
+        qinv = _inv(dom, qm)
+        out += [_mul(dom, qinv, rm, qm), _mul(dom, rm, qm, rinv, qinv)]
+    return out
+
+
+def _parsed(domain, index_set, law, shapes, trial: int, failures: list, *where) -> list:
+    """The shapes law(domain, *matrices) gives, with each shape held and
+    parsed as its list of diagonal blocks.  The first trial also runs the
+    law on the whole matrices (lists of one block), which certifies the zeros
+    outside the blocks, and a failure (trial, *where, why) records any
+    disagreement."""
+    got = [BlockShape.from_blocks(domain, index_set, m) for m in law(domain, *(s.blocks() for s in shapes))]
+    if trial == 0:
+        try:
+            whole = law(domain, *([s.realize()] for s in shapes))
+            want = [BlockShape.parse(domain, index_set, m[0]) for m in whole]
+            eq = domain.eq
+            same = all(eq(g.a, w.a) and all(eq(x, w.xmap[k]) for k, x in g.xmap.items()) for g, w in zip(got, want))
+            why = None if same else "spot check: the whole matrix parses to another shape"
+        except ShapeParseError as exc:
+            why = f"spot check: the whole matrix does not parse: {exc}"
+        if why:
+            failures.append((trial, *where, why))
+    return got
+
+
 def _sampled_report(failures: list, samples: int, bound: int, draws: int) -> CheckReport:
     """The report of a sampled law of degree at most `bound`: it certifies
     (Schwartz-Zippel) only if both the samples and the distinct nonzero values
@@ -784,7 +872,8 @@ def closure_report(domain, index_set, samples: int, seed: int) -> CheckReport:
     The coordinate identities are polynomial in the parameters with degree
     span at most 2*wt + 1, so the report certifies them only when both the
     sample count and the domain's distinct nonzero draws exceed that bound
-    (reported in the note).
+    (reported in the note).  Shapes are multiplied block by block; the first
+    trial is also run on the whole matrices.
     """
     index_set = tuple(index_set)
     rng = random.Random(seed)
@@ -793,11 +882,9 @@ def closure_report(domain, index_set, samples: int, seed: int) -> CheckReport:
         s1 = _random_shape(domain, index_set, rng)
         s2 = _random_shape(domain, index_set, rng)
         try:
-            m1 = s1.realize()
-            prod = BlockShape.parse(domain, index_set, _mat_mul(domain, m1, s2.realize()))
+            prod, invp = _parsed(domain, index_set, _closure_law, (s1, s2), trial, failures)
             if not domain.eq(prod.a, domain.mul(s1.a, s2.a)):
                 failures.append((trial, "product scalar is not a1*a2"))
-            invp = BlockShape.parse(domain, index_set, _mat_inv_lower(domain, m1))
             if not domain.eq(domain.mul(invp.a, s1.a), domain.one()):
                 failures.append((trial, "inverse scalar is not a^-1"))
         except ShapeParseError as exc:
@@ -816,7 +903,8 @@ def commutator_report(domain, index_set, samples: int, seed: int) -> CheckReport
 
     both again with unit scalar and all other windows zero.  Q is drawn twice
     per trial: once with all window parameters zero (the worked-example
-    pattern) and once fully random.
+    pattern) and once fully random.  Shapes are multiplied block by block;
+    the first trial is also run on the whole matrices.
     """
     index_set = tuple(index_set)
     rng = random.Random(seed)
@@ -828,21 +916,16 @@ def commutator_report(domain, index_set, samples: int, seed: int) -> CheckReport
         b = domain.sample_nonzero(rng)
         zeros = {ix: domain.zero() for ix in index_set}
         r_shape = BlockShape(domain, index_set, domain.one(), {**zeros, last: v})
-        rm = r_shape.realize()
-        rinv = _mat_inv_lower(domain, rm)
-        for tag, xdraw in (("plain", zeros), ("random-x", {ix: domain.sample(rng) for ix in index_set})):
-            qm = BlockShape(domain, index_set, b, xdraw).realize()
-            qinv = _mat_inv_lower(domain, qm)
-            conj = BlockShape.parse(domain, index_set, _mat_mul(domain, _mat_mul(domain, qinv, rm), qm))
-            expect_conj = domain.mul(v, domain.pow(b, wt))
+        q_shapes = [
+            BlockShape(domain, index_set, b, xdraw)
+            for xdraw in (zeros, {ix: domain.sample(rng) for ix in index_set})
+        ]
+        parses = _parsed(domain, index_set, _commutator_law, (r_shape, *q_shapes), trial, failures, "whole-matrix")
+        expect_conj = domain.mul(v, domain.pow(b, wt))
+        expect_comm = domain.mul(v, domain.sub(domain.one(), domain.pow(b, -wt)))
+        for tag, conj, comm in zip(("plain", "random-x"), parses[::2], parses[1::2]):
             if not (conj.is_v_element() and domain.eq(conj.x_last(), expect_conj)):
                 failures.append((trial, tag, "conjugation coordinate is not v*b^wt"))
-            comm = BlockShape.parse(
-                domain,
-                index_set,
-                _mat_mul(domain, _mat_mul(domain, _mat_mul(domain, rm, qm), rinv), qinv),
-            )
-            expect_comm = domain.mul(v, domain.sub(domain.one(), domain.pow(b, -wt)))
             if not (comm.is_v_element() and domain.eq(comm.x_last(), expect_comm)):
                 failures.append((trial, tag, "commutator coordinate is not v*(1-b^-wt)"))
     return _sampled_report(failures, samples, 2 * wt + 1, domain.draws)

@@ -3,10 +3,11 @@
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffmzv import motive, tate
 from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_power, omega_series
@@ -453,6 +454,12 @@ def test_block_build_validation():
         BlockShape(dom, (Index((1, 2)),), dom.one(), {Index((1, 2)): 0})
     with pytest.raises(ValueError, match="invertible"):
         BlockShape(dom, I_12, dom.zero(), {ix: dom.zero() for ix in I_12})
+    # an xmap must give every window of the index set, and nothing else
+    full = {ix: dom.one() for ix in I_12}
+    with pytest.raises(ValueError, match=re.escape("missing ['(2)'], extra []")):
+        BlockShape(dom, I_12, dom.one(), {ix: x for ix, x in full.items() if ix != Index((2,))})
+    with pytest.raises(ValueError, match=re.escape("missing [], extra ['(3)']")):
+        BlockShape(dom, I_12, dom.one(), {**full, Index((3,)): dom.zero()})
 
 
 def test_block_closure_100_samples():
@@ -672,3 +679,146 @@ def test_rational_function_powers_refuse_a_degree_bound_over_the_cap():
         with pytest.raises(BudgetError):
             report(dom, iset, 1, 0)
     assert time.perf_counter() - start < 1
+
+
+# -- block by block against the whole-matrix realize and parse they replaced ----
+
+
+def _layout_oracle(index_set):
+    """(size, (row, col, exponent, window) of every entry below (0, 0), and
+    the first column of each row's block); window None on the diagonal."""
+    entries, starts, off = [], [0], 1
+    for idx in index_set:
+        d = idx.dep
+        sw = [sum(idx.entries[k:]) for k in range(d + 1)]
+        for c in range(d + 1):
+            entries.append((off + c, off + c, sw[c], None))
+            entries += [(off + r, off + c, sw[c], idx.window(c + 1, r)) for r in range(c + 1, d + 1)]
+        starts += [off] * (d + 1)
+        off += d + 1
+    return off, entries, starts
+
+
+def _realize_oracle(shape):
+    dom = shape.domain
+    n, entries, _ = _layout_oracle(shape.index_set)
+    pw = {e: dom.pow(shape.a, e) for e in {e for _, _, e, _ in entries}}
+    m = [[dom.zero()] * n for _ in range(n)]
+    m[0][0] = shape.a
+    for r, c, e, w in entries:
+        m[r][c] = pw[e] if w is None else dom.mul(pw[e], shape.xmap[w])
+    return m
+
+
+def _parse_oracle(domain, index_set, matrix):
+    """Extract a and the windows, then compare all n^2 entries with the
+    realized shape."""
+    n, entries, starts = _layout_oracle(index_set)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ShapeParseError(f"expected a {n}x{n} matrix")
+    a = matrix[0][0]
+    if domain.is_zero(a):
+        raise ShapeParseError("scalar parameter is zero")
+    ainv = {e: domain.inv(domain.pow(a, e)) for e in {e for _, _, e, _ in entries}}
+    xmap = {}
+    for r, c, e, w in entries:
+        if w is None:
+            continue
+        x = domain.mul(matrix[r][c], ainv[e])
+        if w in xmap:
+            if not domain.eq(xmap[w], x):
+                raise ShapeParseError(f"window {w} extracted twice with different values")
+        else:
+            xmap[w] = x
+    shape = BlockShape(domain, index_set, a, xmap)
+    eq, is_zero = domain.eq, domain.is_zero
+    for i, (lo, erow, mrow) in enumerate(zip(starts, _realize_oracle(shape), matrix)):
+        if not (
+            all(map(is_zero, mrow[:lo]))
+            and all(map(eq, erow[lo : i + 1], mrow[lo : i + 1]))
+            and all(map(is_zero, mrow[i + 1 :]))
+        ):
+            j = next(j for j in range(n) if not eq(erow[j], mrow[j]))
+            raise ShapeParseError(f"entry ({i}, {j}) off the parameterized shape")
+    return shape
+
+
+def _outcome(parse, *args):
+    """(a, xmap) of a parse, or the text of its ShapeParseError."""
+    try:
+        shape = parse(*args)
+    except ShapeParseError as exc:
+        return str(exc)
+    return shape.a, shape.xmap
+
+
+_index_sets = st.lists(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda e: Index(tuple(e))), min_size=1, max_size=2
+).map(subclosure)
+_POSITION_KINDS = ("in-block", "off-block", "diagonal", "above-diagonal")
+
+
+@pytest.mark.parametrize("dom_key", sorted(KERNEL_DOMAINS))
+@settings(max_examples=50, deadline=None)
+@given(_index_sets, st.lists(st.sampled_from(_POSITION_KINDS), max_size=3), st.integers(0, 2**32 - 1))
+@example(subclosure([Index((1, 1, 2))]), [], 1)
+@example(subclosure([Index((2, 2, 1))]), ["in-block", "off-block"], 2)
+def test_blocks_realize_and_parse_equal_the_whole_matrix_oracles(dom_key, iset, kinds, seed):
+    dom, rng = KERNEL_DOMAINS[dom_key], random.Random(seed)
+    lay = motive._shape_layout(iset)
+    n = lay.size
+    shape, other = motive._random_shape(dom, iset, rng), motive._random_shape(dom, iset, rng)
+    m = shape.realize()
+    assert m == _realize_oracle(shape)
+    assert [[row[lo:hi] for row in m[lo:hi]] for lo, hi in lay.spans] == shape.blocks()
+
+    block_of = [k for k, (lo, hi) in enumerate(lay.spans) for _ in range(lo, hi)]
+    positions = {kind: [] for kind in _POSITION_KINDS}
+    for i in range(n):
+        for j in range(n):
+            kind = ("diagonal" if i == j else "above-diagonal" if j > i else
+                    "in-block" if block_of[i] == block_of[j] else "off-block")
+            positions[kind].append((i, j))
+            if kind == "off-block" and j > i:
+                positions["above-diagonal"].append((i, j))
+    bad = [list(row) for row in m]
+    for kind in kinds:
+        if positions[kind]:
+            i, j = rng.choice(positions[kind])
+            bad[i][j] = dom.add(bad[i][j], dom.one())
+    assert _outcome(BlockShape.parse, dom, iset, bad) == _outcome(_parse_oracle, dom, iset, bad)
+    # the blocks alone: the oracle sees them with zeros outside
+    blocks = [[row[lo:hi] for row in bad[lo:hi]] for lo, hi in lay.spans]
+    inside = [[x if block_of[i] == block_of[j] else dom.zero() for j, x in enumerate(row)] for i, row in enumerate(bad)]
+    assert _outcome(BlockShape.from_blocks, dom, iset, blocks) == _outcome(_parse_oracle, dom, iset, inside)
+
+    # the kernels on each block give the whole-matrix kernels' blocks, and
+    # zeros outside them
+    for whole, per_block in (
+        (_mat_mul(dom, m, other.realize()), [_mat_mul(dom, x, y) for x, y in zip(shape.blocks(), other.blocks())]),
+        (_mat_inv_lower(dom, m), [_mat_inv_lower(dom, x) for x in shape.blocks()]),
+    ):
+        for (lo, hi), block in zip(lay.spans, per_block):
+            for i in range(lo, hi):
+                _assert_entrywise_eq(dom, [whole[i][lo:hi]], [block[i - lo]])
+                assert all(dom.is_zero(x) for x in whole[i][:lo] + whole[i][hi:])
+
+
+@pytest.mark.parametrize("report", [closure_report, commutator_report])
+@pytest.mark.parametrize("where", ["off-block", "in-block"])
+def test_spot_check_catches_a_wrong_whole_matrix_product(monkeypatch, report, where):
+    n = motive._shape_layout(I_12).size
+    i, j = (n - 1, 0) if where == "off-block" else (n - 1, n - 3)  # (7, 5): window (1,2)
+    real = motive._mat_mul
+
+    def wrong(dom, a, b):
+        out = real(dom, a, b)
+        if len(out) == n:  # the whole matrices only, not their blocks
+            out[i][j] = dom.add(out[i][j], dom.one())
+        return out
+
+    assert report(F81, I_12, 5, 1).passed
+    monkeypatch.setattr(motive, "_mat_mul", wrong)
+    rep = report(F81, I_12, 5, 1)
+    assert not rep.passed
+    assert [f[0] for f in rep.failures] == [0] and "spot check" in rep.failures[0][-1], rep.failures

@@ -32,10 +32,13 @@ def test_shell_sampling(monkeypatch, capsys):
         ["F_(3^2)", "closure", "pass"],
         ["F_(3^2)", "commutator", "pass"],
         ["F_3(t)", "closure", "pass"],
+        ["F_3(t)", "commutator", "pass"],
     ]
+    # every row ends with the seconds its run took
+    assert all(line.endswith(" s") and float(line.split()[-2]) >= 0 for line in lines[1:])
     # F_2 draws 1 nonzero value, no more than the degree bound 7, so its runs
-    # certify nothing; F_2(t) draws 31 distinct fractions and passes.  A run
-    # that is not `pass` makes the script exit 1
+    # certify nothing; F_2(t) draws 31 distinct fractions and both laws pass.
+    # A run that is not `pass` makes the script exit 1
     code, lines = run_script(monkeypatch, capsys, "shell_sampling.py", "--fields", "2,1", "--rational")
     assert code == 1
-    assert [line.split()[2] for line in lines[1:]] == ["incomparable", "incomparable", "pass"]
+    assert [line.split()[2] for line in lines[1:]] == ["incomparable", "incomparable", "pass", "pass"]
