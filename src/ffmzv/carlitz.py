@@ -288,6 +288,6 @@ def omega_functional_residual(ctx: CarlitzContext, omega: TateElement) -> Residu
     cap = min(c.prec for c in omega.coeffs)
     work = cap + q * (q - 1) + 2
     factor = tate.from_poly(t_minus_theta_frob(ctx.field, ctx.l), work)
-    twisted = tate.twist(omega, ctx.l).cap_precision(work)
+    twisted = tate.twist(omega, ctx.l, work)
     rhs = (factor * twisted).truncate_tdeg(omega.tdeg)
     return ResidualReport.from_zero_check(tate.zero_check(omega - rhs), q)

@@ -214,21 +214,25 @@ def compare_to_precision(a: LaurentSeries, b: LaurentSeries) -> Comparison:
 # -- twists ------------------------------------------------------------------
 
 
-def twist(f: LaurentSeries, n: int) -> LaurentSeries:
-    """n-fold Frobenius twist: exponents i -> i*p^n, coefficients a -> a^{p^n}."""
+def twist(f: LaurentSeries, n: int, cap: int | None = None) -> LaurentSeries:
+    """n-fold Frobenius twist: exponents i -> i*p^n, coefficients a -> a^{p^n};
+    with `cap`, truncated to O(z^cap) as it is built."""
     if n < 0:
         raise ValueError("twist requires n >= 0")
     if n == 0:
-        return f
+        return f if cap is None else f.truncate(cap)
     o = ops(f.field)
     s = f.field.p**n
+    prec = f.prec * s if cap is None else min(f.prec * s, cap)
     if not f.coeffs:
-        return LaurentSeries(f.field, f.prec * s, [], f.prec * s)
-    out = [0] * ((len(f.coeffs) - 1) * s + 1)
-    for i, c in enumerate(f.coeffs):
+        return LaurentSeries(f.field, prec, [], prec)
+    # only coefficients below prec survive
+    m = min(len(f.coeffs), max(0, -(-(prec - f.val * s) // s)))
+    out = [0] * max(0, (m - 1) * s + 1)
+    for i, c in enumerate(f.coeffs[:m]):
         if c:
             out[i * s] = o.frob_n(c, n)
-    return LaurentSeries(f.field, f.val * s, out, f.prec * s)
+    return LaurentSeries(f.field, f.val * s, out, prec)
 
 
 # -- constructors --------------------------------------------------------------

@@ -19,13 +19,17 @@ residual must fail.  Entry (a, b) of the residual reads only row a of Phi,
 column b of the twisted Psi and Psi[a][b].  The added theta is exact, of
 t-degree 0 and known to the z-precision of Psi[0][0], which is at least the
 least precision of Psi, so the mutation leaves the residual's precision and
-t-degree unchanged: the mutation (i, j) twists only the mutated entry and
-recomputes only the entries (a, j) with a == i or Phi[a][i] != 0; the other
-entry checks are those of the unmutated residual.  One mutation is always
-also recomputed in full by `frobenius_residual` as a spot check, and a
-mismatch raises ConventionError: (r-2, 0) when r >= 2, whose update covers
-both the mutated entry and the entry (r-1, 0) below it that Phi's
-subdiagonal feeds, else (0, 0).
+t-degree unchanged: the mutation (i, j) moves only the entries (a, j) with
+a == i or Phi[a][i] != 0; the other entry checks are those of the unmutated
+residual.  Twisting is additive, so a moved entry is its unmutated value
+plus a correction, -theta on row i and Phi[a][i] * theta^{(n)} on every row
+a that column i of Phi feeds, which depends on (a, i) alone: it is computed
+once per mutated row and added in every column, whose unmutated values are
+held one column at a time.  One mutation is always also recomputed in full
+by `frobenius_residual` as a spot check, and a mismatch raises
+ConventionError: (r-2, 0) when r >= 2, whose update covers both the mutated
+entry and the entry (r-1, 0) below it that Phi's subdiagonal feeds, else
+(0, 0).
 
 The block-group shells of the independence argument live at the bottom of
 the module: parameterized lower-triangular shapes (a) + X_{s_1} + ... with
@@ -259,27 +263,41 @@ def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
     maxdeg = max(
         (pe.deg_theta() for row in phi.entries for pe in row if not pe.is_zero()), default=0
     )
-    cap = p0 + (q - 1) * maxdeg + 8
+    span = (q - 1) * maxdeg
+    if span > MAX_RESIDUAL_SPAN:
+        raise BudgetError(
+            f"the exact side spans {span} z-digits ((q-1) * theta-degree {maxdeg}), "
+            f"which exceeds MAX_RESIDUAL_SPAN = {MAX_RESIDUAL_SPAN}"
+        )
+    cap = p0 + span + 8
     mats = [
         [None if pe.is_zero() else tate.from_poly(pe, cap) for pe in row] for row in phi.entries
     ]
-    tw = [[tate.twist(e, phi.level).cap_precision(cap) for e in row] for row in psi.entries]
+    tw = [[tate.twist(e, phi.level, cap) for e in row] for row in psi.entries]
     return _Residual(q, cap, tdeg, mats, [list(c) for c in zip(*tw)])
 
 
-def _residual_entry(res: _Residual, a: int, entry: TateElement, col) -> tate.ZeroCheck:
-    """Zero check of entry - sum_k Phi[a][k] * col[k], where entry is Psi[a][b]
-    and col is column b of Psi^{(n)}."""
+def _minus_one(entry: TateElement) -> TateElement:
+    """-1, known to entry's largest relative precision, so that entry times
+    it keeps entry's precision."""
+    rel = max(1, *(c.prec - c.val for c in entry.coeffs))
+    return tate.from_laurent(LaurentSeries(entry.field, 0, [ops(entry.field).neg[1]], rel))
+
+
+def _residual_value(res: _Residual, a: int, entry: TateElement, col) -> TateElement:
+    """sum_k Phi[a][k] * col[k] - entry, the negated residual entry, where
+    entry is Psi[a][b] and col is column b of Psi^{(n)}; it has the same zero
+    check as the residual entry."""
     pairs = [(mat, tw) for mat, tw in zip(res.mats[a], col) if mat is not None]
     if not pairs:
-        return tate.zero_check(entry)
-    # the negated residual sum_k Phi[a][k] * col[k] - entry has the same zero
-    # check, and is one dot: entry times -1, known to entry's largest
-    # relative precision so that the product keeps entry's, comes first
-    fld = entry.field
-    rel = max(1, *(c.prec - c.val for c in entry.coeffs))
-    minus_one = tate.from_laurent(LaurentSeries(fld, 0, [ops(fld).neg[1]], rel))
-    return tate.zero_check(tate.dot([(entry, minus_one)] + pairs, res.tdeg))
+        return -entry
+    # one dot: entry times -1 comes first
+    return tate.dot([(entry, _minus_one(entry))] + pairs, res.tdeg)
+
+
+def _residual_entry(res: _Residual, a: int, entry: TateElement, col) -> tate.ZeroCheck:
+    """Zero check of entry - sum_k Phi[a][k] * col[k]."""
+    return tate.zero_check(_residual_value(res, a, entry, col))
 
 
 def _entry_checks(res: _Residual, psi: MotiveMatrix) -> list[list[tate.ZeroCheck]]:
@@ -318,47 +336,85 @@ def frobenius_residual(phi: MotiveMatrix, psi: MotiveMatrix) -> ResidualReport:
     return _fold_residual(_entry_checks(res, psi), res.q)
 
 
-def _mutation_residual(
-    phi: MotiveMatrix, psi: MotiveMatrix, res: _Residual, checks, th: TateElement, i: int, j: int
-) -> ResidualReport:
-    """The report of frobenius_residual(phi, perturb_entry(psi, i, j)), given
-    the set-up and entry checks of the unmutated residual."""
-    new = psi.entries[i][j] + th
-    col = list(res.cols[j])
-    col[i] = tate.twist(new, phi.level).cap_precision(res.cap)
-    out = [row[:] for row in checks]
-    for a in range(psi.size):
-        if a == i:
-            out[a][j] = _residual_entry(res, a, new, col)
-        elif res.mats[a][i] is not None:
-            out[a][j] = _residual_entry(res, a, psi.entries[a][j], col)
-    return _fold_residual(out, res.q)
+def _corrections(
+    res: _Residual, th: TateElement, thn: TateElement, i: int
+) -> dict[int, TateElement]:
+    """What adding th to Psi[i][b] adds to the negated residual entries of
+    column b, whatever b: Phi[a][i] * thn on every row a that column i of
+    Phi feeds, and -th on row i; thn is th^{(n)} capped as the columns are."""
+    out = {}
+    for a, row in enumerate(res.mats):
+        pairs = [(th, _minus_one(th))] if a == i else []
+        if row[i] is not None:
+            pairs.append((row[i], thn))
+        if pairs:
+            out[a] = tate.dot(pairs, res.tdeg)
+    return out
+
+
+def _mutation_checks(values: list, corr: dict[int, TateElement]) -> dict[int, tate.ZeroCheck]:
+    """The entry checks of one column that a mutation moves: base value
+    plus correction on every row the correction names."""
+    return {a: tate.zero_check(values[a] + c) for a, c in corr.items()}
+
+
+def _mutation_reports(
+    phi: MotiveMatrix, psi: MotiveMatrix, res: _Residual
+) -> tuple[list[list[tate.ZeroCheck]], dict[tuple[int, int], ResidualReport]]:
+    """The entry checks of the unmutated residual, and the report of
+    frobenius_residual(phi, perturb_entry(psi, i, j)) for every (i, j).
+
+    Column by column, the base entry values are held while the mutations of
+    that column add their corrections; only the moved checks are kept.  The
+    sums are known exactly as far as a full recomputation knows them, except
+    where theta^{(n)} cancels the leading term of a twisted entry: there the
+    full recomputation's twisted entry has a higher valuation, and its
+    products a higher precision.
+    """
+    th = _theta_mutation(psi)
+    thn = tate.twist(th, phi.level, res.cap)
+    r = psi.size
+    corr = [_corrections(res, th, thn, i) for i in range(r)]
+    checks: list[list] = [[None] * r for _ in range(r)]
+    moved = {}
+    for j in range(r):
+        values = [_residual_value(res, a, psi.entries[a][j], res.cols[j]) for a in range(r)]
+        for a, v in enumerate(values):
+            checks[a][j] = tate.zero_check(v)
+        for i in range(r):
+            moved[i, j] = _mutation_checks(values, corr[i])
+    reports = {}
+    for i in range(r):
+        for j in range(r):
+            out = [row[:] for row in checks]
+            for a, chk in moved[i, j].items():
+                out[a][j] = chk
+            reports[i, j] = _fold_residual(out, res.q)
+    return checks, reports
 
 
 def residual_and_kill(phi: MotiveMatrix, psi: MotiveMatrix) -> tuple[ResidualReport, CheckReport]:
     """frobenius_residual(phi, psi) and the mutation kill report of
-    mutation_kill_report, from one residual set-up and one pass of entry checks.
+    mutation_kill_report, from one residual set-up and one pass of entry
+    values.
 
     Each mutation perturbs one entry of the series side, and every mutated
-    residual must fail.  The residual of each mutation is computed
-    incrementally; the (r-2, 0) mutation ((0, 0) when r == 1) is also
-    recomputed in full, and a mismatch raises ConventionError.
+    residual must fail.  A mutated residual entry is the unmutated one plus
+    a correction that depends only on the mutated row and the entry's row
+    (see _corrections), so the r^2 mutations cost r sets of corrections and
+    one addition per moved entry instead of full entry dots; the (r-2, 0)
+    mutation ((0, 0) when r == 1) is also recomputed in full, and a mismatch
+    raises ConventionError.
     """
     res = _residual_setup(phi, psi)
-    checks = _entry_checks(res, psi)
-    th = _theta_mutation(psi)
+    checks, reports = _mutation_reports(phi, psi, res)
     r = psi.size
     spot = (max(r - 2, 0), 0)
-    survivors = []
-    for i in range(r):
-        for j in range(r):
-            rep = _mutation_residual(phi, psi, res, checks, th, i, j)
-            if (i, j) == spot and frobenius_residual(phi, perturb_entry(psi, i, j)) != rep:
-                raise ConventionError(
-                    f"incremental residual of mutation {(i, j)} differs from full recomputation"
-                )
-            if rep.passed:
-                survivors.append((i, j))
+    if frobenius_residual(phi, perturb_entry(psi, *spot)) != reports[spot]:
+        raise ConventionError(
+            f"incremental residual of mutation {spot} differs from full recomputation"
+        )
+    survivors = [ij for ij, rep in reports.items() if rep.passed]
     kill = CheckReport(
         passed=not survivors,
         checked=r * r,
@@ -426,7 +482,7 @@ def component_collapse_report(
             L[(a, b)] = cmpl_series(ctx, window, tdeg, prec)
         L[(a, a)] = tate.one(fld, prec + 4, 0)
     ompow = omega_power(ctx, sum(s.entries[j - 1 : i - 1]), tdeg, prec)
-    acc = None
+    terms = []
     for n in range(j, i + 1):
         # inverse-of-unipotent chain coefficient from n up to i
         if n == i:
@@ -442,8 +498,8 @@ def component_collapse_report(
                         prod = prod * L[(a, b)]
                     prod = -prod if (len(chain) - 1) % 2 == 1 else prod
                     coeff = prod if coeff is None else coeff + prod
-        term = (coeff * ompow * L[(n, j)]).truncate_tdeg(tdeg)
-        acc = term if acc is None else acc + term
+        terms.append((coeff * ompow, L[(n, j)]))
+    acc = tate.dot(terms, tdeg)
     return ResidualReport.from_zero_check(
         tate.zero_check(acc), q, prefix=(i, j), note="collapsed alternating chain sum"
     )
@@ -500,6 +556,9 @@ class FiniteFieldDomain:
 
 MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degree <= 2
 MAX_POWER_DEGREE = 128  # F_p(t) refuses a power whose degree bound is larger
+# a residual refuses an exact side whose z-span (q-1) * deg_theta is larger:
+# every Phi coefficient becomes a z-series that long
+MAX_RESIDUAL_SPAN = 500_000
 
 
 class RationalFunctionDomain:

@@ -491,6 +491,13 @@ def cmpl_series(
 
 
 def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> TateElement:
+    """The polylogarithm series, summed over the degree tuples as one dot.
+
+    The tuple (i_1 > ... > i_d >= 0) contributes u_1^(i_1 l)...u_d^(i_d l)
+    times prod_{a <= i_1} (t - theta^(q^a))^(-e_a), e_a the sum of the s_j
+    with i_j >= a.  That product depends only on (e_1..e_(i_1)) and is a
+    cached prefix product, so the windows of one Psi share it.
+    """
     q, fld = ctx.q, ctx.field
     check_convergence(ctx, spec)
     if any(ui.is_zero() for ui in spec.u):
@@ -509,23 +516,40 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
         (sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples), default=0
     )
     rel = work - min(bmin, 0) + 6
-    acc = tate.zero(fld, work, tdeg)
+    pairs = []
     for tup in tuples:
         num = spec.u[0].twist(tup[0] * ctx.l)
         for j in range(1, d):
             num = num * spec.u[j].twist(tup[j] * ctx.l)
-        term = tate.from_poly(num, -(q - 1) * num.deg_theta() + rel)
-        # group the inverted linear factors by twist exponent
-        for a in range(1, tup[0] + 1):
-            e = sum(entries[j] for j in range(d) if tup[j] >= a)
-            fac = ctx.cached(("teinv", a, e, tdeg, rel), lambda: _teinv(ctx, a, e, tdeg, rel))
-            term = (term * fac).truncate_tdeg(tdeg)
-        acc = acc + term
+        exps = tuple(
+            sum(entries[j] for j in range(d) if tup[j] >= a) for a in range(1, tup[0] + 1)
+        )
+        prefix = _teinv_prefix(ctx, exps, tdeg, rel)
+        pairs.append((tate.from_poly(num, -(q - 1) * num.deg_theta() + rel), prefix))
+    acc = tate.dot(pairs, tdeg) if pairs else tate.zero(fld, work, tdeg)
     coeffs = [c.truncate(work) for c in acc.coeffs]
     while len(coeffs) < tdeg + 1:
         coeffs.append(ls_zero(fld, work))
     tau_min = sum(deltas) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
     return TateElement(fld, coeffs[: tdeg + 1], (sigma, tau_min), False)
+
+
+def _teinv_prefix(ctx: CarlitzContext, exps: tuple[int, ...], tdeg: int, rel: int) -> TateElement:
+    """prod_{a <= len(exps)} (t - theta^(q^a))^(-exps[a-1]) to t-degree tdeg,
+    cached per exponent sequence and built from the prefix one shorter.  The
+    empty product is the exact 1 known to rel z-digits, so that a numerator,
+    known to at most rel relative digits, keeps its precision times it."""
+
+    def build() -> TateElement:
+        if not exps:
+            return tate.one(ctx.field, rel, 0)
+        a, e = len(exps), exps[-1]
+        fac = ctx.cached(("teinv", a, e, tdeg, rel), lambda: _teinv(ctx, a, e, tdeg, rel))
+        if a == 1:
+            return fac
+        return (_teinv_prefix(ctx, exps[:-1], tdeg, rel) * fac).truncate_tdeg(tdeg)
+
+    return ctx.cached(("teprod", exps, tdeg, rel), build)
 
 
 def _teinv(ctx: CarlitzContext, a: int, e: int, tdeg: int, rel: int) -> TateElement:

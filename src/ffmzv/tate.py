@@ -229,15 +229,16 @@ def dot(pairs: list[tuple[TateElement, TateElement]], tdeg: int) -> TateElement:
 # -- twists -------------------------------------------------------------------
 
 
-def twist(f: TateElement, n: int) -> TateElement:
-    """n-fold twist: t-exponents fixed, every coefficient twisted."""
+def twist(f: TateElement, n: int, cap: int | None = None) -> TateElement:
+    """n-fold twist: t-exponents fixed, every coefficient twisted; with `cap`,
+    every coefficient is truncated to O(z^cap) as it is built."""
     if n < 0:
         raise ValueError("twist requires n >= 0")
     if n == 0:
-        return f
+        return f if cap is None else f.cap_precision(cap)
     s = f.field.p**n
     tail = None if f.tail is None else (f.tail[0] * s, f.tail[1] * s)
-    return TateElement(f.field, [ls_twist(c, n) for c in f.coeffs], tail, f.exact)
+    return TateElement(f.field, [ls_twist(c, n, cap) for c in f.coeffs], tail, f.exact)
 
 
 # -- constructors ---------------------------------------------------------------

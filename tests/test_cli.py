@@ -7,6 +7,7 @@ import pytest
 from ffmzv.cli import main
 from ffmzv.carlitz import CarlitzContext
 from ffmzv.laurent import to_text
+from ffmzv.motive import MAX_RESIDUAL_SPAN
 from ffmzv.special import Index, mzv
 
 
@@ -170,6 +171,15 @@ def test_budget_cap_reported(capsys):
     for name in ("carlitz-tower-oracle", "mzv-bruteforce-equivalence"):
         assert checks[name]["status"] == "fail"
         assert "BudgetError" in checks[name]["detail"]
+
+
+def test_residual_span_refused_up_front(capsys):
+    # at q = 343 the derived exact side spans about 10^9 z-digits, which
+    # would each become a z-series that long: refused before any is built
+    code, out, err = run_cli(capsys, "verify-derived", "--p", "7", "--l", "3", "--index", "8,8,8")
+    assert code == 1 and out == ""
+    assert err.startswith("error: BudgetError: ")
+    assert "968478336" in err and f"MAX_RESIDUAL_SPAN = {MAX_RESIDUAL_SPAN}" in err
 
 
 def test_verify_period_low_precision_never_spurious(capsys):

@@ -25,7 +25,9 @@ a dash):
 
 `--prec` and `--tdeg` keep their defaults (40 and 12).
 `verify-rat` and `verify-derived` are left out: at q = 343 and index
-(8,8,8), `verify-derived` exhausts memory and `verify-rat` takes seconds.
+(8,8,8) both now refuse up front with a `BudgetError` (the exact side's
+z-span against `MAX_RESIDUAL_SPAN`), but their cost below that cap, and for
+large `--derive`, has no up-front estimate yet.
 """
 
 import builtins

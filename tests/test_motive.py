@@ -129,12 +129,11 @@ def _mutation_systems(p, l):
 
 def _assert_incremental_equals_full(phi, psi):
     res = motive._residual_setup(phi, psi)
-    checks = motive._entry_checks(res, psi)
-    th = motive._theta_mutation(psi)
-    for i in range(psi.size):
-        for j in range(psi.size):
-            got = motive._mutation_residual(phi, psi, res, checks, th, i, j)
-            assert got == frobenius_residual(phi, perturb_entry(psi, i, j)), (i, j)
+    checks, reports = motive._mutation_reports(phi, psi, res)
+    assert motive._fold_residual(checks, res.q) == frobenius_residual(phi, psi)
+    assert sorted(reports) == [(i, j) for i in range(psi.size) for j in range(psi.size)]
+    for (i, j), got in reports.items():
+        assert got == frobenius_residual(phi, perturb_entry(psi, i, j)), (i, j)
 
 
 @pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
@@ -174,44 +173,69 @@ def test_mutation_kill_recomputes_one_residual_in_full(monkeypatch):
     assert len(calls) == 1  # the spot check
 
 
+def _spot_check_system():
+    # s = q + 1 gives an argument of positive theta-degree, so that the entry
+    # below a mutated one changes the report
+    ctx = CarlitzContext(2, 1, prec=40, tdeg=6)
+    s = Index((1, ctx.q + 1))
+    u = at_arguments(ctx, s)
+    return ctx, phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+
+
+def _assert_only_the_spot_check_sees(ctx, phi, psi):
+    # every mutation of the mutant still fails, so only the spot check can
+    # see it
+    _, reports = motive._mutation_reports(phi, psi, motive._residual_setup(phi, psi))
+    assert not any(rep.passed for rep in reports.values())
+    r = psi.size
+    with pytest.raises(ConventionError, match=rf"mutation \({r - 2}, 0\)"):
+        mutation_kill_report(ctx, phi, psi)
+
+
 def test_mutation_spot_check_catches_a_missed_mutation(monkeypatch):
     ctx = CarlitzContext(2, 1, prec=40, tdeg=6)
     s = Index((1, 2))
     u = at_arguments(ctx, s)
     phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
-    unmutated = frobenius_residual(phi, psi)
-    monkeypatch.setattr(motive, "_mutation_residual", lambda *args: unmutated)
+    # a mutant that moves no entry: every mutated report is the unmutated one
+    monkeypatch.setattr(motive, "_mutation_checks", lambda values, corr: {})
     with pytest.raises(ConventionError):
         mutation_kill_report(ctx, phi, psi)
 
 
 def test_mutation_spot_check_covers_the_entry_below(monkeypatch):
     # a mutant that updates only the mutated entry, never the entries that
-    # Phi's subdiagonal feeds; s = q + 1 makes the missed entry matter
-    ctx = CarlitzContext(2, 1, prec=40, tdeg=6)
-    s = Index((1, ctx.q + 1))
-    u = at_arguments(ctx, s)
-    phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+    # Phi's subdiagonal feeds; Phi is lower triangular, so the mutated row is
+    # the least row a correction names
+    ctx, phi, psi = _spot_check_system()
 
-    def own_entry_only(phi, psi, res, checks, th, i, j):
-        new = psi.entries[i][j] + th
-        col = list(res.cols[j])
-        col[i] = tate.twist(new, phi.level).cap_precision(res.cap)
-        out = [row[:] for row in checks]
-        out[i][j] = motive._residual_entry(res, i, new, col)
-        return motive._fold_residual(out, res.q)
+    def own_entry_only(values, corr):
+        i = min(corr)
+        return {i: tate.zero_check(values[i] + corr[i])}
 
-    monkeypatch.setattr(motive, "_mutation_residual", own_entry_only)
-    # every mutation still fails, so only the spot check can see the mutant
-    res = motive._residual_setup(phi, psi)
-    checks = motive._entry_checks(res, psi)
-    th = motive._theta_mutation(psi)
-    r = psi.size
-    assert not any(
-        own_entry_only(phi, psi, res, checks, th, i, j).passed for i in range(r) for j in range(r)
-    )
-    with pytest.raises(ConventionError, match=rf"mutation \({r - 2}, 0\)"):
-        mutation_kill_report(ctx, phi, psi)
+    monkeypatch.setattr(motive, "_mutation_checks", own_entry_only)
+    _assert_only_the_spot_check_sees(ctx, phi, psi)
+
+
+_CORRECTIONS = motive._corrections
+
+
+def _theta_only(res, th, thn, i):
+    # the correction on the mutated row alone, and without Phi[i][i] * th^(n)
+    return {i: -th}
+
+
+def _mutated_row_only(res, th, thn, i):
+    # the mutated row's correction; the subdiagonal's Phi[a][i] * th^(n) on
+    # the rows below is dropped
+    return {i: _CORRECTIONS(res, th, thn, i)[i]}
+
+
+@pytest.mark.parametrize("mutant", [_mutated_row_only, _theta_only])
+def test_mutation_spot_check_catches_a_dropped_correction(monkeypatch, mutant):
+    ctx, phi, psi = _spot_check_system()
+    monkeypatch.setattr(motive, "_corrections", mutant)
+    _assert_only_the_spot_check_sees(ctx, phi, psi)
 
 
 def test_cached_omega_and_window_series_equal_fresh_builds():

@@ -1,0 +1,253 @@
+"""The motive-residual fast paths against the paths they replaced.
+
+The oracles here are the replaced code, kept as it was:
+
+* `_cmpl_series_oracle`: every degree tuple multiplies its own inverted
+  linear factors into its numerator, one after the other, and the tuples
+  are added one by one;
+* `_mutation_residual_oracle`: a mutation twists the mutated entry and
+  recomputes every residual entry it moves as a full dot;
+* `_collapse_oracle`: the collapsed chain sum adds its truncated terms one
+  by one.
+
+The fast paths must give the same elements (val, coeffs and prec of every
+coefficient, tail and exactness) and the same reports.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ffmzv import motive, special, tate
+from ffmzv.carlitz import CarlitzContext, omega_power
+from ffmzv.ffield import field
+from ffmzv.laurent import LaurentSeries
+from ffmzv.laurent import twist as ls_twist
+from ffmzv.laurent import zero as ls_zero
+from ffmzv.motive import (
+    component_collapse_report,
+    derived_matrix,
+    frobenius_residual,
+    perturb_entry,
+    phi_matrix,
+    psi_matrix,
+)
+from ffmzv.reports import ResidualReport
+from ffmzv.special import CmplSpec, Index, at_arguments, cmpl_series
+from ffmzv.tate import TateElement
+
+CONFIGS = [(2, 1), (3, 1), (2, 2)]
+
+
+def _data(x: TateElement):
+    return x.tail, x.exact, [(c.val, c.coeffs, c.prec) for c in x.coeffs]
+
+
+# -- oracles ----------------------------------------------------------------------
+
+
+def _cmpl_series_oracle(ctx, spec, tdeg, prec):
+    q, fld = ctx.q, ctx.field
+    special.check_convergence(ctx, spec)
+    if any(ui.is_zero() for ui in spec.u):
+        return tate.zero(fld, prec, tdeg)
+    entries = spec.s.entries
+    d = spec.s.dep
+    deltas = special._deltas(ctx, spec)
+    work = prec + 4
+    sigma = (q - 1) * q
+
+    def contrib(j, v):
+        return q**v * deltas[j] - entries[j] * q
+
+    tuples = list(special._decreasing_tuples(d, contrib, work))
+    bmin = min((sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples), default=0)
+    rel = work - min(bmin, 0) + 6
+    acc = tate.zero(fld, work, tdeg)
+    for tup in tuples:
+        num = spec.u[0].twist(tup[0] * ctx.l)
+        for j in range(1, d):
+            num = num * spec.u[j].twist(tup[j] * ctx.l)
+        term = tate.from_poly(num, -(q - 1) * num.deg_theta() + rel)
+        for a in range(1, tup[0] + 1):
+            e = sum(entries[j] for j in range(d) if tup[j] >= a)
+            term = (term * special._teinv(ctx, a, e, tdeg, rel)).truncate_tdeg(tdeg)
+        acc = acc + term
+    coeffs = [c.truncate(work) for c in acc.coeffs]
+    while len(coeffs) < tdeg + 1:
+        coeffs.append(ls_zero(fld, work))
+    tau_min = sum(deltas) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
+    return TateElement(fld, coeffs[: tdeg + 1], (sigma, tau_min), False)
+
+
+def _mutation_residual_oracle(phi, psi, res, checks, th, i, j):
+    new = psi.entries[i][j] + th
+    col = list(res.cols[j])
+    col[i] = tate.twist(new, phi.level).cap_precision(res.cap)
+    out = [row[:] for row in checks]
+    for a in range(psi.size):
+        if a == i:
+            out[a][j] = motive._residual_entry(res, a, new, col)
+        elif res.mats[a][i] is not None:
+            out[a][j] = motive._residual_entry(res, a, psi.entries[a][j], col)
+    return motive._fold_residual(out, res.q)
+
+
+def _collapse_oracle(ctx, s, i, j, tdeg, prec):
+    """component_collapse_report for i > j with AT arguments, adding terms one by one."""
+    fld, u, d = ctx.field, at_arguments(ctx, s), s.dep
+    L = {}
+    for a in range(1, d + 2):
+        for b in range(1, a):
+            window = CmplSpec(Index(s.entries[b - 1 : a - 1]), tuple(u[b - 1 : a - 1]))
+            L[(a, b)] = cmpl_series(ctx, window, tdeg, prec)
+        L[(a, a)] = tate.one(fld, prec + 4, 0)
+    ompow = omega_power(ctx, sum(s.entries[j - 1 : i - 1]), tdeg, prec)
+    acc = None
+    for n in range(j, i + 1):
+        if n == i:
+            coeff = tate.one(fld, prec + 4, 0)
+        else:
+            coeff = None
+            mids = list(range(n + 1, i))
+            for m_len in range(0, len(mids) + 1):
+                for subset in combinations(mids, m_len):
+                    chain = (n,) + subset + (i,)
+                    prod = L[(chain[1], chain[0])]
+                    for a, b in zip(chain[2:], chain[1:]):
+                        prod = prod * L[(a, b)]
+                    prod = -prod if (len(chain) - 1) % 2 == 1 else prod
+                    coeff = prod if coeff is None else coeff + prod
+        term = (coeff * ompow * L[(n, j)]).truncate_tdeg(tdeg)
+        acc = term if acc is None else acc + term
+    return ResidualReport.from_zero_check(
+        tate.zero_check(acc), ctx.q, prefix=(i, j), note="collapsed alternating chain sum"
+    )
+
+
+# -- polylogarithm windows ------------------------------------------------------------
+
+
+@st.composite
+def _systems(draw, max_prec=72, max_tdeg=14):
+    p, l = draw(st.sampled_from(CONFIGS))
+    q = p**l
+    entries = tuple(draw(st.lists(st.integers(1, q + 2), min_size=1, max_size=3)))
+    prec = draw(st.integers(6, max_prec))
+    tdeg = draw(st.integers(0, max_tdeg))
+    return p, l, entries, prec, tdeg
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems())
+@example((2, 1, (1, 2, 1), 72, 14))
+@example((2, 2, (3, 1, 2), 40, 8))
+@example((3, 1, (4,), 6, 0))
+def test_windows_equal_the_per_tuple_oracle(system):
+    p, l, entries, prec, tdeg = system
+    ctx = CarlitzContext(p, l, prec=prec, tdeg=tdeg)
+    s = Index(entries)
+    u = at_arguments(ctx, s)
+    for a in range(s.dep):
+        for b in range(a + 1, s.dep + 1):
+            w = CmplSpec(Index(entries[a:b]), u[a:b])
+            want = _data(_cmpl_series_oracle(ctx, w, tdeg, prec))
+            assert _data(special._cmpl_series(ctx, w, tdeg, prec)) == want, (a, b)
+
+
+def test_psi_matrix_makes_at_most_half_the_products(monkeypatch):
+    """Regression guard: the windows of one Psi share their prefix products."""
+
+    def convolve_calls():
+        calls = []
+        convolve = tate._convolve
+        monkeypatch.setattr(tate, "_convolve", lambda *a: calls.append(1) or convolve(*a))
+        ctx = CarlitzContext(2, 1, prec=72, tdeg=14)
+        s = Index((1, 2, 1))
+        psi_matrix(ctx, at_arguments(ctx, s), s)
+        monkeypatch.setattr(tate, "_convolve", convolve)
+        return len(calls)
+
+    new = convolve_calls()
+    monkeypatch.setattr(special, "_cmpl_series", _cmpl_series_oracle)
+    old = convolve_calls()
+    assert 2 * new <= old, (new, old)
+
+
+# -- mutation reports -----------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(_systems(max_prec=48, max_tdeg=8), st.sampled_from([1, 2, 3]))
+@example((2, 1, (1, 3), 40, 6), 2)
+@example((2, 2, (1, 2, 1), 40, 8), 3)
+@example((3, 1, (4,), 20, 4), 1)
+def test_every_mutation_report_equals_full_recomputation(system, derive):
+    p, l, entries, prec, tdeg = system
+    ctx = CarlitzContext(p, l, prec=prec, tdeg=tdeg)
+    s = Index(entries)
+    u = at_arguments(ctx, s)
+    psi = psi_matrix(ctx, u, s)
+    phi = phi_matrix(ctx, u, s)
+    if derive > 1:
+        phi = derived_matrix(phi, derive)
+    res = motive._residual_setup(phi, psi)
+    checks, reports = motive._mutation_reports(phi, psi, res)
+    assert checks == motive._entry_checks(res, psi)
+    th = motive._theta_mutation(psi)
+    r = psi.size
+    assert list(reports) == [(i, j) for i in range(r) for j in range(r)]
+    for (i, j), rep in reports.items():
+        assert rep == _mutation_residual_oracle(phi, psi, res, checks, th, i, j), (i, j)
+        assert rep == frobenius_residual(phi, perturb_entry(psi, i, j)), (i, j)
+
+
+# -- the collapse sum -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,l", CONFIGS)
+@pytest.mark.parametrize("entries", [(3,), (2, 1), (1, 2, 1)])
+def test_collapse_reports_equal_the_term_by_term_sum(p, l, entries):
+    ctx = CarlitzContext(p, l, prec=40, tdeg=8)
+    s = Index(entries)
+    for i in range(2, s.dep + 2):
+        for j in range(1, i):
+            want = _collapse_oracle(ctx, s, i, j, 8, 40)
+            assert component_collapse_report(ctx, s, i, j) == want, (i, j)
+
+
+# -- twists with a cap ------------------------------------------------------------------
+
+
+@st.composite
+def _laurent(draw, fld):
+    coeffs = draw(st.lists(st.integers(0, fld.order - 1), max_size=8))
+    val = draw(st.integers(-12, 6))
+    prec = val + len(coeffs) + draw(st.integers(0, 4))
+    return LaurentSeries(fld, val, coeffs, prec)
+
+
+def _caps(f: LaurentSeries, s: int):
+    """Caps below the twisted valuation, inside the series and above its precision."""
+    lo, hi = f.val * s, f.prec * s
+    return sorted({lo - 5, lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 7})
+
+
+def _ls_data(c: LaurentSeries):
+    return c.val, c.coeffs, c.prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), st.integers(0, 3), st.data())
+def test_twist_with_cap_equals_twist_then_truncate(pl, n, data):
+    fld = field(*pl)
+    s = fld.p**n
+    f = data.draw(_laurent(fld))
+    for cap in _caps(f, s):
+        assert _ls_data(ls_twist(f, n, cap)) == _ls_data(ls_twist(f, n).truncate(cap)), cap
+    coeffs = [f] + data.draw(st.lists(_laurent(fld), max_size=3))
+    tail = data.draw(st.one_of(st.none(), st.tuples(st.integers(1, 9), st.integers(-20, 20))))
+    g = TateElement(fld, coeffs, tail, tail is None and data.draw(st.booleans()))
+    for cap in _caps(f, s):
+        assert _data(tate.twist(g, n, cap)) == _data(tate.twist(g, n).cap_precision(cap)), cap
