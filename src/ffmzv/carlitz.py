@@ -11,6 +11,9 @@ Working conventions at level l (q = p^l):
     derived from the precision target, never user-guessed.
   * pi_tilde = theta*(-theta)^{1/(q-1)} * prod (1 - theta^{1-q^i})^{-1}, an
     independent computation path cross-checked against 1/Omega(theta).
+  * Omega's functional equation Omega = (t - theta^q) Omega^{(l)} is the
+    residual of the 1x1 system (t - theta stored twisted, Omega), computed by
+    the same `tate` residual as every matrix system.
 
 All formulas use explicit field negation, so characteristic 2 needs no
 special-casing (-1 = 1 there).
@@ -274,8 +277,9 @@ def pi_omega_cross_check(ctx: CarlitzContext, target: int) -> IdentityReport:
 def omega_functional_residual(ctx: CarlitzContext, omega: TateElement) -> ResidualReport:
     """Residual of Omega = (t - theta^q) * Omega^(l), the defining equation.
 
-    Verified, not assumed: reports the worst Gauss-norm exponent of the
-    difference against the certified precision floor.
+    Verified, not assumed: after a precheck of the constant coefficient, the
+    residual of the 1x1 system (t - theta stored twisted, Omega), with its
+    worst Gauss-norm exponent against the certified precision floor.
     """
     if omega.coeffs[0].is_zero():
         return ResidualReport(
@@ -284,10 +288,6 @@ def omega_functional_residual(ctx: CarlitzContext, omega: TateElement) -> Residu
             floor_z=min(c.prec for c in omega.coeffs),
             note="sanity precheck failed: constant coefficient is zero to precision",
         )
-    q = ctx.q
-    cap = min(c.prec for c in omega.coeffs)
-    work = cap + q * (q - 1) + 2
-    factor = tate.from_poly(t_minus_theta_frob(ctx.field, ctx.l), work)
-    twisted = tate.twist(omega, ctx.l, work)
-    rhs = (factor * twisted).truncate_tdeg(omega.tdeg)
-    return ResidualReport.from_zero_check(tate.zero_check(omega - rhs), q)
+    psi = [[omega]]
+    res = tate.residual_setup([[t_minus_theta_frob(ctx.field, ctx.l)]], psi, ctx.l)
+    return ResidualReport.from_checks(tate.residual_checks(res, psi), ctx.q)

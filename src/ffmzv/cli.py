@@ -4,7 +4,8 @@ Every report carries the three convention notes (uniformizer, generating
 series slot, twisted verification form) so results are interpretable without
 the source.  Exit codes: 0 pass/success, 1 verification failure, 2 usage
 error.  Output is deterministic for identical (argv, seed); runtimes are
-zeroed unless --timings is given.
+zeroed unless --timings is given.  Each command is one handler that reads
+only its own options; every report but the suite's shares one envelope.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from typing import Callable, NamedTuple
 
 from .carlitz import CarlitzContext, omega_functional_residual, omega_series, pi_tilde
 from .errors import FfmzvError
@@ -51,7 +53,7 @@ from .tate import to_text as tate_text
 
 
 # argparse keywords of every option ("index?" is an optional --index); each
-# command lists the ones it reads
+# command in _COMMANDS lists the ones it reads
 _OPTIONS = {
     "p": dict(type=int, default=2, help="characteristic (prime)"),
     "l": dict(type=int, default=1, help="level: the constant field is F_q, q = p^l"),
@@ -71,38 +73,6 @@ _OPTIONS = {
     "timings": dict(action="store_true", help="report real runtimes (non-deterministic)"),
     "fixtures": dict(help="override golden fixtures directory"),
 }
-
-_GROUP = "indices gf samples rational seed"
-
-# name: (help, options read)
-_COMMANDS = {
-    "mzv": ("zeta value by direct summation", "p l index prec"),
-    "atpoly": ("generating-series polynomials H_0..H_smax", "p l smax"),
-    "omega": ("period product series and its functional equation", "p l prec tdeg"),
-    "pitilde": ("the fundamental period by its product formula", "p l prec"),
-    "cmpl": ("multiple polylogarithm value and series", "p l index u prec tdeg"),
-    "verify-period": ("factorial*zeta = polylog value at the H arguments", "p l index prec"),
-    "verify-rat": ("series side satisfies the twisted difference equation", "p l index prec tdeg"),
-    "verify-derived": (
-        "same trivialization for the derived system",
-        "p l index? derive prec tdeg",
-    ),
-    "group-closure": ("block shape closure/inverse re-parse on samples", _GROUP),
-    "group-commutator": ("exact commutator coordinate law on samples", _GROUP),
-    "suite": ("the full verification matrix", "seed enum-budget timings fixtures"),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ffmzv", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (hlp, options) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=hlp)
-        for opt in options.split():
-            sp.add_argument("--" + opt.rstrip("?"), **_OPTIONS[opt])
-        sp.add_argument("--format", choices=("text", "json"), default="json")
-    return ap
-
 
 # least value of each integer option (argparse has checked that it is one)
 _LEAST = {"l": 1, "prec": 1, "tdeg": 0, "smax": 0, "derive": 1, "samples": 1}
@@ -150,12 +120,6 @@ def _envelope(args, **payload) -> dict:
     }
 
 
-def _verdict(args, report: dict) -> int:
-    """Emit a report; exit 0 only if every one of its checks passed."""
-    _emit(args, report)
-    return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
-
-
 def _emit(args, report: dict) -> None:
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -197,123 +161,160 @@ def _gf_field(text: str) -> tuple[int, int]:
     return p, ndeg
 
 
+def _checked(entry: dict, **payload) -> tuple[dict, bool]:
+    """A payload whose one check is entry, and whether that check passed."""
+    return {**payload, "checks": [entry]}, entry["status"] == "pass"
+
+
+def _suite(args, ctx, s):
+    cfg = RunConfig(
+        seed=args.seed,
+        timings=args.timings,
+        enum_budget=args.enum_budget,
+        fixtures_dir=args.fixtures,
+    )
+    report = run_suite(cfg)
+    return report, report["passed"]
+
+
+def _group(law, args, ctx, s):
+    p, ndeg = _gf_field(args.gf)
+    dom = RationalFunctionDomain(p) if args.rational else FiniteFieldDomain(ff_field(p, ndeg))
+    idx = subclosure(_parse("--indices", parse_index_set, args.indices))
+    rep = law(dom, idx, args.samples, args.seed)
+    detail = rep.note if rep.passed else str(rep.failures[:3])
+    return _checked(
+        check_entry(args.command, rep.verdict(), detail),
+        index_set=[str(i) for i in idx],
+        domain=dom.name,
+    )
+
+
+def _mzv(args, ctx, s):
+    value = mzv(ctx, s, args.prec)
+    return dict(
+        index=str(s),
+        value=ls_text(value),
+        terms_used=mzv_tuple_count(ctx, s, args.prec),
+        precision_achieved=value.prec,
+    ), True
+
+
+def _atpoly(args, ctx, s):
+    hs = anderson_thakur_polynomials(ctx, args.smax)
+    bounds = at_bound_report(ctx, hs)
+    return dict(polynomials=[poly_text(h) for h in hs], bounds_ok=bounds.passed), bounds.passed
+
+
+def _omega(args, ctx, s):
+    om = omega_series(ctx)
+    rep = omega_functional_residual(ctx, om)
+    return _checked(_residual_entry("omega-functional-equation", rep, args.prec), series=tate_text(om))
+
+
+def _pitilde(args, ctx, s):
+    value = pi_tilde(ctx, args.prec)
+    return dict(value=ls_text(value), precision_achieved=value.prec), True
+
+
+def _cmpl(args, ctx, s):
+    if args.u is None:
+        spec = CmplSpec(s, at_arguments(ctx, s))
+    else:
+        parse = partial(parse_poly, ctx.field)
+        u = tuple(_parse("--u", parse, part) for part in args.u.split(";"))
+        spec = _parse("--u", lambda u: check_convergence(ctx, CmplSpec(s, u)), u)
+    value = cmpl_value(ctx, spec, args.prec)
+    ser = cmpl_series(ctx, spec, args.tdeg, args.prec)
+    return dict(
+        index=str(s),
+        arguments=[poly_text(x) for x in spec.u],
+        value=ls_text(value),
+        series=tate_text(ser),
+    ), True
+
+
+def _verify_period(args, ctx, s):
+    rep = period_identity_report(ctx, s, args.prec)
+    at = "" if rep.exponent is None else f" at z-exponent {rep.exponent}"
+    detail = f"equal to {rep.precision} z-digits" if rep.passed else rep.status + at
+    return _checked(check_entry("period-identity", rep.verdict(), detail))
+
+
+def _verify_rat(args, ctx, s):
+    u = at_arguments(ctx, s)
+    rep = frobenius_residual(phi_matrix(ctx, u, s), psi_matrix(ctx, u, s))
+    return _checked(_residual_entry("rigid-analytic-trivialization", rep, args.prec, located=True))
+
+
+def _verify_derived(args, ctx, s):
+    if s is None:
+        phi, psi = carlitz_system(ctx)
+    else:
+        u = at_arguments(ctx, s)
+        phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+    rep = frobenius_residual(derived_matrix(phi, args.derive), psi)
+    return _checked(
+        _residual_entry("derived-same-trivialization", rep, args.prec), derive=args.derive
+    )
+
+
+class _Command(NamedTuple):
+    help: str
+    options: str  # the options it reads
+    run: Callable  # (args, ctx, index) -> (payload, passed)
+    enveloped: bool = True  # False: the payload is the whole report
+
+
+_GROUP = "indices gf samples rational seed"
+
+_COMMANDS = {
+    "mzv": _Command("zeta value by direct summation", "p l index prec", _mzv),
+    "atpoly": _Command("generating-series polynomials H_0..H_smax", "p l smax", _atpoly),
+    "omega": _Command("period product series and its functional equation", "p l prec tdeg", _omega),
+    "pitilde": _Command("the fundamental period by its product formula", "p l prec", _pitilde),
+    "cmpl": _Command("multiple polylogarithm value and series", "p l index u prec tdeg", _cmpl),
+    "verify-period": _Command(
+        "factorial*zeta = polylog value at the H arguments", "p l index prec", _verify_period
+    ),
+    "verify-rat": _Command(
+        "series side satisfies the twisted difference equation", "p l index prec tdeg", _verify_rat
+    ),
+    "verify-derived": _Command(
+        "same trivialization for the derived system", "p l index? derive prec tdeg", _verify_derived
+    ),
+    "group-closure": _Command(
+        "block shape closure/inverse re-parse on samples", _GROUP, partial(_group, closure_report)
+    ),
+    "group-commutator": _Command(
+        "exact commutator coordinate law on samples", _GROUP, partial(_group, commutator_report)
+    ),
+    "suite": _Command(
+        "the full verification matrix", "seed enum-budget timings fixtures", _suite, enveloped=False
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="ffmzv", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for opt in cmd.options.split():
+            sp.add_argument("--" + opt.rstrip("?"), **_OPTIONS[opt])
+        sp.add_argument("--format", choices=("text", "json"), default="json")
+    return ap
+
+
 def _run(args) -> int:
-    cmd = args.command
     _check_ranges(args)
-    if cmd == "suite":
-        cfg = RunConfig(
-            seed=args.seed,
-            timings=args.timings,
-            enum_budget=args.enum_budget,
-            fixtures_dir=args.fixtures,
-        )
-        report = run_suite(cfg)
-        _emit(args, report)
-        return 0 if report["passed"] else 1
-
-    if cmd in ("group-closure", "group-commutator"):
-        p, ndeg = _gf_field(args.gf)
-        dom = RationalFunctionDomain(p) if args.rational else FiniteFieldDomain(ff_field(p, ndeg))
-        idx = subclosure(_parse("--indices", parse_index_set, args.indices))
-        fn = closure_report if cmd == "group-closure" else commutator_report
-        rep = fn(dom, idx, args.samples, args.seed)
-        detail = rep.note if rep.passed else str(rep.failures[:3])
-        report = _envelope(
-            args,
-            index_set=[str(i) for i in idx],
-            domain=dom.name,
-            checks=[check_entry(cmd, rep.verdict(), detail)],
-        )
-        return _verdict(args, report)
-
-    ctx = _ctx_from(args)
+    cmd = _COMMANDS[args.command]
+    ctx = _ctx_from(args) if hasattr(args, "p") else None
     index = getattr(args, "index", None)
     s = None if index is None else _parse("--index", parse_index, index)
-
-    if cmd == "mzv":
-        value = mzv(ctx, s, args.prec)
-        report = _envelope(
-            args,
-            index=str(s),
-            value=ls_text(value),
-            terms_used=mzv_tuple_count(ctx, s, args.prec),
-            precision_achieved=value.prec,
-        )
-        _emit(args, report)
-        return 0
-
-    if cmd == "atpoly":
-        hs = anderson_thakur_polynomials(ctx, args.smax)
-        bounds = at_bound_report(ctx, hs)
-        report = _envelope(
-            args,
-            polynomials=[poly_text(h) for h in hs],
-            bounds_ok=bounds.passed,
-        )
-        _emit(args, report)
-        return 0 if bounds.passed else 1
-
-    if cmd == "omega":
-        om = omega_series(ctx)
-        rep = omega_functional_residual(ctx, om)
-        report = _envelope(
-            args,
-            series=tate_text(om),
-            checks=[_residual_entry("omega-functional-equation", rep, args.prec)],
-        )
-        return _verdict(args, report)
-
-    if cmd == "pitilde":
-        value = pi_tilde(ctx, args.prec)
-        report = _envelope(args, value=ls_text(value), precision_achieved=value.prec)
-        _emit(args, report)
-        return 0
-
-    if cmd == "cmpl":
-        if args.u is None:
-            spec = CmplSpec(s, at_arguments(ctx, s))
-        else:
-            parse = partial(parse_poly, ctx.field)
-            u = tuple(_parse("--u", parse, part) for part in args.u.split(";"))
-            spec = _parse("--u", lambda u: check_convergence(ctx, CmplSpec(s, u)), u)
-        value = cmpl_value(ctx, spec, args.prec)
-        ser = cmpl_series(ctx, spec, args.tdeg, args.prec)
-        report = _envelope(
-            args,
-            index=str(s),
-            arguments=[poly_text(x) for x in spec.u],
-            value=ls_text(value),
-            series=tate_text(ser),
-        )
-        _emit(args, report)
-        return 0
-
-    if cmd == "verify-period":
-        rep = period_identity_report(ctx, s, args.prec)
-        at = "" if rep.exponent is None else f" at z-exponent {rep.exponent}"
-        detail = f"equal to {rep.precision} z-digits" if rep.passed else rep.status + at
-        report = _envelope(args, checks=[check_entry("period-identity", rep.verdict(), detail)])
-        return _verdict(args, report)
-
-    if cmd == "verify-rat":
-        u = at_arguments(ctx, s)
-        rep = frobenius_residual(phi_matrix(ctx, u, s), psi_matrix(ctx, u, s))
-        entry = _residual_entry("rigid-analytic-trivialization", rep, args.prec, located=True)
-        return _verdict(args, _envelope(args, checks=[entry]))
-
-    if cmd == "verify-derived":
-        if s is None:
-            phi, psi = carlitz_system(ctx)
-        else:
-            u = at_arguments(ctx, s)
-            phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
-        rep = frobenius_residual(derived_matrix(phi, args.derive), psi)
-        report = _envelope(
-            args,
-            derive=args.derive,
-            checks=[_residual_entry("derived-same-trivialization", rep, args.prec)],
-        )
-        return _verdict(args, report)
+    payload, passed = cmd.run(args, ctx, s)
+    _emit(args, _envelope(args, **payload) if cmd.enveloped else payload)
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:

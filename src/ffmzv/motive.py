@@ -13,6 +13,8 @@ verified in the positively twisted form
 (and Psi = (Phi')^{(ls)} * Psi^{(ls)} for derived systems), never with
 inverse twists, which would leave the ramified coefficient ring.  This is an
 exact logical equivalence: apply the bijective l-fold twist to both sides.
+The residual itself is computed in `tate`, as for Omega's 1x1 system; this
+module validates the matrices and runs the mutations.
 
 Mutation testing adds theta to each entry of Psi in turn, and every mutated
 residual must fail.  Entry (a, b) of the residual reads only row a of Phi,
@@ -44,7 +46,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import combinations
 from typing import NamedTuple
@@ -52,7 +53,6 @@ from typing import NamedTuple
 from .carlitz import CarlitzContext, omega_power, omega_series
 from .errors import BudgetError, ConventionError, ShapeParseError
 from .ffield import FieldSpec, ops
-from .laurent import LaurentSeries
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
 from .special import CmplSpec, Index, check_convergence, cmpl_series, is_subclosed, subclosure
@@ -236,94 +236,14 @@ def perturb_entry(psi: MotiveMatrix, i: int, j: int) -> MotiveMatrix:
     return MotiveMatrix(psi.level, psi.size, psi.kind, tuple(map(tuple, rows)), psi.field)
 
 
-class _Residual(NamedTuple):
-    """What every entry of Psi - Phi_stored * Psi^{(n)} shares."""
-
-    q: int
-    cap: int  # z-precision the twisted entries are capped at
-    tdeg: int  # t-degree the residual is checked to
-    mats: list  # Phi entries as exact Tate elements at cap, None where zero
-    cols: list  # columns of Psi^{(n)}, capped at cap
-
-
-def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> _Residual:
+def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> tate.Residual:
     if phi.size != psi.size:
         raise ValueError("size mismatch")
     if phi.kind != "phi-exact" or psi.kind != "psi-series":
         raise ValueError("need an exact side and a series side")
     if phi.level % psi.level != 0:
         raise ValueError("twist level of the exact side must be a multiple of the series level")
-    q = psi.field.order
-    entries = [e for row in psi.entries for e in row]
-    p0 = min(c.prec for e in entries for c in e.coeffs)  # least stored z-precision
-    # exact entries (the 1s and 0s) are reliable at every t-degree
-    tdeg = min((e.tdeg for e in entries if not e.exact), default=max(e.tdeg for e in entries))
-    # the exact side has valuations down to -(q-1)*deg_theta; cap high enough
-    # that multiplying by it still leaves p0 digits
-    maxdeg = max(
-        (pe.deg_theta() for row in phi.entries for pe in row if not pe.is_zero()), default=0
-    )
-    span = (q - 1) * maxdeg
-    if span > MAX_RESIDUAL_SPAN:
-        raise BudgetError(
-            f"the exact side spans {span} z-digits ((q-1) * theta-degree {maxdeg}), "
-            f"which exceeds MAX_RESIDUAL_SPAN = {MAX_RESIDUAL_SPAN}"
-        )
-    cap = p0 + span + 8
-    mats = [
-        [None if pe.is_zero() else tate.from_poly(pe, cap) for pe in row] for row in phi.entries
-    ]
-    tw = [[tate.twist(e, phi.level, cap) for e in row] for row in psi.entries]
-    return _Residual(q, cap, tdeg, mats, [list(c) for c in zip(*tw)])
-
-
-def _minus_one(entry: TateElement) -> TateElement:
-    """-1, known to entry's largest relative precision, so that entry times
-    it keeps entry's precision."""
-    rel = max(1, *(c.prec - c.val for c in entry.coeffs))
-    return tate.from_laurent(LaurentSeries(entry.field, 0, [ops(entry.field).neg[1]], rel))
-
-
-def _residual_value(res: _Residual, a: int, entry: TateElement, col) -> TateElement:
-    """sum_k Phi[a][k] * col[k] - entry, the negated residual entry, where
-    entry is Psi[a][b] and col is column b of Psi^{(n)}; it has the same zero
-    check as the residual entry."""
-    pairs = [(mat, tw) for mat, tw in zip(res.mats[a], col) if mat is not None]
-    if not pairs:
-        return -entry
-    # one dot: entry times -1 comes first
-    return tate.dot([(entry, _minus_one(entry))] + pairs, res.tdeg)
-
-
-def _residual_entry(res: _Residual, a: int, entry: TateElement, col) -> tate.ZeroCheck:
-    """Zero check of entry - sum_k Phi[a][k] * col[k]."""
-    return tate.zero_check(_residual_value(res, a, entry, col))
-
-
-def _entry_checks(res: _Residual, psi: MotiveMatrix) -> list[list[tate.ZeroCheck]]:
-    return [
-        [_residual_entry(res, a, e, res.cols[b]) for b, e in enumerate(row)]
-        for a, row in enumerate(psi.entries)
-    ]
-
-
-def _fold_residual(checks, q: int) -> ResidualReport:
-    """One report from the entry checks; the first worst entry in row-major order wins."""
-    worst_v = None
-    worst_loc = None
-    floor = None
-    for i, row in enumerate(checks):
-        for j, chk in enumerate(row):
-            floor = chk.floor_z if floor is None else min(floor, chk.floor_z)
-            if not chk.ok and (worst_v is None or chk.worst_zval < worst_v):
-                worst_v = chk.worst_zval
-                worst_loc = (i, j, chk.worst_tdeg)
-    return ResidualReport(
-        passed=worst_v is None,
-        worst_exponent=None if worst_v is None else Fraction(-worst_v, q - 1),
-        floor_z=floor if floor is not None else 0,
-        location=worst_loc,
-    )
+    return tate.residual_setup(phi.entries, psi.entries, phi.level)
 
 
 def frobenius_residual(phi: MotiveMatrix, psi: MotiveMatrix) -> ResidualReport:
@@ -333,18 +253,18 @@ def frobenius_residual(phi: MotiveMatrix, psi: MotiveMatrix) -> ResidualReport:
     is (Phi')^{(ls)} and n = l*s, so the SAME Psi must satisfy the equation.
     """
     res = _residual_setup(phi, psi)
-    return _fold_residual(_entry_checks(res, psi), res.q)
+    return ResidualReport.from_checks(tate.residual_checks(res, psi.entries), res.q)
 
 
 def _corrections(
-    res: _Residual, th: TateElement, thn: TateElement, i: int
+    res: tate.Residual, th: TateElement, thn: TateElement, i: int
 ) -> dict[int, TateElement]:
     """What adding th to Psi[i][b] adds to the negated residual entries of
     column b, whatever b: Phi[a][i] * thn on every row a that column i of
     Phi feeds, and -th on row i; thn is th^{(n)} capped as the columns are."""
     out = {}
     for a, row in enumerate(res.mats):
-        pairs = [(th, _minus_one(th))] if a == i else []
+        pairs = [(th, tate.minus_one(th))] if a == i else []
         if row[i] is not None:
             pairs.append((row[i], thn))
         if pairs:
@@ -359,7 +279,7 @@ def _mutation_checks(values: list, corr: dict[int, TateElement]) -> dict[int, ta
 
 
 def _mutation_reports(
-    phi: MotiveMatrix, psi: MotiveMatrix, res: _Residual
+    phi: MotiveMatrix, psi: MotiveMatrix, res: tate.Residual
 ) -> tuple[list[list[tate.ZeroCheck]], dict[tuple[int, int], ResidualReport]]:
     """The entry checks of the unmutated residual, and the report of
     frobenius_residual(phi, perturb_entry(psi, i, j)) for every (i, j).
@@ -378,7 +298,7 @@ def _mutation_reports(
     checks: list[list] = [[None] * r for _ in range(r)]
     moved = {}
     for j in range(r):
-        values = [_residual_value(res, a, psi.entries[a][j], res.cols[j]) for a in range(r)]
+        values = [tate.residual_value(res, a, psi.entries[a][j], res.cols[j]) for a in range(r)]
         for a, v in enumerate(values):
             checks[a][j] = tate.zero_check(v)
         for i in range(r):
@@ -389,7 +309,7 @@ def _mutation_reports(
             out = [row[:] for row in checks]
             for a, chk in moved[i, j].items():
                 out[a][j] = chk
-            reports[i, j] = _fold_residual(out, res.q)
+            reports[i, j] = ResidualReport.from_checks(out, res.q)
     return checks, reports
 
 
@@ -421,7 +341,7 @@ def residual_and_kill(phi: MotiveMatrix, psi: MotiveMatrix) -> tuple[ResidualRep
         failures=survivors,
         note="each surviving location is a mutation the residual failed to detect",
     )
-    return _fold_residual(checks, res.q), kill
+    return ResidualReport.from_checks(checks, res.q), kill
 
 
 def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatrix) -> CheckReport:
@@ -556,9 +476,6 @@ class FiniteFieldDomain:
 
 MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degree <= 2
 MAX_POWER_DEGREE = 128  # F_p(t) refuses a power whose degree bound is larger
-# a residual refuses an exact side whose z-span (q-1) * deg_theta is larger:
-# every Phi coefficient becomes a z-series that long
-MAX_RESIDUAL_SPAN = 500_000
 
 
 class RationalFunctionDomain:

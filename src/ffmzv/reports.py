@@ -36,6 +36,16 @@ class ResidualReport:
         loc = None if prefix is None else (*prefix, chk.worst_tdeg)
         return cls(False, Fraction(-chk.worst_zval, q - 1), chk.floor_z, loc, note)
 
+    @classmethod
+    def from_checks(cls, checks: list[list[ZeroCheck]], q: int) -> "ResidualReport":
+        """The verdict of a matrix residual's entry checks: the first worst
+        entry in row-major order, at the least floor of all entries, located
+        at (row, col, worst t-degree)."""
+        floor = min(chk.floor_z for row in checks for chk in row)
+        bad = [(c.worst_zval, i, j) for i, r in enumerate(checks) for j, c in enumerate(r) if not c.ok]
+        _, i, j = min(bad, default=(None, 0, 0))
+        return cls.from_zero_check(checks[i][j]._replace(floor_z=floor), q, prefix=(i, j))
+
     def verdict(self, target: int) -> str:
         """A zero certified below `target` z-digits is "incomparable"."""
         return "fail" if not self.passed else "incomparable" if self.floor_z < target else "pass"

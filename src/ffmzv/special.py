@@ -432,41 +432,49 @@ def _ell_inv_pow(ctx: CarlitzContext, i: int, e: int, rel: int) -> LaurentSeries
     return ctx.cached_to(("ellinv", i, e), rel, build)
 
 
-def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> LaurentSeries:
-    """The polylogarithm value at t = theta, by direct summation.
+def _sum_plan(ctx: CarlitzContext, spec: CmplSpec, prec: int, at_theta: bool):
+    """(work, rel, terms) of the polylogarithm sum for spec to O(z^prec),
+    or None when an argument, and with it the sum, is zero.
 
-    Exact valuation bookkeeping: the tuple (i_1 > ... > i_d >= 0) contributes
-    at least sum_j (q^{i_j} delta_j - s_j q - (q-1) deg_t u_j) z-digits, with
-    delta_j = s_j q - (q-1) deg_theta u_j > 0 under the convergence condition,
-    so the dominant q^{i_1} factor terminates the sum.  Every atomic factor is
-    materialized at a uniform relative precision, which the multiplication
-    rule turns into absolute precision >= work for every term.
+    Each term is a degree tuple (i_1 > ... > i_d >= 0) with its certified
+    valuation bound sum_j (q^{i_j} delta_j - s_j q), delta_j = s_j q -
+    (q-1) deg_theta u_j > 0 under the convergence condition, so the dominant
+    q^{i_1} factor terminates the sum; at t = theta (`at_theta`) each u_j
+    costs (q-1) deg_t u_j more.  Every atomic factor is materialized at rel
+    relative z-digits, which gives every term absolute precision >= work.
     """
-    prec = ctx.prec if prec is None else prec
-    q, fld = ctx.q, ctx.field
     check_convergence(ctx, spec)
     if any(ui.is_zero() for ui in spec.u):
-        return ls_zero(fld, prec)
-    entries = spec.s.entries
-    d = spec.s.dep
+        return None
+    q, entries = ctx.q, spec.s.entries
     deltas = _deltas(ctx, spec)
-    tpen = [(q - 1) * ui.deg_t() for ui in spec.u]
+    tpen = [(q - 1) * ui.deg_t() if at_theta else 0 for ui in spec.u]
     work = prec + 4
 
     def contrib(j: int, v: int) -> int:
         return q**v * deltas[j] - entries[j] * q - tpen[j]
 
-    tuples = list(_decreasing_tuples(d, contrib, work))
-    if not tuples:
+    tuples = _decreasing_tuples(spec.s.dep, contrib, work)
+    terms = [(tup, sum(contrib(j, ij) for j, ij in enumerate(tup))) for tup in tuples]
+    bmin = min((bound for _, bound in terms), default=0)
+    return work, work - min(bmin, 0) + 6, terms
+
+
+def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> LaurentSeries:
+    """The polylogarithm value at t = theta, by direct summation (see
+    `_sum_plan`); a term below its certified valuation bound raises
+    ConventionError."""
+    prec = ctx.prec if prec is None else prec
+    q, fld = ctx.q, ctx.field
+    plan = _sum_plan(ctx, spec, prec, at_theta=True)
+    if plan is None:
         return ls_zero(fld, prec)
-    bmin = min(sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples)
-    rel = work - min(bmin, 0) + 6
+    work, rel, terms = plan
+    entries = spec.s.entries
     acc = ls_zero(fld, work)
-    for tup in tuples:
+    for tup, bound in terms:
         term = None
-        bound = 0
         for j, ij in enumerate(tup):
-            bound += contrib(j, ij)
             low = -(q - 1) * (spec.u[j].deg_t() + spec.u[j].deg_theta() * q**ij)
             f = spec.u[j].eval_theta_twisted(ij * ctx.l, low + rel)
             term = f if term is None else term * f
@@ -499,25 +507,15 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
     cached prefix product, so the windows of one Psi share it.
     """
     q, fld = ctx.q, ctx.field
-    check_convergence(ctx, spec)
-    if any(ui.is_zero() for ui in spec.u):
+    plan = _sum_plan(ctx, spec, prec, at_theta=False)
+    if plan is None:
         return tate.zero(fld, prec, tdeg)
+    work, rel, terms = plan
     entries = spec.s.entries
     d = spec.s.dep
-    deltas = _deltas(ctx, spec)
-    work = prec + 4
     sigma = (q - 1) * q
-
-    def contrib(j: int, v: int) -> int:
-        return q**v * deltas[j] - entries[j] * q
-
-    tuples = list(_decreasing_tuples(d, contrib, work))
-    bmin = min(
-        (sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples), default=0
-    )
-    rel = work - min(bmin, 0) + 6
     pairs = []
-    for tup in tuples:
+    for tup, _ in terms:
         num = spec.u[0].twist(tup[0] * ctx.l)
         for j in range(1, d):
             num = num * spec.u[j].twist(tup[j] * ctx.l)
@@ -530,7 +528,7 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
     coeffs = [c.truncate(work) for c in acc.coeffs]
     while len(coeffs) < tdeg + 1:
         coeffs.append(ls_zero(fld, work))
-    tau_min = sum(deltas) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
+    tau_min = sum(_deltas(ctx, spec)) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
     return TateElement(fld, coeffs[: tdeg + 1], (sigma, tau_min), False)
 
 

@@ -29,6 +29,11 @@ threshold, or when m >= 3, which keeps the very sparse twisted columns off
 the big-int path.  `dot(pairs, tdeg)` does the same for a sum of products,
 each truncated to tdeg, and gives exactly the element that adding the
 truncated products left to right would.
+
+The Frobenius residual Psi - Phi * Psi^{(n)} of a square system (exact Phi,
+series Psi) lives here, for Omega's 1x1 system and the matrix systems alike:
+`residual_setup` caps the twisted columns past the exact side's z-span, and
+each residual entry is one `dot` (`residual_value`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .errors import CertificateError, PrecisionError
+from .errors import BudgetError, CertificateError, PrecisionError
 from .ffield import FieldSpec, dense_sums, ops
 from .laurent import LaurentSeries
 from .laurent import twist as ls_twist
@@ -374,6 +379,72 @@ def zero_check(f: TateElement) -> ZeroCheck:
             if worst_v is None or c.val < worst_v:
                 worst_k, worst_v = k, c.val
     return ZeroCheck(worst_v is None, worst_k, worst_v, floor)
+
+
+# -- the Frobenius residual -----------------------------------------------------
+
+# a residual refuses an exact side whose z-span (q-1) * deg_theta is larger:
+# every Phi coefficient becomes a z-series that long
+MAX_RESIDUAL_SPAN = 500_000
+
+
+class Residual(NamedTuple):
+    """What every entry of Psi - Phi * Psi^{(n)} shares."""
+
+    q: int
+    cap: int  # z-precision the twisted entries are capped at
+    tdeg: int  # t-degree the residual is checked to
+    mats: list  # Phi entries as exact Tate elements at cap, None where zero
+    cols: list  # columns of Psi^{(n)}, capped at cap
+
+
+def residual_setup(phi, psi, n: int) -> Residual:
+    """The shared part of the residual Psi - Phi * Psi^{(n)}, for square
+    matrices (rows) of exact (t, theta)-polynomials phi and Tate elements psi."""
+    entries = [e for row in psi for e in row]
+    q = entries[0].field.order
+    p0 = min(c.prec for e in entries for c in e.coeffs)  # least stored z-precision
+    # exact entries (the 1s and 0s) are reliable at every t-degree
+    tdeg = min((e.tdeg for e in entries if not e.exact), default=max(e.tdeg for e in entries))
+    # the exact side has valuations down to -(q-1)*deg_theta; cap high enough
+    # that multiplying by it still leaves p0 digits
+    maxdeg = max((pe.deg_theta() for row in phi for pe in row if not pe.is_zero()), default=0)
+    span = (q - 1) * maxdeg
+    if span > MAX_RESIDUAL_SPAN:
+        raise BudgetError(
+            f"the exact side spans {span} z-digits ((q-1) * theta-degree {maxdeg}), "
+            f"which exceeds MAX_RESIDUAL_SPAN = {MAX_RESIDUAL_SPAN}"
+        )
+    cap = p0 + span + 8
+    mats = [[None if pe.is_zero() else from_poly(pe, cap) for pe in row] for row in phi]
+    tw = [[twist(e, n, cap) for e in row] for row in psi]
+    return Residual(q, cap, tdeg, mats, [list(c) for c in zip(*tw)])
+
+
+def minus_one(entry: TateElement) -> TateElement:
+    """-1, known to entry's largest relative precision, so that entry times
+    it keeps entry's precision."""
+    rel = max(1, *(c.prec - c.val for c in entry.coeffs))
+    return from_laurent(LaurentSeries(entry.field, 0, [ops(entry.field).neg[1]], rel))
+
+
+def residual_value(res: Residual, a: int, entry: TateElement, col) -> TateElement:
+    """sum_k Phi[a][k] * col[k] - entry, the negated residual entry, where
+    entry is Psi[a][b] and col is column b of Psi^{(n)}; it has the same zero
+    check as the residual entry."""
+    pairs = [(mat, tw) for mat, tw in zip(res.mats[a], col) if mat is not None]
+    if not pairs:
+        return -entry
+    # one dot: entry times -1 comes first
+    return dot([(entry, minus_one(entry))] + pairs, res.tdeg)
+
+
+def residual_checks(res: Residual, psi) -> list[list[ZeroCheck]]:
+    """The zero check of every residual entry, row by row."""
+    return [
+        [zero_check(residual_value(res, a, e, res.cols[b])) for b, e in enumerate(row)]
+        for a, row in enumerate(psi)
+    ]
 
 
 def certificate_ok(f: TateElement) -> bool:

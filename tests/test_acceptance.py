@@ -1,12 +1,15 @@
 """Acceptance criteria, one test per criterion, each at its stated tolerance.
 
 The CLI suite is run once (subprocess, frozen argv) and its parsed report
-backs the per-criterion assertions; criteria with runtime limits re-run the
-relevant library path under a timer.  Run with `pytest tests/test_acceptance.py -v -s`
-to see one PASS/FAIL line per criterion.
+backs the per-criterion assertions; its stdout must equal the stored seed-0
+report `fixtures/suite_seed0.json` byte for byte.  Criteria with runtime
+limits re-run the relevant library path under a timer.  Run with
+`pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
+criterion.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -20,7 +23,7 @@ SUITE_ARGV = [sys.executable, "-m", "ffmzv.cli", "suite", "--format", "json"]
 def suite():
     run = subprocess.run(SUITE_ARGV, capture_output=True, timeout=900)
     assert run.returncode in (0, 1), run.stderr.decode()
-    return {"stdout": run.stdout, "report": json.loads(run.stdout)}
+    return {"stdout": run.stdout, "returncode": run.returncode, "report": json.loads(run.stdout)}
 
 
 def _check(suite, name):
@@ -102,9 +105,9 @@ def test_criterion_9_component_telescoping(suite):
 
 
 def test_criterion_10_determinism(suite):
-    rerun = subprocess.run(SUITE_ARGV, capture_output=True, timeout=900)
-    same_rerun = rerun.stdout == suite["stdout"]
-    _line(10, same_rerun and rerun.returncode == 0, f"byte-identical: rerun={same_rerun}")
+    stored = (pathlib.Path(__file__).parent / "fixtures" / "suite_seed0.json").read_bytes()
+    same = suite["stdout"] == stored
+    _line(10, same and suite["returncode"] == 0, f"byte-identical to the stored seed-0 report: {same}")
 
 
 def test_all_suite_checks_green(suite):

@@ -110,9 +110,13 @@ def test_omega_functional_equation(p, l, prec):
     assert rep.passed
 
 
-@pytest.mark.parametrize("p,l", CONFIGS)
+@pytest.mark.parametrize("p,l", CONFIGS + [(3, 2), (2, 3)])
 def test_omega_drop_factor_control_fails(p, l):
-    ctx = CarlitzContext(p, l, prec=48, tdeg=10)
+    # at q = 9, prec 64 and at q = 8, prec 48 the control fails only at
+    # t-degree 1, at z^81 and z^64: a twist capped only 2 digits past the
+    # (q-1)q loss does not reach that far
+    prec = 64 if (p, l) == (3, 2) else 48
+    ctx = CarlitzContext(p, l, prec=prec, tdeg=10)
     rep = omega_functional_residual(ctx, omega_series(ctx, drop_factor=1))
     assert not rep.passed
     assert rep.worst_exponent is not None

@@ -1,13 +1,14 @@
 """CLI surface: exit codes, JSON schema, conventions header, golden harness."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from ffmzv.cli import main
 from ffmzv.carlitz import CarlitzContext
 from ffmzv.laurent import to_text
-from ffmzv.motive import MAX_RESIDUAL_SPAN
+from ffmzv.tate import MAX_RESIDUAL_SPAN
 from ffmzv.special import Index, mzv
 
 
@@ -15,6 +16,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_pinned_outputs_are_byte_identical(capsys):
+    # one small argv per command, text and JSON, passes, incomparable checks
+    # and usage errors, with the stdout, stderr and exit code they had when
+    # they were recorded
+    pins = json.loads((Path(__file__).parent / "fixtures" / "cli_pins.json").read_text())
+    assert {pin["argv"][0] for pin in pins} == set(OPTIONS)
+    for pin in pins:
+        got = run_cli(capsys, *pin["argv"])
+        assert got == (pin["exit"], pin["stdout"], pin["stderr"]), pin["argv"]
 
 
 def test_nonprime_p_is_usage_error(capsys):

@@ -8,10 +8,14 @@ The oracles here are the replaced code, kept as it was:
 * `_mutation_residual_oracle`: a mutation twists the mutated entry and
   recomputes every residual entry it moves as a full dot;
 * `_collapse_oracle`: the collapsed chain sum adds its truncated terms one
-  by one.
+  by one;
+* `_omega_residual_oracle`: Omega's functional equation with its own cap,
+  2 z-digits past the (q-1)q loss, one Tate product and one subtraction.
 
 The fast paths must give the same elements (val, coeffs and prec of every
-coefficient, tail and exactness) and the same reports.
+coefficient, tail and exactness) and the same reports.  Omega's residual is
+now the 1x1 system residual, which caps 8 digits past the loss: it may fail
+a dropped-factor control the oracle passes, and must agree everywhere else.
 """
 
 from itertools import combinations
@@ -20,11 +24,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ffmzv import motive, special, tate
-from ffmzv.carlitz import CarlitzContext, omega_power
+from ffmzv.carlitz import CarlitzContext, omega_functional_residual, omega_power, omega_series
 from ffmzv.ffield import field
 from ffmzv.laurent import LaurentSeries
 from ffmzv.laurent import twist as ls_twist
 from ffmzv.laurent import zero as ls_zero
+from ffmzv.poly import t_minus_theta_frob
 from ffmzv.motive import (
     component_collapse_report,
     derived_matrix,
@@ -88,10 +93,10 @@ def _mutation_residual_oracle(phi, psi, res, checks, th, i, j):
     out = [row[:] for row in checks]
     for a in range(psi.size):
         if a == i:
-            out[a][j] = motive._residual_entry(res, a, new, col)
+            out[a][j] = tate.zero_check(tate.residual_value(res, a, new, col))
         elif res.mats[a][i] is not None:
-            out[a][j] = motive._residual_entry(res, a, psi.entries[a][j], col)
-    return motive._fold_residual(out, res.q)
+            out[a][j] = tate.zero_check(tate.residual_value(res, a, psi.entries[a][j], col))
+    return ResidualReport.from_checks(out, res.q)
 
 
 def _collapse_oracle(ctx, s, i, j, tdeg, prec):
@@ -124,6 +129,17 @@ def _collapse_oracle(ctx, s, i, j, tdeg, prec):
     return ResidualReport.from_zero_check(
         tate.zero_check(acc), ctx.q, prefix=(i, j), note="collapsed alternating chain sum"
     )
+
+
+def _omega_residual_oracle(ctx, omega):
+    """omega_functional_residual after its precheck, as it was."""
+    q = ctx.q
+    cap = min(c.prec for c in omega.coeffs)
+    work = cap + q * (q - 1) + 2
+    factor = tate.from_poly(t_minus_theta_frob(ctx.field, ctx.l), work)
+    twisted = tate.twist(omega, ctx.l, work)
+    rhs = (factor * twisted).truncate_tdeg(omega.tdeg)
+    return ResidualReport.from_zero_check(tate.zero_check(omega - rhs), q)
 
 
 # -- polylogarithm windows ------------------------------------------------------------
@@ -194,13 +210,41 @@ def test_every_mutation_report_equals_full_recomputation(system, derive):
         phi = derived_matrix(phi, derive)
     res = motive._residual_setup(phi, psi)
     checks, reports = motive._mutation_reports(phi, psi, res)
-    assert checks == motive._entry_checks(res, psi)
+    assert checks == tate.residual_checks(res, psi.entries)
     th = motive._theta_mutation(psi)
     r = psi.size
     assert list(reports) == [(i, j) for i in range(r) for j in range(r)]
     for (i, j), rep in reports.items():
         assert rep == _mutation_residual_oracle(phi, psi, res, checks, th, i, j), (i, j)
         assert rep == frobenius_residual(phi, perturb_entry(psi, i, j)), (i, j)
+
+
+# -- Omega's functional equation ---------------------------------------------------------
+
+
+def _fields(rep):
+    return rep.passed, rep.worst_exponent, rep.floor_z, rep.location and rep.location[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]),
+    st.integers(8, 80),
+    st.integers(0, 20),
+    st.sampled_from([None, 1, 2]),
+)
+@example((3, 2), 64, 10, 1)
+@example((2, 3), 48, 2, 1)
+@example((5, 1), 80, 20, None)
+def test_omega_residual_equals_the_replaced_path(pl, prec, tdeg, drop):
+    ctx = CarlitzContext(*pl, prec=prec, tdeg=tdeg)
+    omega = omega_series(ctx, drop_factor=drop)
+    got, want = omega_functional_residual(ctx, omega), _omega_residual_oracle(ctx, omega)
+    if want.passed and not got.passed:
+        # the only difference allowed: a control the oracle's cap missed
+        assert drop is not None
+    else:
+        assert _fields(got) == _fields(want)
 
 
 # -- the collapse sum -------------------------------------------------------------------

@@ -3,8 +3,8 @@ against the pair-by-pair loops they replaced.
 
 `_mul_loop` is the old `TateElement.__mul__`: one Laurent product and one
 Laurent sum for every pair of t-coefficients.  `_residual_entry_loop` is the
-old `motive._residual_entry`: per Phi entry one Tate product (by `_mul_loop`),
-a truncation and a Tate add.  Both keep the certificate rule `tate._combine`.
+old zero check of a residual entry (now `tate.residual_value`): per Phi
+entry one Tate product (by `_mul_loop`), a truncation and a Tate add.  Both keep the certificate rule `tate._combine`.
 The new paths must agree bit for bit: (val, coeffs, prec) of every
 coefficient, (tdeg, tail, exact) of every element, and every ZeroCheck.
 
@@ -54,7 +54,7 @@ def _dot_loop(pairs, tdeg):
 
 
 def _residual_entry_loop(res, a, entry, col):
-    """The old motive._residual_entry (oracle)."""
+    """The old zero check of a residual entry (oracle)."""
     acc = None
     for mat, tw in zip(res.mats[a], col):
         if mat is None:
@@ -133,7 +133,7 @@ def _residuals(draw):
     col = [draw(_operand(fld)) for _ in range(r)]
     entry = draw(_operand(fld))
     tdeg = draw(st.integers(0, 6))
-    res = motive._Residual(fld.order, 0, tdeg, [mats], [col])
+    res = tate.Residual(fld.order, 0, tdeg, [mats], [col])
     return res, entry, col
 
 
@@ -141,7 +141,8 @@ def _residuals(draw):
 @given(_residuals())
 def test_residual_entry_matches_the_loop(case):
     res, entry, col = case
-    assert motive._residual_entry(res, 0, entry, col) == _residual_entry_loop(res, 0, entry, col)
+    got = tate.zero_check(tate.residual_value(res, 0, entry, col))
+    assert got == _residual_entry_loop(res, 0, entry, col)
 
 
 def test_residual_entries_of_real_systems_match_the_loop():
@@ -155,5 +156,5 @@ def test_residual_entries_of_real_systems_match_the_loop():
             res = motive._residual_setup(ph, ps)
             for a, row in enumerate(ps.entries):
                 for b, e in enumerate(row):
-                    got = motive._residual_entry(res, a, e, res.cols[b])
+                    got = tate.zero_check(tate.residual_value(res, a, e, res.cols[b]))
                     assert got == _residual_entry_loop(res, a, e, res.cols[b]), (p, l, a, b)
