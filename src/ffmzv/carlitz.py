@@ -15,7 +15,8 @@ Working conventions at level l (q = p^l):
     residual of the 1x1 system (t - theta stored twisted, Omega), computed by
     the same `tate` residual as every matrix system.
 
-All formulas use explicit field negation, so characteristic 2 needs no
+Every theta-power, with its sign, comes from `laurent.theta_pow`, and all
+formulas use explicit field negation, so characteristic 2 needs no
 special-casing (-1 = 1 there).
 """
 
@@ -27,7 +28,7 @@ from typing import Any, Callable, NamedTuple
 
 from .errors import BudgetError
 from .ffield import FieldSpec, field as ff_field, ops
-from .laurent import LaurentSeries, compare_to_precision, monomial
+from .laurent import LaurentSeries, compare_to_precision, monomial, one, theta_pow
 from .poly import BivarPoly, dense_theta_mul, t_minus_theta_frob
 from .reports import IdentityReport, ResidualReport
 from . import tate
@@ -124,11 +125,11 @@ def monic_coeff_lists(q: int, d: int):
     return ([*reversed(digits), 1] for digits in product(range(q), repeat=d))
 
 
-def carlitz_d_bruteforce(ctx: CarlitzContext, i: int, budget: int | None = None) -> BivarPoly:
-    """Product over all q^i monic polynomials of degree i (enumeration oracle)."""
-    cap = ctx.enum_budget if budget is None else budget
-    if ctx.q**i > cap:
-        raise BudgetError(f"enumerating {ctx.q**i} monic polynomials exceeds budget {cap}")
+def carlitz_d_bruteforce(ctx: CarlitzContext, i: int) -> BivarPoly:
+    """Product over all q^i monic polynomials of degree i (enumeration
+    oracle), capped by ctx.enum_budget."""
+    if ctx.q**i > ctx.enum_budget:
+        raise BudgetError(f"enumerating {ctx.q**i} monic polynomials exceeds budget {ctx.enum_budget}")
     if i == 0:
         return BivarPoly.one(ctx.field)
     fld = ctx.field
@@ -186,14 +187,12 @@ def omega_series(
     def build() -> TateElement:
         work = prec + q + 2
         nfac = omega_factor_count(q, work) if factors is None else factors
-        o = ops(fld)
         acc = tate.from_laurent(monomial(fld, q, 1, work))  # the exact prefactor z^q
         for i in range(1, nfac + 1):
             if i == drop_factor:
                 continue
-            # 1 - t/theta^{q^i}: the t-coefficient is (-1)^{q^i + 1} z^{(q-1)q^i}
-            c = 1 if (q**i + 1) % 2 == 0 else o.neg[1]
-            lin = [LaurentSeries(fld, 0, [1], work), monomial(fld, (q - 1) * q**i, c, work)]
+            # 1 - t/theta^{q^i}: the t-coefficient is -theta^{-q^i}
+            lin = [one(fld, work), -theta_pow(fld, -(q**i), work)]
             fac = TateElement(fld, lin, None, True)
             acc = (acc * fac).truncate_tdeg(tdeg)
         coeffs = list(acc.coeffs)
@@ -238,16 +237,14 @@ def pi_tilde(ctx: CarlitzContext, prec: int | None = None) -> LaurentSeries:
     q, fld = ctx.q, ctx.field
     prec = ctx.prec if prec is None else prec
     work = prec + q + 2
-    o = ops(fld)
-    # theta * (-theta)^{1/(q-1)} = theta * z^{-1} = -z^{-q}
-    acc = monomial(fld, -q, o.neg[1], work)
+    # theta * (-theta)^{1/(q-1)} = theta * z^{-1}, known to O(z^work)
+    acc = theta_pow(fld, 1, work + 1).shift(-1)
     i = 1
     while True:
         v = (q - 1) * (q**i - 1)  # valuation of theta^{1-q^i}
         if v >= work + q:
             break
-        c = 1 if (q**i) % 2 == 0 else o.neg[1]  # z^v-coefficient of 1 - theta^{1-q^i}
-        factor = LaurentSeries(fld, 0, [1] + [0] * (v - 1) + [c], work)
+        factor = one(fld, work) - theta_pow(fld, 1 - q**i, work)
         acc = acc * factor.inv()
         i += 1
     return acc.truncate(prec)

@@ -36,8 +36,10 @@ each list is packed once per slot width in a call.  m = 2 with
 packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the table
 schoolbook, one row per nonzero coefficient, added into the output.  The
 oracle for every path is the double loop in tests/test_ffield.py.  The
-primitive-element search keeps its own product, because it builds the
-tables the kernel reads.
+primitive-element search, which builds the tables the kernel reads, and
+F_p(t) fractions, whose short lists would spend more on the kernel's
+bookkeeping than on products, share the plain list product `fp_list_mul`.
+`power` is the one square-and-multiply loop, for every ring that has one.
 
 Primality is a deterministic Miller-Rabin over the prime bases 2..41, exact
 below 3317044064679887385961981 and refused from there on; `field(p, m)`
@@ -47,6 +49,7 @@ checks the table cap before it tests p.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -188,15 +191,34 @@ def _canonical_field(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m, _least_irreducible(p, m))
 
 
+def fp_list_mul(x: Sequence[int], y: Sequence[int], p: int) -> list[int]:
+    """Product of nonempty F_p coefficient lists (lowest degree first), all
+    len(x) + len(y) - 1 entries, trailing zeros kept."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def power(x, e: int, one, mul=operator.mul):
+    """one * x^e for e >= 0 by square-and-multiply; every product is
+    mul(result, x) or mul(x, x)."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
 def _mul_by_reduction(a: int, b: int, spec: FieldSpec) -> int:
     """Product of two encodings: polynomial product reduced by the modulus."""
     p, m = spec.p, spec.m
-    db = _decode(b, m, p)
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(_decode(a, m, p)):
-        if x:
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % p
+    prod = fp_list_mul(_decode(a, m, p), _decode(b, m, p), p)
     return _encode(_poly_mod(prod, list(spec.modulus), p), p)
 
 

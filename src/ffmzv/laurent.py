@@ -10,7 +10,9 @@ order of the coefficient field (a series reads it as field.order).  A series
 is stored as (val, coeffs, prec): coefficients for exponents val..val+len-1,
 known modulo O(z^prec).  All coefficients below val are known zeros and the
 leading stored coefficient is nonzero (normalized form); a series that is
-zero to its precision has empty coeffs and val == prec.
+zero to its precision has empty coeffs and val == prec.  Only this module
+turns theta-powers into z-monomials, with their sign (-1)^k: `theta_pow`,
+`from_theta_poly` and `theta_combination` (a sum of series times theta^k).
 
 Precision propagates pessimistically: add/sub keep min(prec_a, prec_b); mul
 keeps min(val_a + prec_b, val_b + prec_a); the inverse of a series of
@@ -33,7 +35,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import PrecisionError
-from .ffield import FieldSpec, dense_mul, ops
+from .ffield import FieldSpec, dense_mul, ops, power
 
 
 class LaurentSeries:
@@ -166,19 +168,9 @@ class LaurentSeries:
             return self.inv() ** (-e)
         if e == 0:
             return one(self.field, self.prec)
-        if not self.coeffs:
-            return LaurentSeries(self.field, self.prec * e, [], self.prec * e)
-        # seed with relative precision prec - val so square-and-multiply
-        # reproduces the true precision e*val + (prec - val) of the power
-        result = one(self.field, self.prec - self.val)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        # seed with relative precision prec - val: square-and-multiply then gives
+        # the power's true precision e*val + prec - val (e*prec for a zero series)
+        return power(self, e, one(self.field, self.prec - self.val))
 
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec >= self.prec:
@@ -262,7 +254,8 @@ def theta(field: FieldSpec, prec: int) -> LaurentSeries:
 
 
 def from_theta_poly(field: FieldSpec, poly: dict[int, int], prec: int) -> LaurentSeries:
-    """Embed sum(c_k theta^k) (k >= 0, c_k field encodings) as a z-series."""
+    """Embed sum(c_k theta^k) (k >= 0, c_k field encodings, zeros allowed)
+    as a z-series."""
     if not poly:
         return zero(field, prec)
     o = ops(field)
@@ -273,6 +266,19 @@ def from_theta_poly(field: FieldSpec, poly: dict[int, int], prec: int) -> Lauren
         if c:
             out[(deg - k) * step] = c if k % 2 == 0 else o.mul[o.neg[1] * o.n + c]
     return LaurentSeries(field, -deg * step, out, prec)
+
+
+def theta_combination(coeffs: list[LaurentSeries]) -> LaurentSeries:
+    """sum_k coeffs[k] * theta^k for series coeffs[k] (at least one): with
+    theta^k the exact monomial (-1)^k z^(-k(q-1)), each coefficient is
+    shifted and negated at odd k, and no series product is formed."""
+    step = coeffs[0].field.order - 1
+    acc = None
+    for k, c in enumerate(coeffs):
+        term = c.shift(-k * step)
+        term = -term if k % 2 else term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def from_rational(

@@ -48,11 +48,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import combinations
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .carlitz import CarlitzContext, omega_power, omega_series
 from .errors import BudgetError, ConventionError, ShapeParseError
-from .ffield import FieldSpec, ops
+from .ffield import FieldSpec, fp_list_mul, ops, power
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
 from .special import CmplSpec, Index, check_convergence, cmpl_series, is_subclosed, subclosure
@@ -189,34 +190,40 @@ def direct_sum(a: MotiveMatrix, b: MotiveMatrix) -> MotiveMatrix:
     return MotiveMatrix(a.level, n + m, a.kind, tuple(rows), a.field)
 
 
+MAX_DERIVED_SIZE = 4_000_000  # derived systems refuse a larger (deg_t + 1) * (deg_theta + 1) bound
+
+
 def derived_matrix(phi: MotiveMatrix, s: int) -> MotiveMatrix:
     """The s-th derived system, materialized fully twisted: the stored matrix
     becomes Phi^{(l)} Phi^{(2l)} ... Phi^{(sl)}, of level l*s (all positive
-    twists, all polynomial)."""
+    twists, all polynomial).
+
+    Before any product, BudgetError when the bounds deg_t <= s * deg_t Phi
+    and deg_theta <= deg_theta Phi * sum_{k<s} p^{kl} give the residual's
+    z-span refusal (`tate.residual_span`), or a size estimate above
+    MAX_DERIVED_SIZE."""
     if phi.kind != "phi-exact":
         raise ValueError("derived systems are built from the exact side")
     if s < 1:
         raise ValueError("s must be a positive integer")
-    l = phi.level
+    l, fld = phi.level, phi.field
+    entries = [e for row in phi.entries for e in row]
+    deg_t = s * max(e.deg_t() for e in entries)
+    deg_theta = max(e.deg_theta() for e in entries) * sum(fld.p ** (k * l) for k in range(s))
+    tate.residual_span(fld.order, deg_theta)
+    size = (deg_t + 1) * (deg_theta + 1)
+    if size > MAX_DERIVED_SIZE:
+        raise BudgetError(
+            f"the derived system of t-degree <= {deg_t} and theta-degree <= {deg_theta} has size estimate "
+            f"{size} ((t-degree + 1) * (theta-degree + 1)), which exceeds MAX_DERIVED_SIZE = {MAX_DERIVED_SIZE}"
+        )
+    # BivarPoly arithmetic in the interface of the shell domains
+    ring = SimpleNamespace(zero=partial(BivarPoly.zero, fld), is_zero=BivarPoly.is_zero,
+                           add=operator.add, mul=operator.mul)
     acc = phi.entries
     for k in range(1, s):
-        twisted = [[e.twist(k * l) for e in row] for row in phi.entries]
-        acc = _poly_mat_mul(acc, twisted, phi.field)
-    return MotiveMatrix(l * s, phi.size, "phi-exact", tuple(map(tuple, acc)), phi.field)
-
-
-def _poly_mat_mul(a, b, field: FieldSpec):
-    n = len(a)
-    zero = BivarPoly.zero(field)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k].is_zero():
-                continue
-            for j in range(n):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
+        acc = _mat_mul(ring, acc, [[e.twist(k * l) for e in row] for row in phi.entries])
+    return MotiveMatrix(l * s, phi.size, "phi-exact", tuple(map(tuple, acc)), fld)
 
 
 def _theta_mutation(psi: MotiveMatrix) -> TateElement:
@@ -478,6 +485,13 @@ MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degr
 MAX_POWER_DEGREE = 128  # F_p(t) refuses a power whose degree bound is larger
 
 
+def _trimmed(out: list) -> tuple:
+    """The coefficient list out without trailing zeros (at least one entry)."""
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 class RationalFunctionDomain:
     """F_p(t) with unreduced fractions; equality by cross-multiplication."""
 
@@ -490,14 +504,7 @@ class RationalFunctionDomain:
     name = "rational-function"
 
     def _pmul(self, x, y):
-        out = [0] * (len(x) + len(y) - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    out[i + j] = (out[i + j] + a * b) % self.p
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return _trimmed(fp_list_mul(x, y, self.p))
 
     def _padd(self, x, y):
         out = [0] * max(len(x), len(y))
@@ -505,9 +512,7 @@ class RationalFunctionDomain:
             out[i] = a
         for i, b in enumerate(y):
             out[i] = (out[i] + b) % self.p
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return _trimmed(out)
 
     def zero(self):
         return ((0,), (1,))
@@ -537,8 +542,9 @@ class RationalFunctionDomain:
 
     def pow(self, a, e):
         """a^e; BudgetError up front when its degree bound |e| * deg(a) (deg a
-        the larger of numerator and denominator degree) exceeds MAX_POWER_DEGREE."""
-        bound = abs(e) * (max(len(a[0]), len(a[1])) - 1)
+        the larger of numerator and denominator degree, trailing zero
+        coefficients not counted) exceeds MAX_POWER_DEGREE."""
+        bound = abs(e) * max(len(_trimmed(list(x))) - 1 for x in a)
         if bound > MAX_POWER_DEGREE:
             raise BudgetError(
                 f"a power a^{e} over F_p(t) of degree bound {bound} (|e| * deg a) "
@@ -546,15 +552,7 @@ class RationalFunctionDomain:
             )
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return out
+        return power(a, e, self.one(), self.mul)
 
     def eq(self, a, b):
         return self._pmul(a[0], b[1]) == self._pmul(b[0], a[1])

@@ -3,16 +3,16 @@
 Sparse dict representation {(deg_t, deg_theta): coeff encoding}.  These carry
 the Frobenius-twist action (t fixed, theta-exponents scaled by p^n,
 coefficients raised to p^n) and evaluate at t = theta into truncated Laurent
-series.  `dense_theta_mul` multiplies dense univariate theta-coefficient
-lists for the brute-force product oracles through `ffield.dense_mul`.
+series through `laurent.from_theta_poly`.  Powers use `ffield.power`, and
+`dense_theta_mul` multiplies dense univariate theta-coefficient lists for
+the brute-force product oracles through `ffield.dense_mul`.
 """
 
 from __future__ import annotations
 
 from .errors import ConventionError
-from .ffield import FieldSpec, dense_mul, element_text, ops
-from .laurent import LaurentSeries
-from .laurent import zero as ls_zero
+from .ffield import FieldSpec, dense_mul, element_text, ops, power
+from .laurent import LaurentSeries, from_theta_poly
 
 
 class BivarPoly:
@@ -101,15 +101,7 @@ class BivarPoly:
     def __pow__(self, e: int) -> "BivarPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = BivarPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, BivarPoly.one(self.field))
 
     def twist(self, n: int) -> "BivarPoly":
         """n-fold twist: coefficients to the p^n, theta-exponents times p^n, t fixed."""
@@ -124,30 +116,21 @@ class BivarPoly:
     # -- specializations ------------------------------------------------------
 
     def eval_theta(self, prec: int) -> LaurentSeries:
-        """Substitute t = theta and expand in z (theta^k = (-1)^k z^(-k(q-1)))."""
+        """Substitute t = theta and expand in z (laurent.from_theta_poly)."""
         return self.eval_theta_twisted(0, prec)
 
     def eval_theta_twisted(self, n: int, prec: int) -> LaurentSeries:
-        """(self twisted n-fold) evaluated at t = theta, as a z-series."""
-        if not self.terms:
-            return ls_zero(self.field, prec)
+        """(self twisted n-fold) evaluated at t = theta, as a z-series: the
+        theta-polynomial with a coefficient at each degree a + b*p^n."""
         o = ops(self.field)
         s = self.field.p**n
-        step = self.field.order - 1
         acc: dict[int, int] = {}
         for (a, b), c in self.terms.items():
             k = a + b * s
             cc = o.frob_n(c, n) if n else c
-            if k % 2:
-                cc = o.neg[cc]
-            z = -k * step
-            prev = acc.get(z, 0)
-            acc[z] = o.add[prev * o.n + cc] if prev else cc
-        val = min(acc)
-        out = [0] * (max(acc) - val + 1)
-        for z, c in acc.items():
-            out[z - val] = c
-        return LaurentSeries(self.field, val, out, prec)
+            prev = acc.get(k)
+            acc[k] = cc if prev is None else o.add[prev * o.n + cc]
+        return from_theta_poly(self.field, acc, prec)
 
     def subs_theta_to_t(self) -> "BivarPoly":
         """Rename theta to t; only valid for polynomials with no t-support."""

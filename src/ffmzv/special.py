@@ -161,6 +161,8 @@ def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int | None = None
 
 
 def _monic_power_sum_dp(ctx: CarlitzContext, d: int, s: int, prec: int) -> LaurentSeries:
+    """S_d(s) by the closed form's DP, whose sign (-1)^(d + K + N) it applies
+    itself: u^N = (-1)^N z^((q-1)N), the coefficients being integers mod p."""
     q, p = ctx.q, ctx.p
     step = q - 1
     # u^N is the z-monomial of exponent step*N; N = d*s + D must stay below prec

@@ -44,8 +44,8 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetError, CertificateError, PrecisionError
-from .ffield import FieldSpec, dense_sums, ops
-from .laurent import LaurentSeries
+from .ffield import FieldSpec, dense_sums, ops, power
+from .laurent import LaurentSeries, from_theta_poly, theta_combination
 from .laurent import twist as ls_twist
 from .laurent import zero as ls_zero
 from .poly import BivarPoly
@@ -111,15 +111,7 @@ class TateElement:
     def __pow__(self, e: int) -> "TateElement":
         if e < 0:
             raise ValueError("negative Tate power; use invert_unit")
-        result = one(self.field, self.coeffs[0].prec, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, one(self.field, self.coeffs[0].prec, 0))
 
     def cap_precision(self, prec: int) -> "TateElement":
         return TateElement(
@@ -276,8 +268,6 @@ def from_poly(poly: BivarPoly, prec: int) -> TateElement:
     for (a, b), c in poly.terms.items():
         rows.setdefault(a, {})[b] = c
     d = max(rows, default=0)
-    from .laurent import from_theta_poly
-
     out = []
     for k in range(d + 1):
         out.append(from_theta_poly(field, rows.get(k, {}), prec))
@@ -345,13 +335,7 @@ def eval_at_theta(f: TateElement) -> LaurentSeries:
     omitted tail is O(z^((slope-(q-1))(D+1)+offset)).
     """
     q = f.field.order
-    o = ops(f.field)
-    acc = None
-    for k, c in enumerate(f.coeffs):
-        term = c.shift(-k * (q - 1))
-        if k % 2:
-            term = term.scalar_mul(o.neg[1])
-        acc = term if acc is None else acc + term
+    acc = theta_combination(f.coeffs)
     if f.exact:
         return acc
     if f.tail is None:
@@ -388,6 +372,18 @@ def zero_check(f: TateElement) -> ZeroCheck:
 MAX_RESIDUAL_SPAN = 500_000
 
 
+def residual_span(q: int, deg_theta: int) -> int:
+    """The z-span (q-1) * deg_theta of an exact side of theta-degree
+    deg_theta; BudgetError when it exceeds MAX_RESIDUAL_SPAN."""
+    span = (q - 1) * deg_theta
+    if span > MAX_RESIDUAL_SPAN:
+        raise BudgetError(
+            f"the exact side spans {span} z-digits ((q-1) * theta-degree {deg_theta}), "
+            f"which exceeds MAX_RESIDUAL_SPAN = {MAX_RESIDUAL_SPAN}"
+        )
+    return span
+
+
 class Residual(NamedTuple):
     """What every entry of Psi - Phi * Psi^{(n)} shares."""
 
@@ -409,13 +405,7 @@ def residual_setup(phi, psi, n: int) -> Residual:
     # the exact side has valuations down to -(q-1)*deg_theta; cap high enough
     # that multiplying by it still leaves p0 digits
     maxdeg = max((pe.deg_theta() for row in phi for pe in row if not pe.is_zero()), default=0)
-    span = (q - 1) * maxdeg
-    if span > MAX_RESIDUAL_SPAN:
-        raise BudgetError(
-            f"the exact side spans {span} z-digits ((q-1) * theta-degree {maxdeg}), "
-            f"which exceeds MAX_RESIDUAL_SPAN = {MAX_RESIDUAL_SPAN}"
-        )
-    cap = p0 + span + 8
+    cap = p0 + residual_span(q, maxdeg) + 8
     mats = [[None if pe.is_zero() else from_poly(pe, cap) for pe in row] for row in phi]
     tw = [[twist(e, n, cap) for e in row] for row in psi]
     return Residual(q, cap, tdeg, mats, [list(c) for c in zip(*tw)])

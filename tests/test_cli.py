@@ -1,10 +1,12 @@
 """CLI surface: exit codes, JSON schema, conventions header, golden harness."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from ffmzv import motive
 from ffmzv.cli import main
 from ffmzv.carlitz import CarlitzContext
 from ffmzv.laurent import to_text
@@ -192,6 +194,25 @@ def test_residual_span_refused_up_front(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: BudgetError: ")
     assert "968478336" in err and f"MAX_RESIDUAL_SPAN = {MAX_RESIDUAL_SPAN}" in err
+
+
+def test_derived_products_refused_before_any_product(capsys, monkeypatch):
+    # --derive 9 at index 40,40,40 ran past 120 s inside the derived product;
+    # its degree bounds, and the span bound of the q = 343 system, refuse
+    # both before the first matrix product
+    def no_product(*args):
+        raise AssertionError("derived product computed")
+
+    monkeypatch.setattr(motive, "_mat_mul", no_product)
+    start = time.perf_counter()
+    argv = ("verify-derived", "--p", "2", "--l", "1", "--index", "40,40,40", "--derive", "9")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: BudgetError: ")
+    assert "estimate 373662091" in err and f"MAX_DERIVED_SIZE = {motive.MAX_DERIVED_SIZE}" in err
+    code, _, err = run_cli(capsys, "verify-derived", "--p", "7", "--l", "3", "--index", "8,8,8")
+    assert code == 1 and "MAX_RESIDUAL_SPAN" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_verify_period_low_precision_never_spurious(capsys):

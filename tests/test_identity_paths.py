@@ -1,14 +1,25 @@
-"""Precision-monotone caches and the independence of the period identity's
-two sides.
+"""Precision-monotone caches and the independence of the two sides of each
+identity check.
 
 A power sum or ell-inverse served by truncating a higher-precision entry must
 equal a fresh build, and the polylogarithm side and the zeta side may share
 no cache entry beyond the factorials the identity's statement puts on both.
+The product-formula pi-tilde and 1/Omega(theta) share no cache entry, and
+the brute-force Carlitz-tower oracle reads none of the recursion's D_i: the
+two sides of those checks share only the convention `laurent.theta_pow`.
 """
 
 import pytest
 
-from ffmzv.carlitz import CarlitzContext
+from ffmzv import tate
+from ffmzv.carlitz import (
+    CarlitzContext,
+    carlitz_d,
+    carlitz_d_bruteforce,
+    omega_for_eval,
+    pi_omega_cross_check,
+    pi_tilde,
+)
 from ffmzv.special import (
     CmplSpec,
     Index,
@@ -111,3 +122,34 @@ def test_period_identity_sides_share_no_cache_entry(p, l):
             assert _same(z, zeta) and _same(y, polylog), (s, zeta_first)
     # at depth 3 and q >= 4 zeta vanishes to this precision and touches no S
     assert {"S", "AT", "ellinv"} <= touched
+
+
+@pytest.mark.parametrize("p,l", LEVELS)
+def test_pi_omega_sides_share_no_cache_entry(p, l):
+    work = 40
+    pctx, pkinds = _recording_context(p, l)
+    pt = pi_tilde(pctx, work)
+    assert not pkinds and pctx.cache_stats().size == 0  # the product formula caches nothing
+    octx, okinds = _recording_context(p, l)
+    ev = tate.eval_at_theta(omega_for_eval(octx, work))
+    assert okinds == {"omega"}
+    # each side is the same series on a shared context, whichever side runs first
+    for omega_first in (True, False):
+        shared = CarlitzContext(p, l)
+        if omega_first:
+            tate.eval_at_theta(omega_for_eval(shared, work))
+        assert _same(pi_tilde(shared, work), pt)
+        assert _same(tate.eval_at_theta(omega_for_eval(shared, work)), ev)
+    cctx, ckinds = _recording_context(p, l)
+    assert pi_omega_cross_check(cctx, 30).status == "equal"
+    assert ckinds == {"omega"}
+
+
+@pytest.mark.parametrize("p,l", LEVELS)
+def test_carlitz_tower_oracle_reads_no_recursion_entry(p, l):
+    bctx, bkinds = _recording_context(p, l)
+    dctx, dkinds = _recording_context(p, l)
+    for i in range(4 if p ** l < 5 else 3):
+        assert carlitz_d_bruteforce(bctx, i) == carlitz_d(dctx, i)
+    assert not bkinds and bctx.cache_stats().size == 0
+    assert dkinds == {"D"}

@@ -697,6 +697,10 @@ def test_rational_function_powers_refuse_a_degree_bound_over_the_cap():
         with pytest.raises(BudgetError, match="MAX_POWER_DEGREE"):
             dom.pow(a, e)
     assert dom.pow(dom.one(), 10**6) == dom.one()  # degree 0: nothing to refuse
+    # trailing zero coefficients add no degree: (2 + 0t + 0t^2)^100 is 2^100 = 1
+    assert dom.pow(((2, 0, 0), (1,)), 100) == dom.one()
+    with pytest.raises(BudgetError, match="degree bound 130"):
+        dom.pow(((1, 2, 0), (2, 0, 1, 0)), MAX_POWER_DEGREE // 2 + 1)
     # junk index text of weight 79700 used to run for minutes in realize
     start = time.perf_counter()
     iset = subclosure([Index((79700,))])
