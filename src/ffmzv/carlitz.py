@@ -44,7 +44,13 @@ class CacheStats(NamedTuple):
 @dataclass
 class CarlitzContext:
     """Level data: prime p and level l, from which the field F_q (q = p^l) and
-    q derive, plus default working sizes."""
+    q derive, plus working sizes and a cache of values shared by every caller.
+
+    `prec` (z-digits) and `tdeg` (t-degree) size the matrix systems built
+    from the context (`motive.psi_matrix`, `carlitz_system`, `example_system`,
+    `component_collapse_report`) and are Omega's default sizes.  Every other
+    function names its sizes, so one context serves any precision.
+    """
 
     p: int
     l: int
@@ -173,7 +179,9 @@ def omega_series(
     factors: int | None = None,
     drop_factor: int | None = None,
 ) -> TateElement:
-    """Truncated period product with certified tail (slope (q-1)q, offset q).
+    """Truncated period product with certified tail (slope (q-1)q, offset q),
+    at the context's sizes unless `tdeg` or `prec` is given: Omega is the
+    Carlitz system's Psi, and `omega_for_eval` asks for evaluation sizes.
 
     `drop_factor` skips one factor of the product; the result then violates
     the functional equation and serves as a negative control.  The full
@@ -232,10 +240,9 @@ def omega_for_eval(ctx: CarlitzContext, target: int) -> TateElement:
     return omega_series(ctx, tdeg=tdeg, prec=prec)
 
 
-def pi_tilde(ctx: CarlitzContext, prec: int | None = None) -> LaurentSeries:
+def pi_tilde(ctx: CarlitzContext, prec: int) -> LaurentSeries:
     """The fundamental period by its own product formula (never through Omega)."""
     q, fld = ctx.q, ctx.field
-    prec = ctx.prec if prec is None else prec
     work = prec + q + 2
     # theta * (-theta)^{1/(q-1)} = theta * z^{-1}, known to O(z^work)
     acc = theta_pow(fld, 1, work + 1).shift(-1)

@@ -14,7 +14,10 @@ verified in the positively twisted form
 inverse twists, which would leave the ramified coefficient ring.  This is an
 exact logical equivalence: apply the bijective l-fold twist to both sides.
 The residual itself is computed in `tate`, as for Omega's 1x1 system; this
-module validates the matrices and runs the mutations.
+module validates the matrices and runs the mutations.  The series side and
+the collapsed component identity are built at their context's sizes
+(`ctx.prec` z-digits, t-degree `ctx.tdeg`).  A `MotiveMatrix` holds its twist
+level and entries only, and reads its size, kind and field off the entries.
 
 Mutation testing adds theta to each entry of Psi in turn, and every mutated
 residual must fail.  Entry (a, b) of the residual reads only row a of Phi,
@@ -56,20 +59,31 @@ from .errors import BudgetError, ConventionError, ShapeParseError
 from .ffield import FieldSpec, fp_list_mul, ops, power
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
-from .special import CmplSpec, Index, check_convergence, cmpl_series, is_subclosed, subclosure
+from .special import CmplSpec, Index, at_arguments, check_convergence, cmpl_series, is_subclosed, subclosure
 from . import tate
 from .tate import TateElement, to_text as tate_text
 
 
 @dataclass
 class MotiveMatrix:
-    """Square system matrix; kind 'phi-exact' (stored twisted) or 'psi-series'."""
+    """Square system matrix of twist level `level`; its size, kind and field
+    are read off its entries: kind 'phi-exact' (BivarPoly entries, stored
+    twisted) or 'psi-series' (TateElement entries)."""
 
     level: int
-    size: int
-    kind: str
     entries: tuple  # tuple of tuples; BivarPoly or TateElement
-    field: FieldSpec
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    @property
+    def kind(self) -> str:
+        return "phi-exact" if isinstance(self.entries[0][0], BivarPoly) else "psi-series"
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.entries[0][0].field
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
@@ -114,20 +128,14 @@ def phi_matrix(ctx: CarlitzContext, u: tuple[BivarPoly, ...], s: Index) -> Motiv
         rows[k][k] = lin ** sw[k]
         if k < d:
             rows[k + 1][k] = lin ** sw[k] * u[k]
-    return MotiveMatrix(ctx.l, d + 1, "phi-exact", tuple(map(tuple, rows)), fld)
+    return MotiveMatrix(ctx.l, tuple(map(tuple, rows)))
 
 
-def psi_matrix(
-    ctx: CarlitzContext,
-    u: tuple[BivarPoly, ...],
-    s: Index,
-    tdeg: int | None = None,
-    prec: int | None = None,
-) -> MotiveMatrix:
-    """The series side: Omega-powers down the diagonal, window polylogarithm
-    series below, bottom-right 1; entries carry valid tail certificates."""
-    prec = ctx.prec if prec is None else prec
-    tdeg = ctx.tdeg if tdeg is None else tdeg
+def psi_matrix(ctx: CarlitzContext, u: tuple[BivarPoly, ...], s: Index) -> MotiveMatrix:
+    """The series side at the context's sizes: Omega-powers down the
+    diagonal, window polylogarithm series below, bottom-right 1; entries
+    carry valid tail certificates."""
+    prec, tdeg = ctx.prec, ctx.tdeg
     check_convergence(ctx, CmplSpec(s, u))
     fld = ctx.field
     d = s.dep
@@ -140,35 +148,26 @@ def psi_matrix(
             window = CmplSpec(Index(s.entries[col:row]), tuple(u[col:row]))
             ser = cmpl_series(ctx, window, tdeg, prec)
             rows[row][col] = (diag * ser).truncate_tdeg(tdeg)
-    return MotiveMatrix(ctx.l, d + 1, "psi-series", tuple(map(tuple, rows)), fld)
+    return MotiveMatrix(ctx.l, tuple(map(tuple, rows)))
 
 
-def carlitz_system(
-    ctx: CarlitzContext, tdeg: int | None = None, prec: int | None = None
-) -> tuple[MotiveMatrix, MotiveMatrix]:
-    """The 1x1 system (t - theta stored twisted, Omega as its trivialization)."""
-    prec = ctx.prec if prec is None else prec
-    tdeg = ctx.tdeg if tdeg is None else tdeg
-    phi = MotiveMatrix(ctx.l, 1, "phi-exact", ((t_minus_theta_frob(ctx.field, ctx.l),),), ctx.field)
-    psi = MotiveMatrix(
-        ctx.l, 1, "psi-series", ((omega_series(ctx, tdeg=tdeg, prec=prec),),), ctx.field
-    )
+def carlitz_system(ctx: CarlitzContext) -> tuple[MotiveMatrix, MotiveMatrix]:
+    """The 1x1 system (t - theta stored twisted, Omega as its trivialization)
+    at the context's sizes."""
+    phi = MotiveMatrix(ctx.l, ((t_minus_theta_frob(ctx.field, ctx.l),),))
+    psi = MotiveMatrix(ctx.l, ((omega_series(ctx),),))
     return phi, psi
 
 
-def example_system(
-    ctx: CarlitzContext, m: int, n: int, tdeg: int | None = None, prec: int | None = None
-) -> tuple[MotiveMatrix, MotiveMatrix]:
+def example_system(ctx: CarlitzContext, m: int, n: int) -> tuple[MotiveMatrix, MotiveMatrix]:
     """The worked 8x8 block pair for {(m), (n), (m, n)} with AT arguments:
-    a 1x1 block, two 2x2 blocks, and a 3x3 block, as one direct sum."""
-    from .special import at_arguments
-
-    phi0, psi0 = carlitz_system(ctx, tdeg, prec)
-    phi, psi = phi0, psi0
+    a 1x1 block, two 2x2 blocks, and a 3x3 block, as one direct sum, at the
+    context's sizes."""
+    phi, psi = carlitz_system(ctx)
     for s in (Index((m,)), Index((n,)), Index((m, n))):
         u = at_arguments(ctx, s)
         phi = direct_sum(phi, phi_matrix(ctx, u, s))
-        psi = direct_sum(psi, psi_matrix(ctx, u, s, tdeg, prec))
+        psi = direct_sum(psi, psi_matrix(ctx, u, s))
     return phi, psi
 
 
@@ -187,7 +186,7 @@ def direct_sum(a: MotiveMatrix, b: MotiveMatrix) -> MotiveMatrix:
         rows.append(tuple(list(a.entries[i]) + [zero] * m))
     for i in range(m):
         rows.append(tuple([zero] * n + list(b.entries[i])))
-    return MotiveMatrix(a.level, n + m, a.kind, tuple(rows), a.field)
+    return MotiveMatrix(a.level, tuple(rows))
 
 
 MAX_DERIVED_SIZE = 4_000_000  # derived systems refuse a larger (deg_t + 1) * (deg_theta + 1) bound
@@ -223,7 +222,7 @@ def derived_matrix(phi: MotiveMatrix, s: int) -> MotiveMatrix:
     acc = phi.entries
     for k in range(1, s):
         acc = _mat_mul(ring, acc, [[e.twist(k * l) for e in row] for row in phi.entries])
-    return MotiveMatrix(l * s, phi.size, "phi-exact", tuple(map(tuple, acc)), fld)
+    return MotiveMatrix(l * s, tuple(map(tuple, acc)))
 
 
 def _theta_mutation(psi: MotiveMatrix) -> TateElement:
@@ -240,7 +239,7 @@ def perturb_entry(psi: MotiveMatrix, i: int, j: int) -> MotiveMatrix:
     """
     rows = [list(r) for r in psi.entries]
     rows[i][j] = rows[i][j] + _theta_mutation(psi)
-    return MotiveMatrix(psi.level, psi.size, psi.kind, tuple(map(tuple, rows)), psi.field)
+    return MotiveMatrix(psi.level, tuple(map(tuple, rows)))
 
 
 def _residual_setup(phi: MotiveMatrix, psi: MotiveMatrix) -> tate.Residual:
@@ -360,17 +359,10 @@ def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatr
 # -- the collapsed component identity ------------------------------------------
 
 
-def component_collapse_report(
-    ctx: CarlitzContext,
-    s: Index,
-    i: int,
-    j: int,
-    u: tuple[BivarPoly, ...] | None = None,
-    tdeg: int | None = None,
-    prec: int | None = None,
-) -> ResidualReport:
+def component_collapse_report(ctx: CarlitzContext, s: Index, i: int, j: int) -> ResidualReport:
     """Alternating chain sum for the (i, j) component, with the tensor
-    collapsed to an ordinary product (1-based, i >= j).
+    collapsed to an ordinary product (1-based, i >= j), with AT arguments at
+    the context's sizes.
 
     For i > j the sum telescopes to zero: the chain coefficients are exactly
     the entries of the inverse of the unipotent matrix of window series, so
@@ -380,12 +372,8 @@ def component_collapse_report(
     collapsed component is an Omega-power times its own series inverse,
     verified to equal 1 to precision.
     """
-    from .special import at_arguments
-
-    prec = ctx.prec if prec is None else prec
-    tdeg = ctx.tdeg if tdeg is None else tdeg
-    if u is None:
-        u = at_arguments(ctx, s)
+    prec, tdeg = ctx.prec, ctx.tdeg
+    u = at_arguments(ctx, s)
     if not 1 <= j <= i <= s.dep + 1:
         raise ValueError("need 1 <= j <= i <= dep + 1")
     fld, q = ctx.field, ctx.q

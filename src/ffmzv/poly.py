@@ -94,6 +94,10 @@ class BivarPoly:
                 out[e] = add[out.get(e, 0) * n + mul[base + c2]]
         return BivarPoly(self.field, out)
 
+    def truncate_t(self, d: int) -> "BivarPoly":
+        """The terms of t-degree <= d."""
+        return BivarPoly(self.field, {e: c for e, c in self.terms.items() if e[0] <= d})
+
     def scalar_mul(self, c: int) -> "BivarPoly":
         o = ops(self.field)
         return BivarPoly(self.field, {e: o.mul[c * o.n + x] for e, x in self.terms.items()})

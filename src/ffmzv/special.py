@@ -151,12 +151,11 @@ def _carry_free(k: int, p: int, step: int, limit: int) -> tuple[tuple[int, int],
     return tuple((e, _binom_mod_p(k + e, e, p)) for e in es if e and e % step == 0)
 
 
-def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int | None = None) -> LaurentSeries:
+def monic_power_sum(ctx: CarlitzContext, d: int, s: int, prec: int) -> LaurentSeries:
     """S_d(s) = sum of a^-s over the q^d monic polynomials of degree d,
     from the exponent-vector closed form (see the module docstring)."""
     if s < 1 or d < 0:
         raise ValueError("need s >= 1 and d >= 0")
-    prec = ctx.prec if prec is None else prec
     return ctx.cached_to(("S", d, s), prec, lambda prec: _monic_power_sum_dp(ctx, d, s, prec))
 
 
@@ -216,7 +215,7 @@ def _decreasing_tuples(d: int, contrib, stop: int):
 def mzv(
     ctx: CarlitzContext,
     s: Index,
-    prec: int | None = None,
+    prec: int,
     max_degree: int | None = None,
 ) -> LaurentSeries:
     """zeta_l(s_1,...,s_d) over decreasing-degree monic tuples.
@@ -225,7 +224,6 @@ def mzv(
     tuples with d_1 <= max_degree (the oracle comparison form); otherwise the
     degree cutoff comes from the certified valuation bound.
     """
-    prec = ctx.prec if prec is None else prec
     work = prec + 2
     q, fld = ctx.q, ctx.field
     entries = s.entries
@@ -245,9 +243,8 @@ def mzv(
     return acc.truncate(prec)
 
 
-def mzv_tuple_count(ctx: CarlitzContext, s: Index, prec: int | None = None) -> int:
+def mzv_tuple_count(ctx: CarlitzContext, s: Index, prec: int) -> int:
     """Number of degree tuples the direct summation visits at this precision."""
-    prec = ctx.prec if prec is None else prec
     entries = s.entries
     return sum(
         1
@@ -351,15 +348,20 @@ def _at_polys(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
     return hs
 
 
+def convergence_margin(q: int, s: int, u: BivarPoly) -> int:
+    """s q - (q-1) deg_theta u, which is positive exactly when
+    ||u|| < |theta|^{sq/(q-1)}; a zero u has margin s q."""
+    return s * q - (q - 1) * u.deg_theta()
+
+
 def at_bound_report(ctx: CarlitzContext, hs: list[BivarPoly]) -> CheckReport:
     """Convergence bound per polynomial: ||H_{s-1}|| < |theta|^{sq/(q-1)}."""
     q = ctx.q
-    failures = []
-    for s_idx in range(1, len(hs) + 1):
-        h = hs[s_idx - 1]
-        e = h.gauss_exponent()
-        if e is not None and (q - 1) * e >= s_idx * q:
-            failures.append((s_idx - 1, e, Fraction(s_idx * q, q - 1)))
+    failures = [
+        (s_idx - 1, h.gauss_exponent(), Fraction(s_idx * q, q - 1))
+        for s_idx, h in enumerate(hs, start=1)
+        if convergence_margin(q, s_idx, h) <= 0
+    ]
     return CheckReport(passed=not failures, checked=len(hs), failures=failures)
 
 
@@ -384,11 +386,9 @@ def convergence_report(ctx: CarlitzContext, spec: CmplSpec) -> CheckReport:
     items = []
     passed = True
     for i, (si, ui) in enumerate(zip(spec.s.entries, spec.u), start=1):
-        e = ui.gauss_exponent()
-        bound = Fraction(si * q, q - 1)
-        ok = e is None or (q - 1) * e < si * q
+        ok = convergence_margin(q, si, ui) > 0
         passed &= ok
-        items.append((i, e, bound, ok))
+        items.append((i, ui.gauss_exponent(), Fraction(si * q, q - 1), ok))
     return CheckReport(
         passed=passed,
         checked=len(items),
@@ -409,12 +409,7 @@ def check_convergence(ctx: CarlitzContext, spec: CmplSpec) -> CmplSpec:
 
 
 def _deltas(ctx: CarlitzContext, spec: CmplSpec) -> list[int]:
-    q = ctx.q
-    out = []
-    for si, ui in zip(spec.s.entries, spec.u):
-        e = ui.gauss_exponent()
-        out.append(si * q - (q - 1) * (0 if e is None else e))
-    return out
+    return [convergence_margin(ctx.q, si, ui) for si, ui in zip(spec.s.entries, spec.u)]
 
 
 def _ell_inv_pow(ctx: CarlitzContext, i: int, e: int, rel: int) -> LaurentSeries:
@@ -462,11 +457,10 @@ def _sum_plan(ctx: CarlitzContext, spec: CmplSpec, prec: int, at_theta: bool):
     return work, work - min(bmin, 0) + 6, terms
 
 
-def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> LaurentSeries:
+def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int) -> LaurentSeries:
     """The polylogarithm value at t = theta, by direct summation (see
     `_sum_plan`); a term below its certified valuation bound raises
     ConventionError."""
-    prec = ctx.prec if prec is None else prec
     q, fld = ctx.q, ctx.field
     plan = _sum_plan(ctx, spec, prec, at_theta=True)
     if plan is None:
@@ -490,13 +484,9 @@ def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int | None = None) -> 
     return acc.truncate(prec)
 
 
-def cmpl_series(
-    ctx: CarlitzContext, spec: CmplSpec, tdeg: int | None = None, prec: int | None = None
-) -> TateElement:
+def cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> TateElement:
     """The t-motivic polylogarithm as a Tate element with certified tail,
     cached in the context per (spec, tdeg, prec)."""
-    prec = ctx.prec if prec is None else prec
-    tdeg = ctx.tdeg if tdeg is None else tdeg
     return ctx.cached(("cmpl", spec, tdeg, prec), lambda: _cmpl_series(ctx, spec, tdeg, prec))
 
 
@@ -506,7 +496,10 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
     The tuple (i_1 > ... > i_d >= 0) contributes u_1^(i_1 l)...u_d^(i_d l)
     times prod_{a <= i_1} (t - theta^(q^a))^(-e_a), e_a the sum of the s_j
     with i_j >= a.  That product depends only on (e_1..e_(i_1)) and is a
-    cached prefix product, so the windows of one Psi share it.
+    cached prefix product, so the windows of one Psi share it.  Only
+    t-degrees <= tdeg of the numerator reach the dot, so its factors and
+    partial products are cut there; its theta-degree, which sets its
+    precision, is that of the whole product: the sum of its factors'.
     """
     q, fld = ctx.q, ctx.field
     plan = _sum_plan(ctx, spec, prec, at_theta=False)
@@ -518,14 +511,15 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
     sigma = (q - 1) * q
     pairs = []
     for tup, _ in terms:
-        num = spec.u[0].twist(tup[0] * ctx.l)
+        num = spec.u[0].twist(tup[0] * ctx.l).truncate_t(tdeg)
         for j in range(1, d):
-            num = num * spec.u[j].twist(tup[j] * ctx.l)
+            num = (num * spec.u[j].twist(tup[j] * ctx.l).truncate_t(tdeg)).truncate_t(tdeg)
+        deg_theta = sum(ui.deg_theta() * q**i for ui, i in zip(spec.u, tup))
         exps = tuple(
             sum(entries[j] for j in range(d) if tup[j] >= a) for a in range(1, tup[0] + 1)
         )
         prefix = _teinv_prefix(ctx, exps, tdeg, rel)
-        pairs.append((tate.from_poly(num, -(q - 1) * num.deg_theta() + rel), prefix))
+        pairs.append((tate.from_poly(num, -(q - 1) * deg_theta + rel), prefix))
     acc = tate.dot(pairs, tdeg) if pairs else tate.zero(fld, work, tdeg)
     coeffs = [c.truncate(work) for c in acc.coeffs]
     while len(coeffs) < tdeg + 1:
@@ -570,7 +564,7 @@ def at_arguments(ctx: CarlitzContext, s: Index) -> tuple[BivarPoly, ...]:
 def period_identity_report(
     ctx: CarlitzContext,
     s: Index,
-    prec: int | None = None,
+    prec: int,
     u: tuple[BivarPoly, ...] | None = None,
 ) -> IdentityReport:
     """Compare the polylogarithm value at the AT arguments against
@@ -578,7 +572,6 @@ def period_identity_report(
 
     Passing `u` overrides the arguments (perturbation controls).
     """
-    prec = ctx.prec if prec is None else prec
     if u is None:
         # before the factorials: its budget check refuses runaway weights
         u = at_arguments(ctx, s)

@@ -304,26 +304,20 @@ def invert_linear_factor(c: LaurentSeries, s: int, tdeg: int) -> TateElement:
     return TateElement(c.field, out, (slope, s * slope), False)
 
 
-def invert_unit(f: TateElement, tdeg: int | None = None) -> TateElement:
-    """Power-series inverse of an element with invertible constant term.
+def invert_unit(f: TateElement) -> TateElement:
+    """Power-series inverse, to f's t-degree, of an element with invertible
+    constant term.
 
     The result carries no tail certificate (used for consistency checks only).
     """
     if f.coeffs[0].is_zero():
         raise PrecisionError("constant coefficient is zero to precision")
-    d = f.tdeg if tdeg is None else min(tdeg, f.tdeg) if not f.exact else tdeg
     g0 = f.coeffs[0].inv()
     out = [g0]
-    for k in range(1, d + 1):
-        acc = None
-        for j in range(1, k + 1):
-            cj = f.coeffs[j] if j <= f.tdeg else None
-            if cj is None:
-                continue
-            term = cj * out[k - j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = ls_zero(f.field, f.coeffs[0].prec)
+    for k in range(1, f.tdeg + 1):
+        acc = f.coeffs[1] * out[k - 1]
+        for j in range(2, k + 1):
+            acc = acc + f.coeffs[j] * out[k - j]
         out.append(-(g0 * acc))
     return TateElement(f.field, out, None, False)
 

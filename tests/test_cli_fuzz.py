@@ -24,10 +24,11 @@ a dash):
   `MAX_POWER_DEGREE`).
 
 `--prec` and `--tdeg` keep their defaults (40 and 12).
-`verify-rat` and `verify-derived` are left out: at q = 343 and index
-(8,8,8) both now refuse up front with a `BudgetError` (the exact side's
-z-span against `MAX_RESIDUAL_SPAN`), but their cost below that cap, and for
-large `--derive`, has no up-front estimate yet.
+`verify-rat` and `verify-derived` are left out.  Both refuse an exact side
+whose z-span exceeds `MAX_RESIDUAL_SPAN` with a `BudgetError` (q = 343 at
+index (8,8,8)), and `verify-derived` refuses a derived product whose dense
+size bound exceeds `MAX_DERIVED_SIZE` before forming it; but no estimate
+bounds the time either takes below those caps.
 """
 
 import builtins
@@ -149,6 +150,8 @@ def _run(argv):
 @example(["group-closure", "--indices=079700", "--samples=1", "--rational"])
 @example(["cmpl", "--index=973518"])
 @example(["verify-period", "--index=12132"])
+# AT arguments of t-degree far above --tdeg (H_32)
+@example(["cmpl", "--index=6,33,33"])
 def test_every_argv_ends_in_a_report_a_usage_error_or_a_typed_error(argv):
     code, out, err = _run(argv)
     named = [w for w in re.findall(r"\w+", err) if w in BUILTIN]
@@ -164,6 +167,15 @@ def test_every_argv_ends_in_a_report_a_usage_error_or_a_typed_error(argv):
     else:
         assert code == 1 and re.fullmatch(r"error: (\w+): .*\n", err, re.S), (argv, err)
         assert re.match(r"error: (\w+)", err).group(1) in TYPED, (argv, err)
+
+
+def test_polylog_numerators_are_cut_at_the_series_t_degree():
+    # H_32's t-degree is far above --tdeg: only numerator products cut at
+    # --tdeg finish in time
+    start = time.perf_counter()
+    code, out, err = _run(["cmpl", "--index", "6,33,33"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and json.loads(out)["command"] == "cmpl", err
 
 
 def test_a_fourteen_digit_prime_answers_at_once():

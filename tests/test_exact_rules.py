@@ -154,7 +154,7 @@ def _systems(draw):
     rows = tuple(
         tuple(draw(_polys(fld, max_terms=3, max_deg=3)) for _ in range(r)) for _ in range(r)
     )
-    return MotiveMatrix(level, r, "phi-exact", rows, fld), draw(st.integers(1, 3))
+    return MotiveMatrix(level, rows), draw(st.integers(1, 3))
 
 
 @settings(max_examples=150, deadline=None)

@@ -91,7 +91,7 @@ def test_residual_zeroed_entry_fails_with_location():
     phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
     rows = [list(r) for r in psi.entries]
     rows[0][0] = tate.zero(ctx.field, 44, 8)
-    broken = MotiveMatrix(psi.level, psi.size, psi.kind, tuple(map(tuple, rows)), psi.field)
+    broken = MotiveMatrix(psi.level, tuple(map(tuple, rows)))
     rep = frobenius_residual(phi, broken)
     assert not rep.passed
     assert rep.location is not None and rep.worst_exponent is not None
@@ -245,14 +245,14 @@ def test_cached_omega_and_window_series_equal_fresh_builds():
     u = at_arguments(ctx, s)
     om = omega_series(ctx)
     windows = [CmplSpec(Index(s.entries[a:b]), u[a:b]) for a in range(3) for b in range(a + 1, 4)]
-    sers = [cmpl_series(ctx, w) for w in windows]
+    sers = [cmpl_series(ctx, w, ctx.tdeg, ctx.prec) for w in windows]
     # a request's work reuses (and must not alter) the cached objects
     psi = psi_matrix(ctx, u, s)
     assert mutation_kill_report(ctx, phi_matrix(ctx, u, s), psi).passed
     assert component_collapse_report(ctx, s, 4, 1).passed
     hits = ctx.cache_stats().hits
     assert omega_series(ctx) is om
-    assert all(cmpl_series(ctx, w) is ser for w, ser in zip(windows, sers))
+    assert all(cmpl_series(ctx, w, ctx.tdeg, ctx.prec) is ser for w, ser in zip(windows, sers))
     assert ctx.cache_stats().hits == hits + 1 + len(windows)
     # with `factors` set, the product is built afresh
     fresh_om = omega_series(ctx, factors=omega_factor_count(ctx.q, ctx.prec + ctx.q + 2))
@@ -327,7 +327,7 @@ def test_direct_sum_requires_matching():
 def test_direct_sum_of_trivial_blocks_is_identity_pattern():
     ctx = CarlitzContext(2, 1)
     one = BivarPoly.one(ctx.field)
-    triv = MotiveMatrix(1, 1, "phi-exact", ((one,),), ctx.field)
+    triv = MotiveMatrix(1, ((one,),))
     two = direct_sum(triv, triv)
     assert two.size == 2
     assert two.entry(0, 0) == one and two.entry(1, 1) == one
@@ -397,12 +397,12 @@ def test_example_system_8x8_and_serialization():
 
 @pytest.mark.parametrize("p,l", [(2, 1), (3, 1)])
 def test_component_collapse(p, l):
-    ctx = CarlitzContext(p, l, prec=44, tdeg=10)
+    ctx = CarlitzContext(p, l, prec=40, tdeg=10)
     for entries in [(2,), (1, 2), (2, 1)]:
         s = Index(entries)
         for i in range(1, s.dep + 2):
             for j in range(1, i + 1):
-                rep = component_collapse_report(ctx, s, i, j, prec=40)
+                rep = component_collapse_report(ctx, s, i, j)
                 assert rep.passed, (p, l, entries, i, j, rep)
 
 

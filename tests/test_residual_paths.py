@@ -5,6 +5,8 @@ The oracles here are the replaced code, kept as it was:
 * `_cmpl_series_oracle`: every degree tuple multiplies its own inverted
   linear factors into its numerator, one after the other, and the tuples
   are added one by one;
+* `_cmpl_series_full_numerators`: the shared prefix products and one dot,
+  with every numerator multiplied out at all its t-degrees;
 * `_mutation_residual_oracle`: a mutation twists the mutated entry and
   recomputes every residual entry it moves as a full dot;
 * `_collapse_oracle`: the collapsed chain sum adds its truncated terms one
@@ -29,7 +31,7 @@ from ffmzv.ffield import field
 from ffmzv.laurent import LaurentSeries
 from ffmzv.laurent import twist as ls_twist
 from ffmzv.laurent import zero as ls_zero
-from ffmzv.poly import t_minus_theta_frob
+from ffmzv.poly import BivarPoly, t_minus_theta_frob
 from ffmzv.motive import (
     component_collapse_report,
     derived_matrix,
@@ -83,6 +85,33 @@ def _cmpl_series_oracle(ctx, spec, tdeg, prec):
     while len(coeffs) < tdeg + 1:
         coeffs.append(ls_zero(fld, work))
     tau_min = sum(deltas) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
+    return TateElement(fld, coeffs[: tdeg + 1], (sigma, tau_min), False)
+
+
+def _cmpl_series_full_numerators(ctx, spec, tdeg, prec):
+    """`special._cmpl_series` with each tuple's numerator multiplied out at
+    every t-degree, its precision offset read off the whole product."""
+    q, fld = ctx.q, ctx.field
+    plan = special._sum_plan(ctx, spec, prec, at_theta=False)
+    if plan is None:
+        return tate.zero(fld, prec, tdeg)
+    work, rel, terms = plan
+    entries = spec.s.entries
+    d = spec.s.dep
+    sigma = (q - 1) * q
+    pairs = []
+    for tup, _ in terms:
+        num = spec.u[0].twist(tup[0] * ctx.l)
+        for j in range(1, d):
+            num = num * spec.u[j].twist(tup[j] * ctx.l)
+        exps = tuple(sum(entries[j] for j in range(d) if tup[j] >= a) for a in range(1, tup[0] + 1))
+        prefix = special._teinv_prefix(ctx, exps, tdeg, rel)
+        pairs.append((tate.from_poly(num, -(q - 1) * num.deg_theta() + rel), prefix))
+    acc = tate.dot(pairs, tdeg) if pairs else tate.zero(fld, work, tdeg)
+    coeffs = [c.truncate(work) for c in acc.coeffs]
+    while len(coeffs) < tdeg + 1:
+        coeffs.append(ls_zero(fld, work))
+    tau_min = sum(special._deltas(ctx, spec)) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
     return TateElement(fld, coeffs[: tdeg + 1], (sigma, tau_min), False)
 
 
@@ -170,6 +199,37 @@ def test_windows_equal_the_per_tuple_oracle(system):
             w = CmplSpec(Index(entries[a:b]), u[a:b])
             want = _data(_cmpl_series_oracle(ctx, w, tdeg, prec))
             assert _data(special._cmpl_series(ctx, w, tdeg, prec)) == want, (a, b)
+
+
+@st.composite
+def _polylog_specs(draw):
+    """A small index at q in {2, 3, 4, 5} with its AT arguments or random
+    convergent ones (theta-degree below s q/(q-1), some with high t-degree)."""
+    p, l = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]))
+    ctx = CarlitzContext(p, l)
+    q = ctx.q
+    s = Index(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
+    if draw(st.booleans()):
+        u = at_arguments(ctx, s)
+    else:
+        u = tuple(
+            BivarPoly(ctx.field, draw(st.dictionaries(
+                st.tuples(st.integers(0, 9), st.integers(0, (si * q - 1) // (q - 1))),
+                st.integers(1, q - 1),
+                min_size=1,
+                max_size=3,
+            )))
+            for si in s.entries
+        )
+    return ctx, CmplSpec(s, u), draw(st.integers(0, 6)), draw(st.integers(4, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polylog_specs())
+def test_cut_numerators_equal_the_full_numerator_products(case):
+    ctx, spec, tdeg, prec = case
+    want = _data(_cmpl_series_full_numerators(ctx, spec, tdeg, prec))
+    assert _data(special._cmpl_series(ctx, spec, tdeg, prec)) == want
 
 
 def test_psi_matrix_makes_at_most_half_the_products(monkeypatch):
