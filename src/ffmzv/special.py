@@ -3,8 +3,13 @@ multiple polylogarithms, all as exact truncated z-series.
 
 The depth-d zeta value at level l is the sum of 1/(a_1^{s_1}...a_d^{s_d})
 over monic tuples with strictly decreasing degrees; it is assembled from the
-degree-d power sums S_d(s) = sum(a^-s, a monic of degree d) by dynamic
-programming over degree tuples.
+degree-d power sums S_d(s) = sum(a^-s, a monic of degree d) as the nested
+sum zeta(s) = sum_v S_v(s_1) Z(s_2..s_d; < v), where the tail sum
+Z(s_2..s_d; < v) over the tail's degree tuples below v is built from the one
+below v-1 and kept in the context (`_tail_sum`).  The polylogarithm value
+at t = theta is the same nested sum over its factors
+u_j^{(il)}(theta) ell_i^{-s_j}.  No degree tuple is enumerated, and the
+indices of one context that share a tail share its sums.
 
 Power sums come in closed form, never by enumeration.  Write a monic of
 degree d as theta^d (1 + X) with u = 1/theta = -z^(q-1) and
@@ -24,7 +29,7 @@ The same expansion gives the certified valuation bound
 
     v_z(S_d(s)) >= (q-1) * (d*s + (q-1)*d*(d+1)/2),
 
-quadratic in d, which stops the degree-tuple summations.  Stopping criteria
+quadratic in d, which stops the nested sums.  Stopping criteria
 use exact a-priori bounds, never floating estimates.  Enumeration is the
 oracle: the brute-force tuple sum here (a suite reference) and the q^d-term
 power-sum loop in tests/test_special.py run under the context's enumeration
@@ -49,13 +54,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf
+from typing import Callable
 
 from .carlitz import CarlitzContext, carlitz_d, carlitz_factorial, monic_coeff_lists
 from .errors import BudgetError, ConventionError
 from .ffield import ops
-from .laurent import LaurentSeries, compare_to_precision, from_rational, theta_pow
-from .laurent import zero as ls_zero
+from .laurent import LaurentSeries, compare_to_precision, from_rational, from_theta_poly, theta_pow
+from .laurent import one as ls_one, zero as ls_zero
 from .poly import BivarPoly, dense_theta_mul
 from .reports import CheckReport, IdentityReport
 from . import tate
@@ -212,39 +218,116 @@ def _decreasing_tuples(d: int, contrib, stop: int):
     yield from rec(d - 1, 0, 0)
 
 
+class _NestedSum:
+    """A sum over strictly decreasing degree tuples (i_1 > ... > i_d >= 0) of
+    the products of one factor per index position.
+
+    `factor(j, v, prec)` is position j's factor at degree v known to at
+    least O(z^prec), of valuation at least `bound(j, v)`, which is
+    nondecreasing in v.  Both read only parts[j], so the tail from position
+    j is named by (`kind`, parts[j:]) and shared by every sum that agrees
+    with it from j on.  floors[j] is the bound of the tail's least tuple
+    (d-j-1, ..., 0), a lower bound for the valuation of every term.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        parts: tuple,
+        bound: Callable[[int, int], int],
+        factor: Callable[[int, int, int], LaurentSeries],
+    ):
+        self.kind, self.parts, self.bound, self.factor = kind, parts, bound, factor
+        d = len(parts)
+        self.floors = [0] * (d + 1)
+        for j in reversed(range(d)):
+            self.floors[j] = self.floors[j + 1] + bound(j, d - 1 - j)
+
+
+def _degree_cap(ns: _NestedSum, j: int, v: float, prec: int) -> int:
+    """min(v, the least degree at position j whose terms vanish to O(z^prec)):
+    the degrees i with bound(j, i) + floors[j+1] >= prec add nothing."""
+    least, rest = len(ns.parts) - 1 - j, ns.floors[j + 1]
+    # at once when degree v - 1 still adds, so that all below it do
+    top = v if least < v < inf and ns.bound(j, v - 1) + rest < prec else least
+    while top < v and ns.bound(j, top) + rest < prec:
+        top += 1
+    return top
+
+
+def _nested_sum(ctx: CarlitzContext, ns: _NestedSum, v: float, prec: int) -> LaurentSeries:
+    """The sum over the tuples (v > i_1 > ... > i_d >= 0), to O(z^prec):
+    sum_{i < v} factor(0, i) T_1(i), with the tail sums T_1 of `_tail_sum`.
+
+    A term's valuation is at least the sum of its factors' bounds, and that
+    of T_1 at least floors[1], so factor(0, i) is needed only to
+    O(z^(prec - floors[1])) and T_1(i) only to O(z^(prec - bound(0, i))).
+    The sum itself is not kept: a whole index is asked for about once per
+    context, and its partial sums would only be more cached objects for
+    every garbage collection to traverse.
+    """
+    acc = ls_zero(ctx.field, prec)
+    for i in range(len(ns.parts) - 1, _degree_cap(ns, 0, v, prec)):
+        tail = _tail_sum(ctx, ns, 1, i, prec - ns.bound(0, i))
+        acc = acc + ns.factor(0, i, prec - ns.floors[1]) * tail
+    return acc
+
+
+def _tail_sum(ctx: CarlitzContext, ns: _NestedSum, j: int, v: float, prec: int) -> LaurentSeries:
+    """T_j(v), the sum over the tuples (v > i_j > ... > i_{d-1} >= 0) of the
+    products of the factors from position j on, to O(z^prec), with the
+    precisions of `_nested_sum` one position further on.
+
+    T_j(v) = T_j(v-1) + factor(j, v-1) T_{j+1}(v-1), and T_d = 1.  Each
+    T_j(v) is kept in the context through `cached_to`, keyed by absolute
+    precision, so the sums of one context that share a tail share its
+    partial sums.
+    """
+    d = len(ns.parts)
+    if j == d:
+        return ls_one(ctx.field, prec)
+    top = _degree_cap(ns, j, v, prec)
+    if top == d - 1 - j:
+        return ls_zero(ctx.field, prec)
+
+    def build(prec: int) -> LaurentSeries:
+        i = top - 1
+        # T_j(i) first: it asks for the T_{j+1} below i at higher precision
+        acc = _tail_sum(ctx, ns, j, i, prec)
+        tail = _tail_sum(ctx, ns, j + 1, i, prec - ns.bound(j, i))
+        return acc + ns.factor(j, i, prec - ns.floors[j + 1]) * tail
+
+    return ctx.cached_to((ns.kind, ns.parts[j:], top), prec, build)
+
+
 def mzv(
     ctx: CarlitzContext,
     s: Index,
     prec: int,
     max_degree: int | None = None,
 ) -> LaurentSeries:
-    """zeta_l(s_1,...,s_d) over decreasing-degree monic tuples.
+    """zeta_l(s_1,...,s_d) = sum_v S_v(s_1) Z(s_2..s_d; < v), Z(tail; < v)
+    the sum over the tail's decreasing degree tuples below v, kept as in
+    `_tail_sum` under the kind "ztail"; it reads only the power sums.
 
-    With `max_degree` set, returns the exact partial sum over all degree
-    tuples with d_1 <= max_degree (the oracle comparison form); otherwise the
-    degree cutoff comes from the certified valuation bound.
+    With `max_degree` set, returns the partial sum over all degree tuples
+    with d_1 <= max_degree (the oracle comparison form); otherwise the degree
+    cutoff comes from the certified valuation bound.
     """
-    work = prec + 2
-    q, fld = ctx.q, ctx.field
-    entries = s.entries
-    d = len(entries)
-    if max_degree is not None:
-        tuples = _decreasing_tuples(d, lambda j, v: v > max_degree, 1)
-    else:
-        tuples = _decreasing_tuples(
-            d, lambda j, v: power_sum_val_bound(q, v, entries[j]), work
-        )
-    acc = ls_zero(fld, work)
-    for tup in tuples:
-        term = monic_power_sum(ctx, tup[0], entries[0], work)
-        for j in range(1, d):
-            term = term * monic_power_sum(ctx, tup[j], entries[j], work)
-        acc = acc + term.truncate(work)
-    return acc.truncate(prec)
+    q, entries = ctx.q, s.entries
+    ns = _NestedSum(
+        "ztail",
+        entries,
+        lambda j, v: power_sum_val_bound(q, v, entries[j]),
+        lambda j, v, prec: monic_power_sum(ctx, v, entries[j], prec),
+    )
+    return _nested_sum(ctx, ns, inf if max_degree is None else max_degree + 1, prec)
 
 
 def mzv_tuple_count(ctx: CarlitzContext, s: Index, prec: int) -> int:
-    """Number of degree tuples the direct summation visits at this precision."""
+    """Number of degree tuples whose certified valuation bound lies below
+    prec + 2, the terms of zeta(s) that can reach O(z^(prec+2)); the CLI
+    reports it as `terms_used`."""
     entries = s.entries
     return sum(
         1
@@ -402,9 +485,8 @@ def convergence_report(ctx: CarlitzContext, spec: CmplSpec) -> CheckReport:
 
 def check_convergence(ctx: CarlitzContext, spec: CmplSpec) -> CmplSpec:
     """`spec` itself, or ValueError with the report's note if an argument diverges."""
-    rep = convergence_report(ctx, spec)
-    if not rep.passed:
-        raise ValueError(f"convergence condition violated: {rep.note}")
+    if min(_deltas(ctx, spec)) <= 0:
+        raise ValueError(f"convergence condition violated: {convergence_report(ctx, spec).note}")
     return spec
 
 
@@ -413,43 +495,53 @@ def _deltas(ctx: CarlitzContext, spec: CmplSpec) -> list[int]:
 
 
 def _ell_inv_pow(ctx: CarlitzContext, i: int, e: int, rel: int) -> LaurentSeries:
-    """((theta - theta^q)...(theta - theta^{q^i}))^-e with rel relative z-digits;
-    its precision is rel plus a constant of (i, e)."""
+    """ell_i^-e for ell_i = (theta - theta^q)...(theta - theta^{q^i}), i >= 1,
+    known to rel z-digits past its valuation e q (q^i - 1): ell_{i-1}^-e times
+
+        (theta - theta^Q)^-e = (-1)^e theta^{-eQ} sum_k C(e+k-1, k) theta^{k(1-Q)},
+
+    Q = q^i, a series with one nonzero z-coefficient every (q-1)(Q-1) digits."""
 
     def build(rel: int) -> LaurentSeries:
-        if e > 1:  # the e-th power of the cached inverse
-            return _ell_inv_pow(ctx, i, 1, rel) ** e
-        q, fld = ctx.q, ctx.field
-        neg = ops(fld).neg
-        poly = BivarPoly.one(fld)
-        for a in range(1, i + 1):
-            poly = poly * BivarPoly(fld, {(0, 1): 1, (0, q**a): neg[1]})
-        return poly.eval_theta(rel + 2).inv()  # negative valuation, so relative > rel
+        q, p, fld = ctx.q, ctx.p, ctx.field
+        big_q = q**i
+        target = e * (q - 1) * big_q + rel
+        # the terms k <= n lie below the target: theta^-lead times a
+        # theta-polynomial of degree n(Q-1) with F_p coefficients, each its
+        # own field encoding
+        n = max(0, -(-rel // ((q - 1) * (big_q - 1))) - 1)
+        lead = e * big_q + n * (big_q - 1)
+        coeffs = {
+            (n - k) * (big_q - 1): (-1) ** e * _binom_mod_p(e + k - 1, k, p) % p
+            for k in range(n + 1)
+        }
+        fac = from_theta_poly(fld, coeffs, target - (q - 1) * lead)
+        fac = theta_pow(fld, -lead, target + (q - 1) * n * (big_q - 1)) * fac
+        return fac if i == 1 else _ell_inv_pow(ctx, i - 1, e, rel) * fac
 
     return ctx.cached_to(("ellinv", i, e), rel, build)
 
 
-def _sum_plan(ctx: CarlitzContext, spec: CmplSpec, prec: int, at_theta: bool):
-    """(work, rel, terms) of the polylogarithm sum for spec to O(z^prec),
-    or None when an argument, and with it the sum, is zero.
+def _sum_plan(ctx: CarlitzContext, spec: CmplSpec, prec: int):
+    """(work, rel, terms) of the t-motivic polylogarithm sum for spec to
+    O(z^prec), or None when an argument, and with it the sum, is zero.
 
     Each term is a degree tuple (i_1 > ... > i_d >= 0) with its certified
     valuation bound sum_j (q^{i_j} delta_j - s_j q), delta_j = s_j q -
     (q-1) deg_theta u_j > 0 under the convergence condition, so the dominant
-    q^{i_1} factor terminates the sum; at t = theta (`at_theta`) each u_j
-    costs (q-1) deg_t u_j more.  Every atomic factor is materialized at rel
-    relative z-digits, which gives every term absolute precision >= work.
+    q^{i_1} factor terminates the sum.  Every atomic factor is materialized
+    at rel relative z-digits, which gives every term absolute precision >=
+    work.
     """
     check_convergence(ctx, spec)
     if any(ui.is_zero() for ui in spec.u):
         return None
     q, entries = ctx.q, spec.s.entries
     deltas = _deltas(ctx, spec)
-    tpen = [(q - 1) * ui.deg_t() if at_theta else 0 for ui in spec.u]
     work = prec + 4
 
     def contrib(j: int, v: int) -> int:
-        return q**v * deltas[j] - entries[j] * q - tpen[j]
+        return q**v * deltas[j] - entries[j] * q
 
     tuples = _decreasing_tuples(spec.s.dep, contrib, work)
     terms = [(tup, sum(contrib(j, ij) for j, ij in enumerate(tup))) for tup in tuples]
@@ -458,30 +550,57 @@ def _sum_plan(ctx: CarlitzContext, spec: CmplSpec, prec: int, at_theta: bool):
 
 
 def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int) -> LaurentSeries:
-    """The polylogarithm value at t = theta, by direct summation (see
-    `_sum_plan`); a term below its certified valuation bound raises
-    ConventionError."""
-    q, fld = ctx.q, ctx.field
-    plan = _sum_plan(ctx, spec, prec, at_theta=True)
-    if plan is None:
-        return ls_zero(fld, prec)
-    work, rel, terms = plan
-    entries = spec.s.entries
-    acc = ls_zero(fld, work)
-    for tup, bound in terms:
-        term = None
-        for j, ij in enumerate(tup):
-            low = -(q - 1) * (spec.u[j].deg_t() + spec.u[j].deg_theta() * q**ij)
-            f = spec.u[j].eval_theta_twisted(ij * ctx.l, low + rel)
-            term = f if term is None else term * f
-            if ij > 0:
-                term = term * _ell_inv_pow(ctx, ij, entries[j], rel)
-        if not term.is_zero() and term.val < bound:
+    """The polylogarithm value at t = theta, sum_v f_1(v) L(s_2.., u_2..; < v)
+    with f_j(i) = u_j^{(il)}(theta) ell_i^{-s_j} and L the tail sum below v,
+    kept as in `_tail_sum` under the kind "ltail"; it reads only the
+    arguments and the ell-inverses.
+
+    f_j(i) has the certified valuation bound q^i delta_j - s_j q -
+    (q-1) deg_t u_j, delta_j = s_j q - (q-1) deg_theta u_j > 0 under the
+    convergence condition; a factor below it raises ConventionError.
+    """
+    check_convergence(ctx, spec)
+    if any(ui.is_zero() for ui in spec.u):
+        return ls_zero(ctx.field, prec)
+    q, entries, u = ctx.q, spec.s.entries, spec.u
+    deltas = _deltas(ctx, spec)
+    tpen = [(q - 1) * ui.deg_t() for ui in u]
+    # keys name an argument by its terms, which hash much faster than a BivarPoly
+    parts = tuple((si, tuple(sorted(ui.terms.items()))) for si, ui in zip(entries, u))
+
+    def bound(j: int, v: int) -> int:
+        return q**v * deltas[j] - entries[j] * q - tpen[j]
+
+    def factor(j: int, v: int, prec: int) -> LaurentSeries:
+        b = bound(j, v)
+        return _polylog_factor(ctx, parts[j], u[j], v, b, prec - b)
+
+    ns = _NestedSum("ltail", parts, bound, factor)
+    return _nested_sum(ctx, ns, inf, prec)
+
+
+def _polylog_factor(
+    ctx: CarlitzContext, part: tuple, u: BivarPoly, i: int, bound: int, rel: int
+) -> LaurentSeries:
+    """u^{(il)}(theta) ell_i^{-s}, part = (s, the terms of u), of certified
+    valuation `bound`, to O(z^(bound + rel)), cached by rel under the kind
+    "lfactor"; a factor below its bound raises ConventionError."""
+    s = part[0]
+
+    def build(rel: int) -> LaurentSeries:
+        q = ctx.q
+        low = -(q - 1) * (u.deg_t() + u.deg_theta() * q**i)  # u^{(il)}(theta)'s bound
+        f = u.eval_theta_twisted(i * ctx.l, low + rel)
+        if i:
+            f = (f * _ell_inv_pow(ctx, i, s, rel)).truncate(bound + rel)
+        if not f.is_zero() and f.val < bound:
             raise ConventionError(
-                f"term {tup} has valuation {term.val} below its certified bound {bound}"
+                f"factor u^({i}l)(theta) ell_{i}^-{s} has valuation {f.val} "
+                f"below its certified bound {bound}"
             )
-        acc = acc + term.truncate(work)
-    return acc.truncate(prec)
+        return f
+
+    return ctx.cached_to(("lfactor", part, i), rel, build)
 
 
 def cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> TateElement:
@@ -502,7 +621,7 @@ def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> T
     precision, is that of the whole product: the sum of its factors'.
     """
     q, fld = ctx.q, ctx.field
-    plan = _sum_plan(ctx, spec, prec, at_theta=False)
+    plan = _sum_plan(ctx, spec, prec)
     if plan is None:
         return tate.zero(fld, prec, tdeg)
     work, rel, terms = plan
@@ -585,10 +704,10 @@ def period_identity_report(
 
 
 def factorial_product(ctx: CarlitzContext, s: Index) -> BivarPoly:
-    """Gamma_{s_1} ... Gamma_{s_d}."""
+    """Gamma_{s_1} ... Gamma_{s_d}, each Gamma_n kept in the context."""
     gamma = BivarPoly.one(ctx.field)
     for si in s.entries:
-        gamma = gamma * carlitz_factorial(ctx, si - 1)
+        gamma = gamma * ctx.cached(("gamma", si), lambda: carlitz_factorial(ctx, si - 1))
     return gamma
 
 

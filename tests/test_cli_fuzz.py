@@ -10,7 +10,9 @@ a dash):
   text.
 * `--l`: 1, 2, 3, 13, 99 and [-3, 0]; malformed text.  With the primes above,
   a valid level gives q = p^l <= 343 or a field above the cap.
-* `--index`: depth 1-3 with entries in [-1, 40]; edge and malformed text.
+* `--index`: depth 1-4 with entries in [-1, 40]; edge and malformed text.
+* `--prec`: [1, 200] for `mzv`, `cmpl` and `verify-period`, so that the
+  tail sums a context caches meet precisions far from the default.
 * `--smax`: [-2, 40]; malformed text.
 * `--u`: 1-3 ';'-separated sums of terms c*t^a*theta^b with c in [0, 12] and
   a, b in [0, 6]; edge and malformed text.
@@ -23,7 +25,8 @@ a dash):
   `BudgetError` (`at_slot_estimate` against the enumeration budget, and
   `MAX_POWER_DEGREE`).
 
-`--prec` and `--tdeg` keep their defaults (40 and 12).
+The other commands keep `--prec` at its default (40), and every command
+keeps `--tdeg` at its default (12).
 `verify-rat` and `verify-derived` are left out.  Both refuse an exact side
 whose z-span exceeds `MAX_RESIDUAL_SPAN` with a `BudgetError` (q = 343 at
 index (8,8,8)), and `verify-derived` refuses a derived product whose dense
@@ -73,11 +76,12 @@ P = st.one_of(
 )
 L = st.one_of(st.sampled_from(["1", "2", "3", "13", "99"]), _ints(-3, 0), JUNK)
 INDEX = st.one_of(
-    st.lists(st.integers(-1, 40), min_size=1, max_size=3).map(lambda e: ",".join(map(str, e))),
+    st.lists(st.integers(-1, 40), min_size=1, max_size=4).map(lambda e: ",".join(map(str, e))),
     st.sampled_from(["1,,2", ",1", "1;2", "1 ,2", "0", "+1", "(1)"]),
     JUNK,
 )
 SMAX = st.one_of(_ints(-2, 40), JUNK)
+PREC = _ints(1, 200)
 TERM = st.builds(
     "{}t^{}*theta^{}".format,
     st.sampled_from(["", "-", "0*", "2*", "3*", "12*"]),
@@ -108,12 +112,12 @@ SAMPLES = _ints(1, 10)
 
 # each command with the fuzzed options it reads
 COMMANDS = {
-    "mzv": {"p": P, "l": L, "index": INDEX},
+    "mzv": {"p": P, "l": L, "index": INDEX, "prec": PREC},
     "atpoly": {"p": P, "l": L, "smax": SMAX},
     "omega": {"p": P, "l": L},
     "pitilde": {"p": P, "l": L},
-    "cmpl": {"p": P, "l": L, "index": INDEX, "u": U},
-    "verify-period": {"p": P, "l": L, "index": INDEX},
+    "cmpl": {"p": P, "l": L, "index": INDEX, "u": U, "prec": PREC},
+    "verify-period": {"p": P, "l": L, "index": INDEX, "prec": PREC},
     "group-closure": {"indices": INDICES, "gf": GF, "samples": SAMPLES},
     "group-commutator": {"indices": INDICES, "gf": GF, "samples": SAMPLES},
 }

@@ -1,9 +1,12 @@
 """Precision-monotone caches and the independence of the two sides of each
 identity check.
 
-A power sum or ell-inverse served by truncating a higher-precision entry must
-equal a fresh build, and the polylogarithm side and the zeta side may share
-no cache entry beyond the factorials the identity's statement puts on both.
+A power sum, ell-inverse, polylogarithm factor or tail sum served by
+truncating a higher-precision entry must equal a fresh build, and the
+polylogarithm side and the zeta side may share no cache entry beyond the
+factorials the identity's statement puts on both: the zeta tails read only
+power sums, the polylogarithm factors and tails only the Anderson-Thakur
+arguments and the ell-inverses.
 The product-formula pi-tilde and 1/Omega(theta) share no cache entry, and
 the brute-force Carlitz-tower oracle reads none of the recursion's D_i: the
 two sides of those checks share only the convention `laurent.theta_pow`.
@@ -28,6 +31,7 @@ from ffmzv.special import (
     cmpl_value,
     factorial_product,
     monic_power_sum,
+    mzv,
     zeta_side,
 )
 
@@ -35,11 +39,18 @@ LEVELS = [(2, 1), (3, 1), (2, 2), (5, 1)]
 
 # Gamma_{s_1}...Gamma_{s_d} multiplies the zeta side by the statement of the
 # identity, and the AT polynomials are built from the same D_i
-SHARED_KINDS = {"D"}
+SHARED_KINDS = {"D", "gamma"}
+ZETA_KINDS = {"S", "ztail"}
+POLYLOG_KINDS = {"AT", "ellinv", "lfactor", "ltail"}
 
 
 def _same(a, b):
     return (a.val, a.coeffs, a.prec) == (b.val, b.coeffs, b.prec)
+
+
+def polylog_side(ctx, s, work):
+    """The identity's polylogarithm side, as `period_identity_report` builds it."""
+    return cmpl_value(ctx, CmplSpec(s, at_arguments(ctx, s)), work)
 
 
 @pytest.mark.parametrize("p,l", LEVELS)
@@ -64,6 +75,29 @@ def test_truncation_served_ell_inverses_equal_fresh_builds(p, l):
                 assert _same(got, _ell_inv_pow(CarlitzContext(p, l), i, e, rel)), (i, e, rel)
 
 
+@pytest.mark.parametrize("p,l", LEVELS)
+def test_truncation_served_tails_equal_fresh_builds(p, l):
+    ctx = CarlitzContext(p, l)
+    served = set()  # kinds of the requests an entry of higher precision served
+    cached_to = ctx.cached_to
+
+    def record(key, level, build):
+        entry = ctx._cache.get(key)
+        if entry is not None and entry[0] > level:
+            served.add(key[0])
+        return cached_to(key, level, build)
+
+    ctx.cached_to = record
+    for entries in [(1,), (2, 1), (1, 2, 1), (3, 1, 2)]:
+        s = Index(entries)
+        for prec in (150, 97, 40, 7, 1, 170, 120):
+            got = mzv(ctx, s, prec)
+            assert _same(got, mzv(CarlitzContext(p, l), s, prec)), (s, prec)
+            got = polylog_side(ctx, s, prec)
+            assert _same(got, polylog_side(CarlitzContext(p, l), s, prec)), (s, prec)
+    assert {"ztail", "lfactor", "ltail"} <= served
+
+
 def test_monotone_entries_count_truncations_as_hits():
     ctx = CarlitzContext(3, 1)
     monic_power_sum(ctx, 2, 1, 50)
@@ -74,11 +108,6 @@ def test_monotone_entries_count_truncations_as_hits():
     assert ctx.cache_stats() == (1, 2, 1)
     assert monic_power_sum(ctx, 2, 1, 80) is monic_power_sum(ctx, 2, 1, 80)
     assert ctx.cache_stats() == (3, 2, 1)
-
-
-def polylog_side(ctx, s, work):
-    """The identity's polylogarithm side, as `period_identity_report` builds it."""
-    return cmpl_value(ctx, CmplSpec(s, at_arguments(ctx, s)), work)
 
 
 def _recording_context(p, l):
@@ -109,6 +138,8 @@ def test_period_identity_sides_share_no_cache_entry(p, l):
         polylog = polylog_side(pctx, s, work)
         touched |= zkinds | pkinds
         assert not (zkinds & pkinds) - SHARED_KINDS, (s, zkinds, pkinds)
+        assert zkinds - SHARED_KINDS <= ZETA_KINDS, (s, zkinds)
+        assert pkinds - SHARED_KINDS <= POLYLOG_KINDS, (s, pkinds)
         # each side is the same series on its own context as on a shared one,
         # whichever side runs first there
         for zeta_first in (True, False):
@@ -121,7 +152,7 @@ def test_period_identity_sides_share_no_cache_entry(p, l):
                 z = zeta_side(shared, s, factorial_product(shared, s), work)
             assert _same(z, zeta) and _same(y, polylog), (s, zeta_first)
     # at depth 3 and q >= 4 zeta vanishes to this precision and touches no S
-    assert {"S", "AT", "ellinv"} <= touched
+    assert ZETA_KINDS | POLYLOG_KINDS <= touched
 
 
 @pytest.mark.parametrize("p,l", LEVELS)

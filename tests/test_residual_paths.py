@@ -92,7 +92,7 @@ def _cmpl_series_full_numerators(ctx, spec, tdeg, prec):
     """`special._cmpl_series` with each tuple's numerator multiplied out at
     every t-degree, its precision offset read off the whole product."""
     q, fld = ctx.q, ctx.field
-    plan = special._sum_plan(ctx, spec, prec, at_theta=False)
+    plan = special._sum_plan(ctx, spec, prec)
     if plan is None:
         return tate.zero(fld, prec, tdeg)
     work, rel, terms = plan
