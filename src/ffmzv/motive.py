@@ -40,8 +40,18 @@ The block-group shells of the independence argument live at the bottom of
 the module: parameterized lower-triangular shapes (a) + X_{s_1} + ... with
 exact closure, inversion, and commutator checks over finite fields or a
 univariate rational function field.  A shape is block diagonal, so the checks
-multiply, invert and parse it block by block, and run their first trial on
-the whole matrices as well.
+multiply, invert and parse it block by block.  A sampled check evaluates its
+law once over the product ring F^L whose L lanes are its trials (a domain's
+`lanes(L)`: each entry is a list of L values, and the unchanged kernels
+`_mat_mul` and `_mat_inv_lower` run over it), for each chunk of at most
+SAMPLE_LANES trials, and reads every result back lane by lane (`_read`, whose
+one-lane case is `BlockShape.parse` and `from_blocks`).  Over F_p(t) a lane
+holds None, or a `_Skipped` product, for a term the per-trial kernel would
+not add, so every lane computes the same unreduced fractions as a trial run
+alone.  The first trial also runs on the whole matrices as scalars (`realize`,
+the kernels, `BlockShape.parse`): that spot check certifies the zeros outside
+the blocks.  Failures come per trial in trial order, and an exception is the
+one the first failing trial raises alone.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import combinations
+from itertools import combinations, count
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -442,9 +452,6 @@ class FiniteFieldDomain:
     def add(self, a, b):
         return self._o.add[a * self._o.n + b]
 
-    def sub(self, a, b):
-        return self._o.sub(a, b)
-
     def mul(self, a, b):
         return self._o.mul[a * self._o.n + b]
 
@@ -462,6 +469,23 @@ class FiniteFieldDomain:
     eq = staticmethod(operator.eq)
     is_zero = staticmethod(operator.not_)
 
+    def lanes(self, width: int) -> SimpleNamespace:
+        """F^width, componentwise: table lookups over lists of `width` encodings.
+
+        The kernels use zero, one, add, mul, neg, inv and is_zero (every lane
+        zero); `_read` takes values (an entry's values, here the entry itself),
+        split (a value's lanes), eq (every lane equal), scale (the product of
+        values) and pow."""
+        o, n = self._o, self._o.n
+        add, mul, neg, inv = o.add, o.mul, o.neg, o.inv
+        lane_mul = lambda x, y: [mul[a * n + b] for a, b in zip(x, y)]
+        return SimpleNamespace(
+            dom=self, zero=lambda: [0] * width, one=lambda: [1] * width, mul=lane_mul, scale=lane_mul,
+            add=lambda x, y: [add[a * n + b] for a, b in zip(x, y)], neg=lambda x: [neg[a] for a in x],
+            inv=lambda x: [inv[a] for a in x], pow=lambda x, e: [o.pow(a, e) for a in x],
+            is_zero=lambda x: not any(x), values=lambda x: x, split=lambda x: x, eq=operator.eq,
+        )
+
     def sample(self, rng: random.Random):
         return rng.randrange(self._o.n)
 
@@ -471,6 +495,15 @@ class FiniteFieldDomain:
 
 MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degree <= 2
 MAX_POWER_DEGREE = 128  # F_p(t) refuses a power whose degree bound is larger
+SAMPLE_LANES = 32  # trials evaluated together: the lanes of one law evaluation
+
+
+class _Skipped(NamedTuple):
+    """A product with a zero factor, a term the per-trial kernels never add;
+    but forward substitution negates a quotient whose sum cancelled to zero,
+    so `neg` gives that product back."""
+
+    term: tuple
 
 
 def _trimmed(out: list) -> tuple:
@@ -517,9 +550,6 @@ class RationalFunctionDomain:
     def neg(self, a):
         return (tuple((-c) % self.p for c in a[0]), a[1])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         return (self._pmul(a[0], b[0]), self._pmul(a[1], b[1]))
 
@@ -547,6 +577,29 @@ class RationalFunctionDomain:
 
     def is_zero(self, a):
         return not any(a[0])
+
+    def lanes(self, width: int) -> SimpleNamespace:
+        """F_p(t)^width, as for a finite field, but for the kernels a lane
+        holds a fraction, or None or a _Skipped product (a zero product has a
+        zero factor) for a term the per-trial kernel leaves out, so each lane
+        adds the same terms in the same order; `values` reads such a lane as
+        ((0,), (1,)), the zero an untouched per-trial entry keeps."""
+        zero, one, add, mul, neg = self.zero(), self.one(), self.add, self.mul, self.neg
+
+        def lane_mul(x, y):
+            out = [mul(a, b) if type(a) is tuple and type(b) is tuple else None for a, b in zip(x, y)]
+            return [t if t is None or any(t[0]) else _Skipped(t) for t in out]
+
+        return SimpleNamespace(
+            dom=self, zero=lambda: [None] * width, one=lambda: [one] * width, mul=lane_mul,
+            add=lambda x, y: [a if type(b) is not tuple else b if type(a) is not tuple else add(a, b)
+                              for a, b in zip(x, y)],
+            neg=lambda x: [neg(a) if type(a) is tuple else None if a is None else neg(a.term) for a in x],
+            inv=lambda x: list(map(self.inv, x)), pow=lambda x, e: [self.pow(a, e) for a in x],
+            is_zero=lambda x: not any(type(a) is tuple and any(a[0]) for a in x),
+            scale=lambda x, y: list(map(mul, x, y)), eq=lambda x, y: all(map(self.eq, x, y)),
+            values=lambda x: [a if type(a) is tuple else zero for a in x], split=lambda x: x,
+        )
 
     def sample(self, rng: random.Random):
         num = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2)))
@@ -598,6 +651,80 @@ def _shape_layout(index_set: tuple[Index, ...]) -> _ShapeLayout:
     return _ShapeLayout(spans[-1][1], tuple(spans), tuple(diagonals), tuple(entries), tuple(ids), exponents, error)
 
 
+@lru_cache(maxsize=64)
+def _scalar_lane(domain) -> SimpleNamespace:
+    """What _read asks of lanes, for the domain's own elements as one lane."""
+    return SimpleNamespace(dom=domain, split=lambda x: [x], eq=domain.eq, is_zero=domain.is_zero,
+                           pow=domain.pow, inv=domain.inv, scale=domain.mul)
+
+
+def _blocks(ring, lay: _ShapeLayout, a, xs: list) -> list:
+    """The diagonal blocks of the shape with scalar a and window values xs
+    (in the layout's window order), over a domain or over its lanes."""
+    pw = {e: ring.pow(a, e) for e in lay.exponents}
+    zero, mul = ring.zero(), ring.mul
+    out = [[[a]]]
+    for diag, entries in zip(lay.diagonals, lay.entries):
+        block = [[zero] * r + [pw[e]] + [zero] * (len(diag) - r - 1) for r, e in enumerate(diag)]
+        for r, c, e, w in entries:
+            block[r][c] = mul(pw[e], xs[w])
+        out.append(block)
+    return out
+
+
+def _read(ring, lay: _ShapeLayout, rows, whole: bool) -> list:
+    """Per lane (`ring.split` gives the lanes of an entry), (a, window values
+    in layout order) of the shape whose k-th diagonal block is rows[k], or
+    (whole) the span of the whole matrix rows[k] holds; or else the text of
+    the lane's first ShapeParseError, which names the first entry off the
+    shape in row-major order.
+
+    In exact arithmetic an entry below a diagonal is a^e times the value
+    extracted from it, so only recurring windows, the diagonals and the
+    zeros around the blocks are compared, all lanes at once; a lane is
+    looked at alone only where some lane fails.
+    """
+    dom, split, eq, is_zero = ring.dom, ring.split, ring.eq, ring.is_zero
+    a = rows[0][0][0]
+    found = ["scalar parameter is zero" if z else None for z in map(dom.is_zero, split(a))]
+    if any(found):
+        if all(found):
+            return found
+        a = [dom.one() if f else x for f, x in zip(found, a)]  # those lanes read on with a = 1
+    pw = {e: ring.pow(a, e) for e in lay.exponents}
+    ainv = {e: ring.inv(x) for e, x in pw.items()}
+    starts = [lo if whole else 0 for lo, _ in lay.spans]
+    xs = [None] * len(lay.windows)
+    for o, entries, block in zip(starts[1:], lay.entries, rows[1:]):
+        for r, c, e, w in entries:
+            x = ring.scale(block[r][o + c], ainv[e])
+            if xs[w] is None:
+                xs[w] = x
+            elif not eq(xs[w], x):
+                why = f"window {lay.windows[w]} extracted twice with different values"
+                found = [f or (None if ok else why) for f, ok in zip(found, map(dom.eq, split(xs[w]), split(x)))]
+                if all(found):
+                    return found
+    diagonals = [(a,)] + [[pw[e] for e in diag] for diag in lay.diagonals]
+    for (lo, _), o, diag, block in zip(lay.spans, starts, diagonals, rows):
+        for r, (x, row) in enumerate(zip(diag, block)):
+            d = o + r  # row r holds x in column d and zeros outside columns o..d
+            if all(map(is_zero, row[d + 1 :])) and all(map(is_zero, row[:o])) and eq(row[d], x):
+                continue
+            fixed = (*range(o), *range(d, len(row)))
+            for lane, y in enumerate(split(x)):
+                if not found[lane]:
+                    cells = (split(row[j])[lane] for j in fixed)
+                    off = (j for j, v in zip(fixed, cells) if not (dom.eq(y, v) if j == d else dom.is_zero(v)))
+                    j = next(off, None)
+                    if j is not None:
+                        found[lane] = f"entry ({lo + r}, {lo - o + j}) off the parameterized shape"
+            if all(found):
+                return found
+    a, xs = split(a), [split(x) for x in xs]
+    return [f or (a[lane], [x[lane] for x in xs]) for lane, f in enumerate(found)]
+
+
 @dataclass
 class BlockShape:
     """Parameterized block matrix (a) + X_{s_1} + ... + X_{s_j}.
@@ -631,17 +758,8 @@ class BlockShape:
         return self._layout.size
 
     def blocks(self) -> list:
-        dom, lay = self.domain, self._layout
-        pw = {e: dom.pow(self.a, e) for e in lay.exponents}
-        xs = [self.xmap[w] for w in lay.windows]
-        zero, mul = dom.zero(), dom.mul
-        out = [[[self.a]]]
-        for diag, entries in zip(lay.diagonals, lay.entries):
-            block = [[zero] * r + [pw[e]] + [zero] * (len(diag) - r - 1) for r, e in enumerate(diag)]
-            for r, c, e, w in entries:
-                block[r][c] = mul(pw[e], xs[w])
-            out.append(block)
-        return out
+        lay = self._layout
+        return _blocks(self.domain, lay, self.a, [self.xmap[w] for w in lay.windows])
 
     def realize(self):
         n, zero = self.size, self.domain.zero()
@@ -652,50 +770,24 @@ class BlockShape:
         ]
 
     @classmethod
-    def _read(cls, domain, index_set, rows, whole: bool) -> "BlockShape":
-        """The shape whose k-th diagonal block is rows[k], or (whole) the
-        span of the whole matrix rows[k] holds; ShapeParseError names the
-        first entry off the shape in row-major order.
-
-        In exact arithmetic an entry below a diagonal is a^e times the value
-        extracted from it, so only recurring windows, the diagonals and the
-        zeros around the blocks are compared.
-        """
-        lay = _shape_layout(index_set)
-        a = rows[0][0][0]
-        if domain.is_zero(a):
-            raise ShapeParseError("scalar parameter is zero")
-        eq, is_zero, mul = domain.eq, domain.is_zero, domain.mul
-        pw = {e: domain.pow(a, e) for e in lay.exponents}
-        ainv = {e: domain.inv(x) for e, x in pw.items()}
-        starts = [lo if whole else 0 for lo, _ in lay.spans]
-        xs = [None] * len(lay.windows)
-        for o, entries, block in zip(starts[1:], lay.entries, rows[1:]):
-            for r, c, e, w in entries:
-                x = mul(block[r][o + c], ainv[e])
-                if xs[w] is None:
-                    xs[w] = x
-                elif not eq(xs[w], x):
-                    raise ShapeParseError(f"window {lay.windows[w]} extracted twice with different values")
-        shape = cls(domain, index_set, a, dict(zip(lay.windows, xs)))
-        diagonals = [(a,)] + [[pw[e] for e in diag] for diag in lay.diagonals]
-        for (lo, _), o, diag, block in zip(lay.spans, starts, diagonals, rows):
-            for r, (x, row) in enumerate(zip(diag, block)):
-                d = o + r  # row r holds x in column d and zeros outside columns o..d
-                if not (eq(row[d], x) and all(map(is_zero, row[d + 1 :])) and all(map(is_zero, row[:o]))):
-                    fixed = (*range(o), *range(d, len(row)))
-                    j = next(j for j in fixed if not (eq(x, row[j]) if j == d else is_zero(row[j])))
-                    raise ShapeParseError(f"entry ({lo + r}, {lo - o + j}) off the parameterized shape")
-        return shape
+    def _read_one(cls, domain, index_set, lay: _ShapeLayout, rows, whole: bool) -> "BlockShape":
+        """_read with the domain's elements as its one lane; ShapeParseError
+        instead of the text."""
+        got = _read(_scalar_lane(domain), lay, rows, whole)[0]
+        if isinstance(got, str):
+            raise ShapeParseError(got)
+        a, xs = got
+        return cls(domain, index_set, a, dict(zip(lay.windows, xs)))
 
     @classmethod
     def from_blocks(cls, domain, index_set, blocks) -> "BlockShape":
         """Inverse of blocks; raises ShapeParseError on any mismatch."""
         index_set = tuple(index_set)
-        sizes = [(hi - lo,) * (hi - lo) for lo, hi in _shape_layout(index_set).spans]
+        lay = _shape_layout(index_set)
+        sizes = [(hi - lo,) * (hi - lo) for lo, hi in lay.spans]
         if [tuple(map(len, block)) for block in blocks] != sizes:
             raise ShapeParseError(f"expected diagonal blocks of sizes {[len(s) for s in sizes]}")
-        return cls._read(domain, index_set, blocks, False)
+        return cls._read_one(domain, index_set, lay, blocks, False)
 
     @classmethod
     def parse(cls, domain, index_set, matrix) -> "BlockShape":
@@ -705,18 +797,7 @@ class BlockShape:
         n = lay.size
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ShapeParseError(f"expected a {n}x{n} matrix")
-        return cls._read(domain, index_set, [matrix[lo:hi] for lo, hi in lay.spans], True)
-
-    def is_v_element(self) -> bool:
-        """Identity scalar, all windows zero except possibly the last index."""
-        dom = self.domain
-        if not dom.eq(self.a, dom.one()):
-            return False
-        last = self.index_set[-1]
-        return all(dom.is_zero(x) for w, x in self.xmap.items() if w != last)
-
-    def x_last(self):
-        return self.xmap[self.index_set[-1]]
+        return cls._read_one(domain, index_set, lay, [matrix[lo:hi] for lo, hi in lay.spans], True)
 
 
 def _mat_mul(dom, a, b):
@@ -757,10 +838,13 @@ def _mat_inv_lower(dom, a):
     return out
 
 
+def _random_params(dom, index_set, rng) -> tuple:
+    """(a, xmap) of a random shape: a nonzero, then every window in order."""
+    return dom.sample_nonzero(rng), {ix: dom.sample(rng) for ix in index_set}
+
+
 def _random_shape(dom, index_set, rng) -> BlockShape:
-    a = dom.sample_nonzero(rng)
-    xmap = {ix: dom.sample(rng) for ix in index_set}
-    return BlockShape(dom, tuple(index_set), a, xmap)
+    return BlockShape(dom, tuple(index_set), *_random_params(dom, index_set, rng))
 
 
 def _mul(dom, *factors) -> list:
@@ -787,25 +871,64 @@ def _commutator_law(dom, rm, *qms) -> list:
     return out
 
 
-def _parsed(domain, index_set, law, shapes, trial: int, failures: list, *where) -> list:
-    """The shapes law(domain, *matrices) gives, with each shape held and
-    parsed as its list of diagonal blocks.  The first trial also runs the
-    law on the whole matrices (lists of one block), which certifies the zeros
-    outside the blocks, and a failure (trial, *where, why) records any
-    disagreement."""
-    got = [BlockShape.from_blocks(domain, index_set, m) for m in law(domain, *(s.blocks() for s in shapes))]
-    if trial == 0:
+def _lane_law(ring, lay: _ShapeLayout, law, draws: list) -> list:
+    """law over lanes: the k-th shape (a, xmap) of draws[i] in lane i of the k-th argument."""
+    return law(ring, *(_blocks(ring, lay, [a for a, _ in shapes], [[x[w] for _, x in shapes] for w in lay.windows])
+                       for shapes in zip(*draws)))
+
+
+def _spot_check(domain, index_set, law, params, got, where) -> list:
+    """Trial 0's law on the whole matrices (lists of one block), which
+    certifies the zeros outside the blocks: a failure (0, *where, why) when
+    they do not parse to the shapes got read from the blocks."""
+    try:
+        whole = law(domain, *([BlockShape(domain, index_set, a, xmap).realize()] for a, xmap in params))
+        want = [BlockShape.parse(domain, index_set, m[0]) for m in whole]
+        eq, windows = domain.eq, _shape_layout(index_set).windows
+        same = all(eq(a, w.a) and all(eq(x, w.xmap[k]) for k, x in zip(windows, xs)) for (a, xs), w in zip(got, want))
+        why = None if same else "spot check: the whole matrix parses to another shape"
+    except ShapeParseError as exc:
+        why = f"spot check: the whole matrix does not parse: {exc}"
+    return [(0, *where, why)] if why else []
+
+
+def _sampled_failures(domain, index_set, law, draws: list, check, *where) -> list:
+    """The failures of a sampled law over draws (tuples of (a, xmap) shapes),
+    whose trials are the lanes of one law evaluation per chunk of at most
+    SAMPLE_LANES: per trial in order, (trial, why) for the first result off
+    the shape, or else trial 0's spot check and check(trial, draw, results
+    as (a, window values)).  An exception is the one the first failing trial
+    raises alone: the chunk then runs again one lane at a time."""
+    lay = _shape_layout(index_set)
+
+    def run(first: int, chunk: list) -> list:
+        if lay.error:
+            raise ValueError(lay.error)
+        ring = domain.lanes(len(chunk))
+        values = ring.values
+        parsed = (_read(ring, lay, [[list(map(values, row)) for row in block] for block in m], False)
+                  for m in _lane_law(ring, lay, law, chunk))
+        out = []
+        for trial, draw, got in zip(count(first), chunk, zip(*parsed)):
+            why = next((g for g in got if isinstance(g, str)), None)
+            if why:
+                out.append((trial, why))
+                continue
+            if trial == 0:
+                out += _spot_check(domain, index_set, law, draw, got, where)
+            out += check(trial, draw, got)
+        return out
+
+    failures = []
+    for first in range(0, len(draws), SAMPLE_LANES):
+        chunk = draws[first : first + SAMPLE_LANES]
         try:
-            whole = law(domain, *([s.realize()] for s in shapes))
-            want = [BlockShape.parse(domain, index_set, m[0]) for m in whole]
-            eq = domain.eq
-            same = all(eq(g.a, w.a) and all(eq(x, w.xmap[k]) for k, x in g.xmap.items()) for g, w in zip(got, want))
-            why = None if same else "spot check: the whole matrix parses to another shape"
-        except ShapeParseError as exc:
-            why = f"spot check: the whole matrix does not parse: {exc}"
-        if why:
-            failures.append((trial, *where, why))
-    return got
+            failures += run(first, chunk)
+        except Exception:
+            for trial, draw in enumerate(chunk, first):
+                run(trial, [draw])
+            raise
+    return failures
 
 
 def _sampled_report(failures: list, samples: int, bound: int, draws: int) -> CheckReport:
@@ -834,23 +957,24 @@ def closure_report(domain, index_set, samples: int, seed: int) -> CheckReport:
     The coordinate identities are polynomial in the parameters with degree
     span at most 2*wt + 1, so the report certifies them only when both the
     sample count and the domain's distinct nonzero draws exceed that bound
-    (reported in the note).  Shapes are multiplied block by block; the first
-    trial is also run on the whole matrices.
+    (reported in the note).  The law runs over lanes of trials, block by
+    block (see _sampled_failures).
     """
     index_set = tuple(index_set)
     rng = random.Random(seed)
-    failures = []
-    for trial in range(samples):
-        s1 = _random_shape(domain, index_set, rng)
-        s2 = _random_shape(domain, index_set, rng)
-        try:
-            prod, invp = _parsed(domain, index_set, _closure_law, (s1, s2), trial, failures)
-            if not domain.eq(prod.a, domain.mul(s1.a, s2.a)):
-                failures.append((trial, "product scalar is not a1*a2"))
-            if not domain.eq(domain.mul(invp.a, s1.a), domain.one()):
-                failures.append((trial, "inverse scalar is not a^-1"))
-        except ShapeParseError as exc:
-            failures.append((trial, str(exc)))
+    draws = [(_random_params(domain, index_set, rng), _random_params(domain, index_set, rng)) for _ in range(samples)]
+    eq, mul, one = domain.eq, domain.mul, domain.one()
+
+    def check(trial, params, got) -> list:
+        ((a1, _), (a2, _)), ((prod_a, _), (inv_a, _)) = params, got
+        out = []
+        if not eq(prod_a, mul(a1, a2)):
+            out.append((trial, "product scalar is not a1*a2"))
+        if not eq(mul(inv_a, a1), one):
+            out.append((trial, "inverse scalar is not a^-1"))
+        return out
+
+    failures = _sampled_failures(domain, index_set, _closure_law, draws, check)
     return _sampled_report(failures, samples, 2 * max(ix.wt for ix in index_set) + 1, domain.draws)
 
 
@@ -865,29 +989,34 @@ def commutator_report(domain, index_set, samples: int, seed: int) -> CheckReport
 
     both again with unit scalar and all other windows zero.  Q is drawn twice
     per trial: once with all window parameters zero (the worked-example
-    pattern) and once fully random.  Shapes are multiplied block by block;
-    the first trial is also run on the whole matrices.
+    pattern) and once fully random.  The laws run over lanes of trials,
+    block by block (see _sampled_failures).
     """
     index_set = tuple(index_set)
     rng = random.Random(seed)
     last = index_set[-1]
     wt = last.wt
-    failures = []
-    for trial in range(samples):
+    zeros = {ix: domain.zero() for ix in index_set}
+    draws = []
+    for _ in range(samples):
         v = domain.sample(rng)
         b = domain.sample_nonzero(rng)
-        zeros = {ix: domain.zero() for ix in index_set}
-        r_shape = BlockShape(domain, index_set, domain.one(), {**zeros, last: v})
-        q_shapes = [
-            BlockShape(domain, index_set, b, xdraw)
-            for xdraw in (zeros, {ix: domain.sample(rng) for ix in index_set})
-        ]
-        parses = _parsed(domain, index_set, _commutator_law, (r_shape, *q_shapes), trial, failures, "whole-matrix")
-        expect_conj = domain.mul(v, domain.pow(b, wt))
-        expect_comm = domain.mul(v, domain.sub(domain.one(), domain.pow(b, -wt)))
-        for tag, conj, comm in zip(("plain", "random-x"), parses[::2], parses[1::2]):
-            if not (conj.is_v_element() and domain.eq(conj.x_last(), expect_conj)):
-                failures.append((trial, tag, "conjugation coordinate is not v*b^wt"))
-            if not (comm.is_v_element() and domain.eq(comm.x_last(), expect_comm)):
-                failures.append((trial, tag, "commutator coordinate is not v*(1-b^-wt)"))
+        xmap = {ix: domain.sample(rng) for ix in index_set}
+        draws.append(((domain.one(), {**zeros, last: v}), (b, zeros), (b, xmap)))
+    at = _shape_layout(index_set).windows.index(last)
+    eq, is_zero, mul, one = domain.eq, domain.is_zero, domain.mul, domain.one()
+    laws = ("conjugation coordinate is not v*b^wt", "commutator coordinate is not v*(1-b^-wt)")
+
+    def check(trial, params, got) -> list:
+        v, b = params[0][1][last], params[1][0]
+        expect = (mul(v, domain.pow(b, wt)), mul(v, domain.add(one, domain.neg(domain.pow(b, -wt)))))
+        out = []
+        for tag, pair in zip(("plain", "random-x"), (got[:2], got[2:])):
+            for (a, xs), want, law in zip(pair, expect, laws):
+                v_element = eq(a, one) and all(is_zero(x) for k, x in enumerate(xs) if k != at)
+                if not (v_element and eq(xs[at], want)):
+                    out.append((trial, tag, law))
+        return out
+
+    failures = _sampled_failures(domain, index_set, _commutator_law, draws, check, "whole-matrix")
     return _sampled_report(failures, samples, 2 * wt + 1, domain.draws)

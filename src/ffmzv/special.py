@@ -373,9 +373,20 @@ def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) ->
 def anderson_thakur_polynomials(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
     """H_0..H_{s_max}; integral by construction (exact division, loud abort).
 
-    Raises BudgetError before any work when `at_slot_estimate` exceeds the
+    The context keeps one list of the H's built so far, with the factorials
+    and recurrence terms they need, and extends it to s_max in place.  Raises
+    BudgetError before any work when `at_slot_estimate` exceeds the
     context's enumeration budget."""
-    return ctx.cached(("AT", s_max), lambda: _at_polys(ctx, s_max))
+    slots = at_slot_estimate(ctx.q, s_max, ctx.enum_budget)
+    if slots > ctx.enum_budget:
+        raise BudgetError(
+            f"H_0..H_{s_max}: at least {slots} estimated coefficient slots "
+            f"(at_slot_estimate) exceed the budget {ctx.enum_budget}"
+        )
+    hs, gammas, steps = ctx.cached(("AT",), lambda: ([BivarPoly.one(ctx.field)], [], []))
+    if len(hs) <= s_max:
+        _extend_at_polys(ctx, s_max, hs, gammas, steps)
+    return hs[: s_max + 1]
 
 
 def at_slot_estimate(q: int, s_max: int, cap: int) -> int:
@@ -396,27 +407,19 @@ def at_slot_estimate(q: int, s_max: int, cap: int) -> int:
     return total
 
 
-def _at_polys(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
+def _extend_at_polys(ctx: CarlitzContext, s_max: int, hs: list, gammas: list, steps: list) -> None:
+    """Extend H_0..H_k to H_0..H_{s_max}, the Gamma_{n+1}(t) to n = s_max and
+    the recurrence terms (q^i, N_i, D_i(t)) to q^i <= s_max, all in place."""
     q, fld = ctx.q, ctx.field
-    slots = at_slot_estimate(q, s_max, ctx.enum_budget)
-    if slots > ctx.enum_budget:
-        raise BudgetError(
-            f"H_0..H_{s_max}: at least {slots} estimated coefficient slots "
-            f"(at_slot_estimate) exceed the budget {ctx.enum_budget}"
-        )
     neg1 = ops(fld).neg[1]
-    # (q^i, N_i, D_i(t)) per term; H_n follows the module docstring's recurrence
-    steps = []
-    i = 0
-    while q**i <= s_max:
+    while q ** len(steps) <= s_max:
+        i = len(steps)
         num = BivarPoly.one(fld)
         for j in range(1, i + 1):
             num = num * BivarPoly(fld, {(q**i, 0): 1, (0, q**j): neg1})
         steps.append((q**i, num, carlitz_d(ctx, i).subs_theta_to_t()))
-        i += 1
-    gammas = [carlitz_factorial(ctx, n).subs_theta_to_t() for n in range(s_max + 1)]
-    hs = [BivarPoly.one(fld)]
-    for n in range(1, s_max + 1):
+    gammas += [carlitz_factorial(ctx, n).subs_theta_to_t() for n in range(len(gammas), s_max + 1)]
+    for n in range(len(hs), s_max + 1):
         h = BivarPoly.zero(fld)
         for qi, num, d_t in steps:
             if qi > n:
@@ -428,7 +431,6 @@ def _at_polys(ctx: CarlitzContext, s_max: int) -> list[BivarPoly]:
                 )
             h = h + b * num * hs[n - qi]
         hs.append(h)
-    return hs
 
 
 def convergence_margin(q: int, s: int, u: BivarPoly) -> int:

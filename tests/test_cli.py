@@ -154,6 +154,23 @@ def test_rational_group_runs_over_f2_certify(capsys):
     assert check["detail"] == "degree bound 7 (Schwartz-Zippel); samples 30 exceed it"
 
 
+def test_group_exceptions_keep_the_per_trial_order(capsys):
+    # the trials of a run share one law evaluation, and an error is still the
+    # one the first failing trial raises: here the parse of its first result,
+    # whose scalar b^-1 * b has degree 4 (bound 40 * 4)
+    code, out, err = run_cli(capsys, "group-commutator", "--indices", "40", "--rational", "--samples", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: BudgetError: a power a^40 over F_p(t) of degree bound 160 (|e| * deg a) "
+        "exceeds MAX_POWER_DEGREE = 128\n"
+    )
+    # no trial of the closure run raises: too few samples for the bound
+    code, out, _ = run_cli(capsys, "group-closure", "--indices", "40", "--rational", "--samples", "3")
+    check = json.loads(out)["checks"][0]
+    assert code == 1 and check["status"] == "incomparable"
+    assert check["detail"] == "degree bound 81 (Schwartz-Zippel); samples 3 DO NOT exceed it"
+
+
 def test_residual_certified_below_the_requested_precision_is_incomparable(capsys):
     for argv, floor in (
         (("verify-rat", "--p", "3", "--index", "2,1", "--prec", "2", "--tdeg", "5"), -12),

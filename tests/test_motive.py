@@ -7,7 +7,7 @@ import re
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ffmzv import motive, tate
 from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_power, omega_series
@@ -505,7 +505,7 @@ def test_block_commutator_b_one_is_trivial():
     q = BlockShape(dom, I_12, dom.one(), zeros).realize()  # b = 1
     comm = _mat_mul(dom, _mat_mul(dom, _mat_mul(dom, r, q), _mat_inv_lower(dom, r)), _mat_inv_lower(dom, q))
     parsed = BlockShape.parse(dom, I_12, comm)
-    assert parsed.is_v_element() and dom.is_zero(parsed.x_last())
+    assert _is_v_element(parsed) and dom.is_zero(parsed.xmap[Index((1, 2))])
 
 
 def test_block_conjugation_alpha_power():
@@ -518,8 +518,8 @@ def test_block_conjugation_alpha_power():
     q = BlockShape(dom, I_12, alpha, zeros).realize()
     conj = _mat_mul(dom, _mat_mul(dom, _mat_inv_lower(dom, q), r), q)
     parsed = BlockShape.parse(dom, I_12, conj)
-    assert parsed.is_v_element()
-    assert parsed.x_last() == dom.pow(alpha, 3)  # wt((1,2)) = 3
+    assert _is_v_element(parsed)
+    assert parsed.xmap[Index((1, 2))] == dom.pow(alpha, 3)  # wt((1,2)) = 3
 
 
 def test_block_rational_function_mode():
@@ -851,3 +851,271 @@ def test_spot_check_catches_a_wrong_whole_matrix_product(monkeypatch, report, wh
     rep = report(F81, I_12, 5, 1)
     assert not rep.passed
     assert [f[0] for f in rep.failures] == [0] and "spot check" in rep.failures[0][-1], rep.failures
+
+
+# -- lanes against the per-trial reports they replaced --------------------------
+#
+# The oracle is the per-trial loop the reports ran before their trials became
+# the lanes of one law evaluation: each trial draws its shapes, runs the law
+# on its own blocks and parses every result, and trial 0 also runs the law on
+# the whole matrices.  Realize and parse are the whole-matrix oracles above;
+# the kernels are the scalar `_mat_mul` and `_mat_inv_lower`.  One change to
+# that loop is kept: a commutator result off the shape is recorded as
+# (trial, why), as the closure loop always did, instead of raising.
+
+LANE_DOMAINS = {
+    "F3^4": F81,
+    "F2^8": FiniteFieldDomain(field(2, 8)),
+    "F5^3": FiniteFieldDomain(field(5, 3)),
+    "F2(t)": RationalFunctionDomain(2),
+    "F3(t)": RationalFunctionDomain(3),
+}
+
+
+def _blocks_oracle(shape):
+    m = _realize_oracle(shape)
+    return [[row[lo:hi] for row in m[lo:hi]] for lo, hi in motive._shape_layout(shape.index_set).spans]
+
+
+def _from_blocks_oracle(domain, index_set, blocks):
+    """The whole-matrix parse oracle on the blocks with zeros around them."""
+    spans = motive._shape_layout(index_set).spans
+    n = spans[-1][1]
+    m = [[domain.zero()] * n for _ in range(n)]
+    for (lo, hi), block in zip(spans, blocks):
+        for i, row in enumerate(block):
+            m[lo + i][lo:hi] = row
+    return _parse_oracle(domain, index_set, m)
+
+
+def _parsed_oracle(domain, index_set, law, shapes, trial, failures, *where):
+    got = [_from_blocks_oracle(domain, index_set, m) for m in law(domain, *map(_blocks_oracle, shapes))]
+    if trial == 0:
+        try:
+            whole = law(domain, *([_realize_oracle(s)] for s in shapes))
+            want = [_parse_oracle(domain, index_set, m[0]) for m in whole]
+            eq = domain.eq
+            same = all(eq(g.a, w.a) and all(eq(x, w.xmap[k]) for k, x in g.xmap.items()) for g, w in zip(got, want))
+            why = None if same else "spot check: the whole matrix parses to another shape"
+        except ShapeParseError as exc:
+            why = f"spot check: the whole matrix does not parse: {exc}"
+        if why:
+            failures.append((trial, *where, why))
+    return got
+
+
+def _closure_oracle(domain, index_set, samples, seed):
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(samples):
+        s1 = motive._random_shape(domain, index_set, rng)
+        s2 = motive._random_shape(domain, index_set, rng)
+        try:
+            prod, invp = _parsed_oracle(domain, index_set, motive._closure_law, (s1, s2), trial, failures)
+            if not domain.eq(prod.a, domain.mul(s1.a, s2.a)):
+                failures.append((trial, "product scalar is not a1*a2"))
+            if not domain.eq(domain.mul(invp.a, s1.a), domain.one()):
+                failures.append((trial, "inverse scalar is not a^-1"))
+        except ShapeParseError as exc:
+            failures.append((trial, str(exc)))
+    return motive._sampled_report(failures, samples, 2 * max(ix.wt for ix in index_set) + 1, domain.draws)
+
+
+def _is_v_element(shape):
+    """Identity scalar, all windows zero except possibly the last index."""
+    dom, last = shape.domain, shape.index_set[-1]
+    return dom.eq(shape.a, dom.one()) and all(dom.is_zero(x) for w, x in shape.xmap.items() if w != last)
+
+
+def _commutator_oracle(domain, index_set, samples, seed):
+    rng = random.Random(seed)
+    last = index_set[-1]
+    wt = last.wt
+    failures = []
+    for trial in range(samples):
+        v = domain.sample(rng)
+        b = domain.sample_nonzero(rng)
+        zeros = {ix: domain.zero() for ix in index_set}
+        r_shape = BlockShape(domain, index_set, domain.one(), {**zeros, last: v})
+        q_shapes = [
+            BlockShape(domain, index_set, b, xdraw)
+            for xdraw in (zeros, {ix: domain.sample(rng) for ix in index_set})
+        ]
+        try:
+            parses = _parsed_oracle(
+                domain, index_set, motive._commutator_law, (r_shape, *q_shapes), trial, failures, "whole-matrix"
+            )
+        except ShapeParseError as exc:
+            failures.append((trial, str(exc)))
+            continue
+        expect_conj = domain.mul(v, domain.pow(b, wt))
+        expect_comm = domain.mul(v, domain.add(domain.one(), domain.neg(domain.pow(b, -wt))))
+        for tag, conj, comm in zip(("plain", "random-x"), parses[::2], parses[1::2]):
+            if not (_is_v_element(conj) and domain.eq(conj.xmap[last], expect_conj)):
+                failures.append((trial, tag, "conjugation coordinate is not v*b^wt"))
+            if not (_is_v_element(comm) and domain.eq(comm.xmap[last], expect_comm)):
+                failures.append((trial, tag, "commutator coordinate is not v*(1-b^-wt)"))
+    return motive._sampled_report(failures, samples, 2 * wt + 1, domain.draws)
+
+
+REPORT_ORACLES = {"closure": (closure_report, _closure_oracle), "commutator": (commutator_report, _commutator_oracle)}
+# an entry each fault breaks in every product it sees, block or whole matrix
+# (off-block: whole matrices only, the spot check's)
+_FAULTS = ("none", "in-block", "off-block", "above-diagonal", "scalar")
+
+
+def _faulty_mat_mul(monkeypatch, fault, n):
+    real = motive._mat_mul
+
+    def wrong(dom, a, b):
+        out = real(dom, a, b)
+        m = len(out)
+        if fault == "in-block" and m >= 2:
+            out[m - 1][m - 2] = dom.add(out[m - 1][m - 2], dom.one())
+        elif fault == "off-block" and m == n:
+            out[n - 1][0] = dom.add(out[n - 1][0], dom.one())
+        elif fault == "above-diagonal" and m >= 2:
+            out[0][m - 1] = dom.add(out[0][m - 1], dom.one())
+        elif fault == "scalar" and m in (1, n):
+            out[0][0] = dom.zero()
+        return out
+
+    monkeypatch.setattr(motive, "_mat_mul", wrong)
+
+
+_depth3_sets = st.lists(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda e: Index(tuple(e))), min_size=1, max_size=2
+).map(subclosure)
+
+
+@pytest.mark.parametrize("dom_key", sorted(LANE_DOMAINS))
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
+)
+@given(
+    _depth3_sets,
+    st.sampled_from(sorted(REPORT_ORACLES)),
+    st.integers(1, 2 * motive.SAMPLE_LANES + 1),
+    st.sampled_from(_FAULTS),
+    st.integers(0, 2**32 - 1),
+)
+@example(subclosure([Index((1, 2))]), "commutator", 2 * motive.SAMPLE_LANES + 1, "none", 0)
+@example(subclosure([Index((1, 1, 2))]), "closure", motive.SAMPLE_LANES + 1, "in-block", 1)
+def test_lane_reports_equal_the_per_trial_oracle(monkeypatch, dom_key, iset, kind, samples, fault, seed):
+    dom = LANE_DOMAINS[dom_key]
+    report, oracle = REPORT_ORACLES[kind]
+    with monkeypatch.context() as mp:
+        _faulty_mat_mul(mp, fault, motive._shape_layout(iset).size)
+        assert report(dom, iset, samples, seed) == oracle(dom, iset, samples, seed)
+
+
+def _lane_and_trial_entries(dom, iset, law, draws):
+    """Every entry of every law result, per lane of one lane evaluation and
+    per trial of the scalar kernels."""
+    lay = motive._shape_layout(iset)
+    ring = dom.lanes(len(draws))
+    flat = [ring.values(v) for m in motive._lane_law(ring, lay, law, draws) for block in m for row in block for v in row]
+    lanes = [[v[lane] for v in flat] for lane in range(len(draws))]
+    trials = [
+        [v for m in law(dom, *(_blocks_oracle(BlockShape(dom, iset, a, x)) for a, x in draw))
+         for block in m for row in block for v in row]
+        for draw in draws
+    ]
+    return lanes, trials
+
+
+@pytest.mark.parametrize("dom_key", sorted(LANE_DOMAINS))
+@settings(max_examples=15, deadline=None)
+@given(_depth3_sets, st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_lane_law_entries_equal_the_per_trial_kernels(dom_key, iset, width, seed):
+    # == on the entries: over F_p(t) the same unreduced fractions, including
+    # the zero ones a cancelling sum leaves; shapes are random, all-zero or
+    # zero but for the last window, as the commutator law's are
+    dom, rng = LANE_DOMAINS[dom_key], random.Random(seed)
+
+    def params():
+        a, xmap = motive._random_params(dom, iset, rng)
+        kind = rng.randrange(3)
+        if kind:
+            xmap = {ix: x if kind == 2 and ix == iset[-1] else dom.zero() for ix, x in xmap.items()}
+        return a, xmap
+
+    for law, arity in ((motive._closure_law, 2), (motive._commutator_law, 3)):
+        draws = [tuple(params() for _ in range(arity)) for _ in range(width)]
+        lanes, trials = _lane_and_trial_entries(dom, iset, law, draws)
+        assert lanes == trials
+
+
+def test_lanes_keep_the_zero_a_cancelled_inverse_entry_leaves():
+    # in X_(1,1) with a = 1, entry (2, 0) of the inverse is -(x_(1,1) - x_(1)^2):
+    # with x_(1) = t/(1+t) and x_(1,1) = t^2/(1+t^2) over F_2 the sum cancels
+    # to a zero fraction whose denominator the per-trial kernel keeps; the
+    # other lane does not cancel
+    dom = RationalFunctionDomain(2)
+    iset = subclosure([Index((1, 1))])
+    x, x2 = ((0, 1), (1, 1)), ((0, 0, 1), (1, 0, 1))
+    cancel = (dom.one(), {Index((1,)): x, Index((1, 1)): x2})
+    other = (dom.one(), {Index((1,)): x, Index((1, 1)): x})
+    lanes, trials = _lane_and_trial_entries(dom, iset, motive._closure_law, [(cancel, other), (other, cancel)])
+    assert lanes == trials
+    assert any(v != dom.zero() and dom.is_zero(v) for v in trials[0])
+
+
+@pytest.mark.parametrize("report", [closure_report, commutator_report])
+def test_a_result_off_the_shape_is_recorded_per_trial(monkeypatch, report):
+    real = motive._mat_mul
+
+    def wrong(dom, a, b):
+        out = real(dom, a, b)
+        if len(out) == 3:  # the (1,2)-block, rows 5..7 of the whole matrix
+            out[0][2] = dom.add(out[0][2], dom.one())
+        return out
+
+    monkeypatch.setattr(motive, "_mat_mul", wrong)
+    rep = report(F81, I_12, 3, 1)
+    assert rep.failures == [(k, "entry (5, 7) off the parameterized shape") for k in range(3)]
+
+
+@pytest.mark.parametrize("report", [closure_report, commutator_report])
+def test_matrix_products_do_not_grow_with_the_samples_of_one_chunk(monkeypatch, report):
+    # the law runs once over all lanes, so 5 and 30 samples (one chunk each)
+    # make the same products, the whole-matrix spot check included
+    real, calls = motive._mat_mul, []
+
+    def counted(dom, a, b):
+        calls.append(len(a))
+        return real(dom, a, b)
+
+    monkeypatch.setattr(motive, "_mat_mul", counted)
+    counts = []
+    for samples in (5, 30):
+        calls.clear()
+        assert report(F81, I_12, samples, 2).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_an_error_is_the_one_the_first_failing_trial_raises(monkeypatch):
+    # trial 1 fails where its shapes are built and trial 0 only where its
+    # results are read: run alone one after the other, trial 0 raises first
+    rng = random.Random(3)
+    draws = [(motive._random_params(F81, I_12, rng), motive._random_params(F81, I_12, rng)) for _ in range(3)]
+    scalars = [[a for a, _ in draw] for draw in draws]
+    bad_input, bad_result = scalars[1][0], F81.inv(scalars[0][0])  # S1 of trial 1, S1^-1 of trial 0
+    assert bad_input not in scalars[0] and bad_result not in [F81.inv(a) for a, _ in scalars[1:]]
+    real_blocks, real_read = motive._blocks, motive._read
+
+    def blocks(ring, lay, a, xs):
+        if bad_input in a:
+            raise BudgetError("trial 1 builds")
+        return real_blocks(ring, lay, a, xs)
+
+    def read(ring, lay, rows, whole):
+        if bad_result in ring.split(ring.values(rows[0][0][0])):
+            raise BudgetError("trial 0 reads")
+        return real_read(ring, lay, rows, whole)
+
+    monkeypatch.setattr(motive, "_blocks", blocks)
+    monkeypatch.setattr(motive, "_read", read)
+    with pytest.raises(BudgetError, match="trial 0 reads"):
+        closure_report(F81, I_12, 3, 3)

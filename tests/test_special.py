@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import tate
-from ffmzv.carlitz import CarlitzContext, carlitz_factorial, monic_coeff_lists
+from ffmzv.carlitz import CarlitzContext, carlitz_d, carlitz_factorial, monic_coeff_lists
 from ffmzv.errors import BudgetError, ConventionError
 from ffmzv.ffield import ops
 from ffmzv.laurent import (
@@ -457,6 +457,45 @@ def test_at_slot_that_does_not_divide_out_raises(monkeypatch):
     )
     with pytest.raises(ConventionError, match="slot 1 did not divide out"):
         anderson_thakur_polynomials(CarlitzContext(3, 1), 4)
+
+
+def _at_polys_from_scratch(ctx, s_max):
+    """H_0..H_{s_max} by the integral recurrence, built from nothing for each
+    s_max, as anderson_thakur_polynomials did before its context kept one
+    growing list (oracle)."""
+    q, fld = ctx.q, ctx.field
+    neg1 = ops(fld).neg[1]
+    steps = []
+    i = 0
+    while q**i <= s_max:
+        num = BivarPoly.one(fld)
+        for j in range(1, i + 1):
+            num = num * BivarPoly(fld, {(q**i, 0): 1, (0, q**j): neg1})
+        steps.append((q**i, num, carlitz_d(ctx, i).subs_theta_to_t()))
+        i += 1
+    gammas = [carlitz_factorial(ctx, n).subs_theta_to_t() for n in range(s_max + 1)]
+    hs = [BivarPoly.one(fld)]
+    for n in range(1, s_max + 1):
+        h = BivarPoly.zero(fld)
+        for qi, num, d_t in steps:
+            if qi > n:
+                break
+            b, rem = gammas[n].divmod_t(gammas[n - qi] * d_t)
+            assert rem.is_zero(), n
+            h = h + b * num * hs[n - qi]
+        hs.append(h)
+    return hs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), st.lists(st.integers(0, 24), min_size=1, max_size=6))
+def test_at_polynomials_extended_in_place_equal_the_from_scratch_build(level, s_maxes):
+    # one context answers the requests in the order drawn, extending its list
+    ctx = CarlitzContext(*level)
+    scratch = _at_polys_from_scratch(CarlitzContext(*level), max(s_maxes))
+    for s_max in s_maxes:
+        assert anderson_thakur_polynomials(ctx, s_max) == scratch[: s_max + 1], s_max
+    assert [key for key in ctx._cache if key[0] == "AT"] == [("AT",)]
 
 
 def test_convergence_examples():
