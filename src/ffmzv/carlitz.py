@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .errors import BudgetError
 from .ffield import FieldSpec, field as ff_field, ops
@@ -33,12 +33,6 @@ from .poly import BivarPoly, dense_theta_mul, t_minus_theta_frob
 from .reports import IdentityReport, ResidualReport
 from . import tate
 from .tate import TateElement
-
-
-class CacheStats(NamedTuple):
-    hits: int
-    misses: int
-    size: int
 
 
 @dataclass
@@ -60,8 +54,6 @@ class CarlitzContext:
     field: FieldSpec = dc_field(init=False)
     q: int = dc_field(init=False)
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    _hits: int = dc_field(default=0, init=False, repr=False, compare=False)
-    _misses: int = dc_field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.field = ff_field(self.p, self.l)
@@ -77,13 +69,10 @@ class CarlitzContext:
         instead, with one entry per key rather than one per precision.
         """
         try:
-            val = self._cache[key]
+            return self._cache[key]
         except KeyError:
-            self._misses += 1
             val = self._cache[key] = build()
             return val
-        self._hits += 1
-        return val
 
     def cached_to(self, key, level: int, build: Callable[[int], LaurentSeries]) -> LaurentSeries:
         """The series `build(level)`, for builds whose precision is level plus
@@ -97,18 +86,11 @@ class CarlitzContext:
         """
         entry = self._cache.get(key)
         if entry is not None and entry[0] >= level:
-            self._hits += 1
             top, val = entry
             return val.truncate(val.prec - (top - level))
-        self._misses += 1
         val = build(level)
         self._cache[key] = (level, val)
         return val
-
-    def cache_stats(self) -> CacheStats:
-        """Hits and misses of `cached` and `cached_to` together (a request
-        served by truncation is a hit), and the number of entries."""
-        return CacheStats(self._hits, self._misses, len(self._cache))
 
 
 def carlitz_d(ctx: CarlitzContext, i: int) -> BivarPoly:
@@ -176,7 +158,6 @@ def omega_series(
     ctx: CarlitzContext,
     tdeg: int | None = None,
     prec: int | None = None,
-    factors: int | None = None,
     drop_factor: int | None = None,
 ) -> TateElement:
     """Truncated period product with certified tail (slope (q-1)q, offset q),
@@ -186,7 +167,7 @@ def omega_series(
     `drop_factor` skips one factor of the product; the result then violates
     the functional equation and serves as a negative control.  The full
     product is cached in the context per (tdeg, prec); a product with
-    `factors` or `drop_factor` set is built afresh on every call.
+    `drop_factor` set is built afresh on every call.
     """
     q, fld = ctx.q, ctx.field
     prec = ctx.prec if prec is None else prec
@@ -194,7 +175,7 @@ def omega_series(
 
     def build() -> TateElement:
         work = prec + q + 2
-        nfac = omega_factor_count(q, work) if factors is None else factors
+        nfac = omega_factor_count(q, work)
         acc = tate.from_laurent(monomial(fld, q, 1, work))  # the exact prefactor z^q
         for i in range(1, nfac + 1):
             if i == drop_factor:
@@ -208,7 +189,7 @@ def omega_series(
             coeffs.append(LaurentSeries(fld, work, [], work))
         return TateElement(fld, coeffs, ((q - 1) * q, q), False)
 
-    if factors is None and drop_factor is None:
+    if drop_factor is None:
         return ctx.cached(("omega", tdeg, prec), build)
     return build()
 

@@ -53,7 +53,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import ConventionError, FieldSizeError
@@ -162,6 +162,12 @@ class FieldSpec:
     @property
     def order(self) -> int:
         return self.p**self.m
+
+    @cached_property
+    def tables(self) -> "FieldOps":
+        """The FieldOps of this spec, built on first use and kept in the
+        instance dict (the frozen dataclass has no slots)."""
+        return FieldOps(self)
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, m={self.m})"
@@ -312,16 +318,9 @@ class FieldOps:
         return c % self.p
 
 
-_ops_by_value = lru_cache(maxsize=None)(FieldOps)  # equal specs share one FieldOps
-_OPS: dict[int, tuple[FieldSpec, FieldOps]] = {}  # by id; holding the spec keeps its id unique
-
-
 def ops(spec: FieldSpec) -> FieldOps:
-    """The FieldOps of spec, looked up by identity instead of by hash."""
-    entry = _OPS.get(id(spec))
-    if entry is None:
-        entry = _OPS[id(spec)] = (spec, _ops_by_value(spec))
-    return entry[1]
+    """The FieldOps of spec, read off the spec without hashing it."""
+    return spec.tables
 
 
 # -- the dense product kernel ----------------------------------------------------

@@ -73,15 +73,6 @@ class LaurentSeries:
         if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed Laurent series rings")
 
-    def coeff(self, k: int) -> int:
-        if k < self.val:
-            return 0
-        if k >= self.val + len(self.coeffs):
-            if k >= self.prec:
-                raise PrecisionError(f"coefficient of z^{k} beyond O(z^{self.prec})")
-            return 0
-        return self.coeffs[k - self.val]
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -247,10 +238,6 @@ def theta_pow(field: FieldSpec, k: int, prec: int) -> LaurentSeries:
     o = ops(field)
     c = 1 if k % 2 == 0 else o.neg[1]
     return LaurentSeries(field, -k * (field.order - 1), [c], prec)
-
-
-def theta(field: FieldSpec, prec: int) -> LaurentSeries:
-    return theta_pow(field, 1, prec)
 
 
 def from_theta_poly(field: FieldSpec, poly: dict[int, int], prec: int) -> LaurentSeries:

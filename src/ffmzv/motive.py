@@ -45,7 +45,7 @@ law once over the product ring F^L whose L lanes are its trials (a domain's
 `lanes(L)`: each entry is a list of L values, and the unchanged kernels
 `_mat_mul` and `_mat_inv_lower` run over it), for each chunk of at most
 SAMPLE_LANES trials, and reads every result back lane by lane (`_read`, whose
-one-lane case is `BlockShape.parse` and `from_blocks`).  Over F_p(t) a lane
+one-lane case is `BlockShape.parse`).  Over F_p(t) a lane
 holds None, or a `_Skipped` product, for a term the per-trial kernel would
 not add, so every lane computes the same unreduced fractions as a trial run
 alone.  The first trial also runs on the whole matrices as scalars (`realize`,
@@ -94,9 +94,6 @@ class MotiveMatrix:
     @property
     def field(self) -> FieldSpec:
         return self.entries[0][0].field
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
 
     def to_json(self) -> dict:
         text = poly_text if self.kind == "phi-exact" else tate_text
@@ -371,34 +368,21 @@ def mutation_kill_report(ctx: CarlitzContext, phi: MotiveMatrix, psi: MotiveMatr
 
 def component_collapse_report(ctx: CarlitzContext, s: Index, i: int, j: int) -> ResidualReport:
     """Alternating chain sum for the (i, j) component, with the tensor
-    collapsed to an ordinary product (1-based, i >= j), with AT arguments at
+    collapsed to an ordinary product (1-based, i > j), with AT arguments at
     the context's sizes.
 
-    For i > j the sum telescopes to zero: the chain coefficients are exactly
+    The sum telescopes to zero: the chain coefficients are exactly
     the entries of the inverse of the unipotent matrix of window series, so
     the sum is a component of U^{-1} U.  The chain factors pair consecutive
     indices L[k_t][k_{t-1}]; the alternative pairing with a shifted second
-    index does not cancel and is rejected by this check.  For i == j the
-    collapsed component is an Omega-power times its own series inverse,
-    verified to equal 1 to precision.
+    index does not cancel and is rejected by this check.
     """
     prec, tdeg = ctx.prec, ctx.tdeg
     u = at_arguments(ctx, s)
-    if not 1 <= j <= i <= s.dep + 1:
-        raise ValueError("need 1 <= j <= i <= dep + 1")
+    if not 1 <= j < i <= s.dep + 1:
+        raise ValueError("need 1 <= j < i <= dep + 1")
     fld, q = ctx.field, ctx.q
     d = s.dep
-
-    if i == j:
-        w = omega_power(ctx, sum(s.entries[i - 1 :]), tdeg, prec)
-        prod = w * tate.invert_unit(w)
-        resid = prod - tate.one(fld, min(c.prec for c in prod.coeffs), 0)
-        return ResidualReport.from_zero_check(
-            tate.zero_check(resid),
-            q,
-            prefix=None,
-            note="diagonal component: Omega-power times its series inverse vs 1",
-        )
 
     L: dict[tuple[int, int], TateElement] = {}
     for a in range(1, d + 2):
@@ -732,8 +716,8 @@ class BlockShape:
     Within block X_s, column c carries a^{s_{c+1}+...+s_d} on the diagonal
     and a^{s_{c+1}+...+s_d} x_{(s_{c+1},...,s_r)} below it; the x-parameter of
     a window is shared wherever that window value recurs, in any block.  All
-    entries outside the diagonal blocks are zero, so `blocks` and
-    `from_blocks` hold a shape as its diagonal blocks, the scalar slot first.
+    entries outside the diagonal blocks are zero, so `blocks` holds a shape
+    as its diagonal blocks, the scalar slot first.
     """
 
     domain: object
@@ -778,16 +762,6 @@ class BlockShape:
             raise ShapeParseError(got)
         a, xs = got
         return cls(domain, index_set, a, dict(zip(lay.windows, xs)))
-
-    @classmethod
-    def from_blocks(cls, domain, index_set, blocks) -> "BlockShape":
-        """Inverse of blocks; raises ShapeParseError on any mismatch."""
-        index_set = tuple(index_set)
-        lay = _shape_layout(index_set)
-        sizes = [(hi - lo,) * (hi - lo) for lo, hi in lay.spans]
-        if [tuple(map(len, block)) for block in blocks] != sizes:
-            raise ShapeParseError(f"expected diagonal blocks of sizes {[len(s) for s in sizes]}")
-        return cls._read_one(domain, index_set, lay, blocks, False)
 
     @classmethod
     def parse(cls, domain, index_set, matrix) -> "BlockShape":
@@ -841,10 +815,6 @@ def _mat_inv_lower(dom, a):
 def _random_params(dom, index_set, rng) -> tuple:
     """(a, xmap) of a random shape: a nonzero, then every window in order."""
     return dom.sample_nonzero(rng), {ix: dom.sample(rng) for ix in index_set}
-
-
-def _random_shape(dom, index_set, rng) -> BlockShape:
-    return BlockShape(dom, tuple(index_set), *_random_params(dom, index_set, rng))
 
 
 def _mul(dom, *factors) -> list:

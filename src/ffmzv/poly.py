@@ -98,10 +98,6 @@ class BivarPoly:
         """The terms of t-degree <= d."""
         return BivarPoly(self.field, {e: c for e, c in self.terms.items() if e[0] <= d})
 
-    def scalar_mul(self, c: int) -> "BivarPoly":
-        o = ops(self.field)
-        return BivarPoly(self.field, {e: o.mul[c * o.n + x] for e, x in self.terms.items()})
-
     def __pow__(self, e: int) -> "BivarPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")

@@ -327,14 +327,31 @@ def mzv(
 def mzv_tuple_count(ctx: CarlitzContext, s: Index, prec: int) -> int:
     """Number of degree tuples whose certified valuation bound lies below
     prec + 2, the terms of zeta(s) that can reach O(z^(prec+2)); the CLI
-    reports it as `terms_used`."""
-    entries = s.entries
-    return sum(
-        1
-        for _ in _decreasing_tuples(
-            s.dep, lambda j, v: power_sum_val_bound(ctx.q, v, entries[j]), prec + 2
-        )
-    )
+    reports it as `terms_used`.
+
+    Counted, not enumerated: g_j(v, r), the number of tuples v > i_j > ...
+    > i_(d-1) whose bounds b_j(i_j) + ... add to less than r, is g_j(v-1, r)
+    + g_(j+1)(v-1, r - b_j(v-1)), and g_d(v, r) = 1 for r > 0.
+    """
+    q, entries, d = ctx.q, s.entries, s.dep
+    memo: dict[tuple[int, int], list[int]] = {}
+
+    def g(j: int, r: int) -> list[int]:
+        # [g_j(0, r), g_j(1, r), ...], up to the degree from which it stays put
+        got = memo.get((j, r))
+        if got is None:
+            got, i = [0], 0
+            while (rest := r - power_sum_val_bound(q, i, entries[j])) > 0:
+                if j + 1 == d:
+                    got.append(got[-1] + 1)
+                else:
+                    tail = g(j + 1, rest)
+                    got.append(got[-1] + tail[min(i, len(tail) - 1)])
+                i += 1
+            memo[(j, r)] = got
+        return got
+
+    return g(0, prec + 2)[-1]
 
 
 def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) -> LaurentSeries:

@@ -110,7 +110,7 @@ class TateElement:
 
     def __pow__(self, e: int) -> "TateElement":
         if e < 0:
-            raise ValueError("negative Tate power; use invert_unit")
+            raise ValueError("negative Tate power")
         return power(self, e, one(self.field, self.coeffs[0].prec, 0))
 
     def cap_precision(self, prec: int) -> "TateElement":
@@ -251,12 +251,6 @@ def one(field: FieldSpec, prec: int, tdeg: int = 0) -> TateElement:
     return TateElement(field, c, None, True)
 
 
-def t_var(field: FieldSpec, prec: int) -> TateElement:
-    return TateElement(
-        field, [ls_zero(field, prec), LaurentSeries(field, 0, [1], prec)], None, True
-    )
-
-
 def from_laurent(c: LaurentSeries) -> TateElement:
     return TateElement(c.field, [c], None, True)
 
@@ -302,24 +296,6 @@ def invert_linear_factor(c: LaurentSeries, s: int, tdeg: int) -> TateElement:
             w = w * inv_c
     slope = -c.val
     return TateElement(c.field, out, (slope, s * slope), False)
-
-
-def invert_unit(f: TateElement) -> TateElement:
-    """Power-series inverse, to f's t-degree, of an element with invertible
-    constant term.
-
-    The result carries no tail certificate (used for consistency checks only).
-    """
-    if f.coeffs[0].is_zero():
-        raise PrecisionError("constant coefficient is zero to precision")
-    g0 = f.coeffs[0].inv()
-    out = [g0]
-    for k in range(1, f.tdeg + 1):
-        acc = f.coeffs[1] * out[k - 1]
-        for j in range(2, k + 1):
-            acc = acc + f.coeffs[j] * out[k - j]
-        out.append(-(g0 * acc))
-    return TateElement(f.field, out, None, False)
 
 
 def eval_at_theta(f: TateElement) -> LaurentSeries:
@@ -429,18 +405,6 @@ def residual_checks(res: Residual, psi) -> list[list[ZeroCheck]]:
         [zero_check(residual_value(res, a, e, res.cols[b])) for b, e in enumerate(row)]
         for a, row in enumerate(psi)
     ]
-
-
-def certificate_ok(f: TateElement) -> bool:
-    """Stored coefficients are consistent with the tail certificate."""
-    if f.exact or f.tail is None:
-        return True
-    sigma, tau = f.tail
-    for k in range(f.tdeg + 1):
-        bound = min(sigma * k + tau, f.coeffs[k].prec)
-        if f._coeff_val_bound(k) < bound:
-            return False
-    return True
 
 
 def to_text(f: TateElement) -> str:

@@ -13,6 +13,7 @@ two sides of those checks share only the convention `laurent.theta_pow`.
 """
 
 import pytest
+from helpers import cache_stats, counting
 
 from ffmzv import tate
 from ffmzv.carlitz import (
@@ -55,14 +56,14 @@ def polylog_side(ctx, s, work):
 
 @pytest.mark.parametrize("p,l", LEVELS)
 def test_truncation_served_power_sums_equal_fresh_builds(p, l):
-    ctx = CarlitzContext(p, l)
+    ctx = counting(CarlitzContext(p, l))
     for d in range(4):
         for s in (1, 2, 5):
             # a descending run, then one above the entry and one below it
             for prec in (150, 97, 40, 7, 1, -3, 170, 120):
                 got = monic_power_sum(ctx, d, s, prec)
                 assert _same(got, monic_power_sum(CarlitzContext(p, l), d, s, prec)), (d, s, prec)
-    assert ctx.cache_stats().size == 4 * 3
+    assert cache_stats(ctx).size == 4 * 3
 
 
 @pytest.mark.parametrize("p,l", LEVELS)
@@ -99,20 +100,20 @@ def test_truncation_served_tails_equal_fresh_builds(p, l):
 
 
 def test_monotone_entries_count_truncations_as_hits():
-    ctx = CarlitzContext(3, 1)
+    ctx = counting(CarlitzContext(3, 1))
     monic_power_sum(ctx, 2, 1, 50)
-    assert ctx.cache_stats() == (0, 1, 1)
+    assert cache_stats(ctx) == (0, 1, 1)
     low = monic_power_sum(ctx, 2, 1, 30)
-    assert ctx.cache_stats() == (1, 1, 1) and low.prec == 30
+    assert cache_stats(ctx) == (1, 1, 1) and low.prec == 30
     monic_power_sum(ctx, 2, 1, 80)  # above the entry: rebuilt and replaced
-    assert ctx.cache_stats() == (1, 2, 1)
+    assert cache_stats(ctx) == (1, 2, 1)
     assert monic_power_sum(ctx, 2, 1, 80) is monic_power_sum(ctx, 2, 1, 80)
-    assert ctx.cache_stats() == (3, 2, 1)
+    assert cache_stats(ctx) == (3, 2, 1)
 
 
 def _recording_context(p, l):
     """A fresh context and the set of cache-key kinds its lookups touch."""
-    ctx = CarlitzContext(p, l)
+    ctx = counting(CarlitzContext(p, l))
     kinds = set()
     for name in ("cached", "cached_to"):
         lookup = getattr(ctx, name)
@@ -160,7 +161,7 @@ def test_pi_omega_sides_share_no_cache_entry(p, l):
     work = 40
     pctx, pkinds = _recording_context(p, l)
     pt = pi_tilde(pctx, work)
-    assert not pkinds and pctx.cache_stats().size == 0  # the product formula caches nothing
+    assert not pkinds and cache_stats(pctx).size == 0  # the product formula caches nothing
     octx, okinds = _recording_context(p, l)
     ev = tate.eval_at_theta(omega_for_eval(octx, work))
     assert okinds == {"omega"}
@@ -182,5 +183,5 @@ def test_carlitz_tower_oracle_reads_no_recursion_entry(p, l):
     dctx, dkinds = _recording_context(p, l)
     for i in range(4 if p ** l < 5 else 3):
         assert carlitz_d_bruteforce(bctx, i) == carlitz_d(dctx, i)
-    assert not bkinds and bctx.cache_stats().size == 0
+    assert not bkinds and cache_stats(bctx).size == 0
     assert dkinds == {"D"}

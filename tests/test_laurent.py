@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import theta
 
 from ffmzv.errors import PrecisionError
 from ffmzv.ffield import field, ops
@@ -13,7 +14,6 @@ from ffmzv.laurent import (
     from_theta_poly,
     monomial,
     one,
-    theta,
     theta_pow,
     to_text,
     twist,

@@ -7,10 +7,11 @@ import re
 import time
 
 import pytest
+from helpers import cache_stats, certificate_ok, counting
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ffmzv import motive, tate
-from ffmzv.carlitz import CarlitzContext, omega_factor_count, omega_power, omega_series
+from ffmzv.carlitz import CarlitzContext, omega_power, omega_series
 from ffmzv.errors import BudgetError, ConventionError, ShapeParseError
 from ffmzv.ffield import field
 from ffmzv.motive import (
@@ -45,9 +46,9 @@ def test_phi_shape_depth_one_zero_argument():
     s = Index((2,))
     phi = phi_matrix(ctx, (BivarPoly.zero(ctx.field),), s)
     lin = t_minus_theta_frob(ctx.field, 1)
-    assert phi.entry(0, 0) == lin**2
-    assert phi.entry(1, 1) == BivarPoly.one(ctx.field)
-    assert phi.entry(1, 0).is_zero() and phi.entry(0, 1).is_zero()
+    assert phi.entries[0][0] == lin**2
+    assert phi.entries[1][1] == BivarPoly.one(ctx.field)
+    assert phi.entries[1][0].is_zero() and phi.entries[0][1].is_zero()
 
 
 def test_phi_determinant_nonzero_at_theta():
@@ -56,7 +57,7 @@ def test_phi_determinant_nonzero_at_theta():
     phi = phi_matrix(ctx, at_arguments(ctx, s), s)
     det = BivarPoly.one(ctx.field)
     for k in range(phi.size):
-        det = det * phi.entry(k, k)
+        det = det * phi.entries[k][k]
     assert not det.eval_theta(40).is_zero()
 
 
@@ -64,14 +65,14 @@ def test_psi_shape_depth_one_zero_argument():
     ctx = CarlitzContext(3, 1, prec=30, tdeg=6)
     s = Index((2,))
     psi = psi_matrix(ctx, (BivarPoly.zero(ctx.field),), s)
-    assert tate.zero_check(psi.entry(1, 0)).ok
-    assert tate.zero_check(psi.entry(0, 1)).ok
+    assert tate.zero_check(psi.entries[1][0]).ok
+    assert tate.zero_check(psi.entries[0][1]).ok
     # diagonal: Omega^2 and 1
     from ffmzv.carlitz import omega_series
 
     om2 = omega_series(ctx) ** 2
-    assert tate.zero_check(psi.entry(0, 0) - om2).ok
-    assert tate.zero_check(psi.entry(1, 1) - tate.one(ctx.field, 20, 0)).ok
+    assert tate.zero_check(psi.entries[0][0] - om2).ok
+    assert tate.zero_check(psi.entries[1][1] - tate.one(ctx.field, 20, 0)).ok
 
 
 @pytest.mark.parametrize("p,l", [(2, 1), (3, 1)])
@@ -240,7 +241,7 @@ def test_mutation_spot_check_catches_a_dropped_correction(monkeypatch, mutant):
 
 
 def test_cached_omega_and_window_series_equal_fresh_builds():
-    ctx = CarlitzContext(3, 1, prec=40, tdeg=8)
+    ctx = counting(CarlitzContext(3, 1, prec=40, tdeg=8))
     s = Index((1, 2, 1))
     u = at_arguments(ctx, s)
     om = omega_series(ctx)
@@ -250,12 +251,12 @@ def test_cached_omega_and_window_series_equal_fresh_builds():
     psi = psi_matrix(ctx, u, s)
     assert mutation_kill_report(ctx, phi_matrix(ctx, u, s), psi).passed
     assert component_collapse_report(ctx, s, 4, 1).passed
-    hits = ctx.cache_stats().hits
+    hits = cache_stats(ctx).hits
     assert omega_series(ctx) is om
     assert all(cmpl_series(ctx, w, ctx.tdeg, ctx.prec) is ser for w, ser in zip(windows, sers))
-    assert ctx.cache_stats().hits == hits + 1 + len(windows)
-    # with `factors` set, the product is built afresh
-    fresh_om = omega_series(ctx, factors=omega_factor_count(ctx.q, ctx.prec + ctx.q + 2))
+    assert cache_stats(ctx).hits == hits + 1 + len(windows)
+    # on a fresh context, the product is built afresh
+    fresh_om = omega_series(CarlitzContext(3, 1, prec=40, tdeg=8))
     assert fresh_om is not om and tate.to_text(fresh_om) == tate.to_text(om)
     for w, ser in zip(windows, sers):
         assert tate.to_text(_cmpl_series(ctx, w, ctx.tdeg, ctx.prec)) == tate.to_text(ser)
@@ -280,7 +281,7 @@ def test_collapse_report_is_unchanged_and_reuses_psi_omega_powers(monkeypatch):
 
     def collapse_reports():
         ctx = CarlitzContext(3, 1, prec=40, tdeg=8)
-        return [component_collapse_report(ctx, s, i, j) for i in range(1, 5) for j in range(1, i + 1)]
+        return [component_collapse_report(ctx, s, i, j) for i in range(1, 5) for j in range(1, i)]
 
     reports = collapse_reports()
     # the reports built with square-and-multiply powers, as before omega_power
@@ -290,13 +291,13 @@ def test_collapse_report_is_unchanged_and_reuses_psi_omega_powers(monkeypatch):
     assert collapse_reports() == reports
     monkeypatch.undo()
     # the request's collapse call finds every Omega power that psi_matrix built
-    ctx = CarlitzContext(3, 1, prec=40, tdeg=8)
+    ctx = counting(CarlitzContext(3, 1, prec=40, tdeg=8))
     psi_matrix(ctx, at_arguments(ctx, s), s)
     omega_keys = {k for k in ctx._cache if k[0] == "omega"}
     assert ("omega", 8, 40, sum(s.entries)) in omega_keys
-    misses = ctx.cache_stats().misses
+    misses = cache_stats(ctx).misses
     assert component_collapse_report(ctx, s, s.dep + 1, 1).passed
-    assert ctx.cache_stats().misses == misses
+    assert cache_stats(ctx).misses == misses
     assert {k for k in ctx._cache if k[0] == "omega"} == omega_keys
 
 
@@ -309,7 +310,7 @@ def test_direct_sum_blocks_and_residual_distribution():
     phi = direct_sum(phi1, phi2)
     psi = direct_sum(psi1, psi2)
     assert phi.size == 3 and psi.size == 3
-    assert phi.entry(0, 1).is_zero() and phi.entry(2, 0).is_zero()
+    assert phi.entries[0][1].is_zero() and phi.entries[2][0].is_zero()
     assert frobenius_residual(phi, psi).passed
     # a failing block makes the sum fail, both ways
     bad2 = perturb_entry(psi2, 0, 0)
@@ -330,8 +331,8 @@ def test_direct_sum_of_trivial_blocks_is_identity_pattern():
     triv = MotiveMatrix(1, ((one,),))
     two = direct_sum(triv, triv)
     assert two.size == 2
-    assert two.entry(0, 0) == one and two.entry(1, 1) == one
-    assert two.entry(0, 1).is_zero() and two.entry(1, 0).is_zero()
+    assert two.entries[0][0] == one and two.entries[1][1] == one
+    assert two.entries[0][1].is_zero() and two.entries[1][0].is_zero()
 
 
 def test_builder_error_clauses():
@@ -362,7 +363,7 @@ def test_derived_matrix_structure():
     d2 = derived_matrix(phi, 2)
     lin1 = t_minus_theta_frob(ctx.field, 1)
     lin2 = t_minus_theta_frob(ctx.field, 2)
-    assert d2.entry(0, 0) == lin1 * lin2  # (t - theta^p)(t - theta^{p^2})
+    assert d2.entries[0][0] == lin1 * lin2  # (t - theta^p)(t - theta^{p^2})
     assert d2.level == 2
 
 
@@ -376,8 +377,6 @@ def test_derived_same_trivialization(p, s):
 
 
 def test_psi_entries_carry_valid_certificates():
-    from ffmzv.tate import certificate_ok
-
     ctx = CarlitzContext(3, 1, prec=40, tdeg=6)
     s = Index((1, 2))
     psi = psi_matrix(ctx, at_arguments(ctx, s), s)
@@ -401,9 +400,11 @@ def test_component_collapse(p, l):
     for entries in [(2,), (1, 2), (2, 1)]:
         s = Index(entries)
         for i in range(1, s.dep + 2):
-            for j in range(1, i + 1):
+            for j in range(1, i):
                 rep = component_collapse_report(ctx, s, i, j)
                 assert rep.passed, (p, l, entries, i, j, rep)
+            with pytest.raises(ValueError, match="need 1 <= j < i"):
+                component_collapse_report(ctx, s, i, i)
 
 
 # -- block shells ----------------------------------------------------------------
@@ -454,10 +455,8 @@ def test_block_v_shape():
 def test_block_parse_realize_roundtrip_1000():
     dom = F81
     rng = random.Random(2718)
-    from ffmzv.motive import _random_shape
-
     for _ in range(1000):
-        shape = _random_shape(dom, I_12, rng)
+        shape = BlockShape(dom, I_12, *motive._random_params(dom, I_12, rng))
         back = BlockShape.parse(dom, I_12, shape.realize())
         assert back.a == shape.a and back.xmap == shape.xmap
 
@@ -465,9 +464,7 @@ def test_block_parse_realize_roundtrip_1000():
 def test_block_parse_rejects_tampering():
     dom = F81
     rng = random.Random(1)
-    from ffmzv.motive import _random_shape
-
-    m = _random_shape(dom, I_12, rng).realize()
+    m = BlockShape(dom, I_12, *motive._random_params(dom, I_12, rng)).realize()
     m[3][1] = dom.add(m[3][1], dom.one())  # off-pattern entry
     with pytest.raises(ShapeParseError):
         BlockShape.parse(dom, I_12, m)
@@ -646,8 +643,8 @@ def test_sparse_kernels_equal_dense_oracles(dom_key, kind, n, seed):
     dom, rng = KERNEL_DOMAINS[dom_key], random.Random(seed)
     if kind == "shape":
         iset = rng.choice(SMALL_SETS)
-        a = motive._random_shape(dom, iset, rng).realize()
-        b = motive._random_shape(dom, iset, rng).realize()
+        a = BlockShape(dom, iset, *motive._random_params(dom, iset, rng)).realize()
+        b = BlockShape(dom, iset, *motive._random_params(dom, iset, rng)).realize()
     elif kind == "lower":
         a, b = _lower(dom, n, rng), _lower(dom, n, rng)
     else:
@@ -661,7 +658,7 @@ def test_sparse_kernels_equal_dense_oracles(dom_key, kind, n, seed):
 @pytest.mark.parametrize("ixs", [[(1, 2)], [(3,), (1, 2)], [(2, 2, 1)]], ids=["12", "3;12", "221"])
 def test_parse_checks_every_entry_the_shape_fixes(dom, ixs):
     iset = subclosure([Index(e) for e in ixs])
-    m = motive._random_shape(dom, iset, random.Random(11)).realize()
+    m = BlockShape(dom, iset, *motive._random_params(dom, iset, random.Random(11))).realize()
     n = len(m)
     blocks, off = [(0, 1)], 1  # (first row, end) of each diagonal block
     for ix in iset:
@@ -796,7 +793,7 @@ def test_blocks_realize_and_parse_equal_the_whole_matrix_oracles(dom_key, iset, 
     dom, rng = KERNEL_DOMAINS[dom_key], random.Random(seed)
     lay = motive._shape_layout(iset)
     n = lay.size
-    shape, other = motive._random_shape(dom, iset, rng), motive._random_shape(dom, iset, rng)
+    shape, other = (BlockShape(dom, iset, *motive._random_params(dom, iset, rng)) for _ in range(2))
     m = shape.realize()
     assert m == _realize_oracle(shape)
     assert [[row[lo:hi] for row in m[lo:hi]] for lo, hi in lay.spans] == shape.blocks()
@@ -819,7 +816,8 @@ def test_blocks_realize_and_parse_equal_the_whole_matrix_oracles(dom_key, iset, 
     # the blocks alone: the oracle sees them with zeros outside
     blocks = [[row[lo:hi] for row in bad[lo:hi]] for lo, hi in lay.spans]
     inside = [[x if block_of[i] == block_of[j] else dom.zero() for j, x in enumerate(row)] for i, row in enumerate(bad)]
-    assert _outcome(BlockShape.from_blocks, dom, iset, blocks) == _outcome(_parse_oracle, dom, iset, inside)
+    read_blocks = _outcome(BlockShape._read_one, dom, iset, lay, blocks, False)
+    assert read_blocks == _outcome(_parse_oracle, dom, iset, inside)
 
     # the kernels on each block give the whole-matrix kernels' blocks, and
     # zeros outside them
@@ -908,8 +906,8 @@ def _closure_oracle(domain, index_set, samples, seed):
     rng = random.Random(seed)
     failures = []
     for trial in range(samples):
-        s1 = motive._random_shape(domain, index_set, rng)
-        s2 = motive._random_shape(domain, index_set, rng)
+        s1 = BlockShape(domain, index_set, *motive._random_params(domain, index_set, rng))
+        s2 = BlockShape(domain, index_set, *motive._random_params(domain, index_set, rng))
         try:
             prod, invp = _parsed_oracle(domain, index_set, motive._closure_law, (s1, s2), trial, failures)
             if not domain.eq(prod.a, domain.mul(s1.a, s2.a)):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import certificate_ok
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import tate
@@ -22,6 +23,7 @@ from ffmzv.special import (
     CmplSpec,
     Index,
     _binom_mod_p,
+    _decreasing_tuples,
     _monic_power_sum_dp,
     anderson_thakur_polynomials,
     at_arguments,
@@ -603,9 +605,19 @@ def test_mzv_tuple_count_positive():
     assert mzv_tuple_count(ctx, Index((2, 1)), 30) >= 3
 
 
-def test_cmpl_series_certificates():
-    from ffmzv.tate import certificate_ok
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]),
+    st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.integers(-3, 160),
+)
+def test_mzv_tuple_count_equals_the_enumeration(level, entries, prec):
+    ctx, s = CarlitzContext(*level), Index(tuple(entries))
+    bound = lambda j, v: power_sum_val_bound(ctx.q, v, entries[j])  # noqa: E731
+    assert mzv_tuple_count(ctx, s, prec) == sum(1 for _ in _decreasing_tuples(s.dep, bound, prec + 2))
 
+
+def test_cmpl_series_certificates():
     ctx = CarlitzContext(2, 1)
     for entries in [(1,), (2, 1)]:
         s = Index(entries)

@@ -4,22 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import certificate_ok, t_var, theta
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import tate
 from ffmzv.errors import CertificateError
 from ffmzv.ffield import FieldSpec, field
-from ffmzv.laurent import LaurentSeries, compare_to_precision, theta, theta_pow, zero as ls_zero
+from ffmzv.laurent import LaurentSeries, compare_to_precision, theta_pow, zero as ls_zero
 from ffmzv.poly import BivarPoly
 from ffmzv.tate import (
     TateElement,
-    certificate_ok,
     eval_at_theta,
     from_poly,
     invert_linear_factor,
-    invert_unit,
     one,
-    t_var,
     twist,
     zero,
     zero_check,
@@ -146,15 +144,6 @@ def test_eval_is_ring_homomorphism_on_certified_products():
         lhs = eval_at_theta(f * g)
         rhs = eval_at_theta(f) * eval_at_theta(g)
         assert compare_to_precision(lhs, rhs).status == "equal"
-
-
-def test_invert_unit():
-    rng = random.Random(4)
-    f = _rand_te(rng, F3, tdeg=5, prec=30)
-    if f.coeffs[0].is_zero():  # pragma: no cover - rng chosen to avoid this
-        pytest.skip("unlucky draw")
-    g = invert_unit(f)
-    assert zero_check((f * g) - one(F3, 20, 0)).ok
 
 
 def test_certificate_validator():
