@@ -74,10 +74,11 @@ class CarlitzContext:
             val = self._cache[key] = build()
             return val
 
-    def cached_to(self, key, level: int, build: Callable[[int], LaurentSeries]) -> LaurentSeries:
-        """The series `build(level)`, for builds whose precision is level plus
-        a constant of the key and whose coefficients below it do not depend
-        on level.
+    def cached_to(self, key, level: int, build: Callable[[int], Any]) -> Any:
+        """The series `build(level)`, a LaurentSeries or a TateElement (whose
+        precision is its coefficients' least), for builds whose precision is
+        level plus a constant of the key and whose coefficients below it do
+        not depend on level.
 
         Precision-monotone: one entry per key holds the highest level built
         so far.  A request at or below it is that series truncated by the
@@ -200,7 +201,7 @@ def omega_power(ctx: CarlitzContext, e: int, tdeg: int, prec: int) -> TateElemen
 
     def build() -> TateElement:
         if e == 0:
-            return tate.one(ctx.field, prec + ctx.q + 2, 0)
+            return tate.one(ctx.field, prec + ctx.q + 2)
         if e == 1:
             return omega_series(ctx, tdeg=tdeg, prec=prec)
         return omega_power(ctx, e - 1, tdeg, prec) * omega_power(ctx, 1, tdeg, prec)

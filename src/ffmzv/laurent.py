@@ -156,7 +156,7 @@ class LaurentSeries:
 
     def __pow__(self, e: int) -> "LaurentSeries":
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError("negative power of a series: invert it first")
         if e == 0:
             return one(self.field, self.prec)
         # seed with relative precision prec - val: square-and-multiply then gives

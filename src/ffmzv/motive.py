@@ -389,13 +389,13 @@ def component_collapse_report(ctx: CarlitzContext, s: Index, i: int, j: int) -> 
         for b in range(1, a):
             window = CmplSpec(Index(s.entries[b - 1 : a - 1]), tuple(u[b - 1 : a - 1]))
             L[(a, b)] = cmpl_series(ctx, window, tdeg, prec)
-        L[(a, a)] = tate.one(fld, prec + 4, 0)
+        L[(a, a)] = tate.one(fld, prec + 4)
     ompow = omega_power(ctx, sum(s.entries[j - 1 : i - 1]), tdeg, prec)
     terms = []
     for n in range(j, i + 1):
         # inverse-of-unipotent chain coefficient from n up to i
         if n == i:
-            coeff = tate.one(fld, prec + 4, 0)
+            coeff = tate.one(fld, prec + 4)
         else:
             coeff = None
             mids = list(range(n + 1, i))

@@ -76,13 +76,6 @@ class BivarPoly:
             out[e] = o.add[out.get(e, 0) * o.n + c]
         return BivarPoly(self.field, out)
 
-    def __neg__(self) -> "BivarPoly":
-        neg = ops(self.field).neg
-        return BivarPoly(self.field, {e: neg[c] for e, c in self.terms.items()})
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
-
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         o = ops(self.field)
         mul, add, n = o.mul, o.add, o.n

@@ -2,14 +2,38 @@
 multiple polylogarithms, all as exact truncated z-series.
 
 The depth-d zeta value at level l is the sum of 1/(a_1^{s_1}...a_d^{s_d})
-over monic tuples with strictly decreasing degrees; it is assembled from the
-degree-d power sums S_d(s) = sum(a^-s, a monic of degree d) as the nested
-sum zeta(s) = sum_v S_v(s_1) Z(s_2..s_d; < v), where the tail sum
-Z(s_2..s_d; < v) over the tail's degree tuples below v is built from the one
-below v-1 and kept in the context (`_tail_sum`).  The polylogarithm value
-at t = theta is the same nested sum over its factors
-u_j^{(il)}(theta) ell_i^{-s_j}.  No degree tuple is enumerated, and the
-indices of one context that share a tail share its sums.
+over monic tuples with strictly decreasing degrees.  It, the polylogarithm
+value at t = theta and the polylogarithm series in t are each one nested sum
+(`_NestedSum`) over the degree tuples (i_0 > ... > i_{d-1} >= 0) of the
+products of one factor per position; factor(j, i) has the certified
+valuation bound bound(j, i), nondecreasing in i.  With delta_j = s_j q -
+(q-1) deg_theta u_j > 0 under the convergence condition:
+
+  * zeta: the power sum S_i(s_j) over the monics of degree i, bounded by
+    `power_sum_val_bound`;
+  * the value: u_j^{(il)}(theta) ell_i^{-s_j}, bounded by q^i delta_j -
+    s_j q - (q-1) deg_t u_j;
+  * the series: u_j^{(il)} P_i^{-s_j} cut at t-degree tdeg, P_i = (t -
+    theta^q)...(t - theta^{q^i}) the t-analogue of ell_i, bounded by
+    q^i delta_j - s_j q at every t-degree.
+
+The sum is sum_v factor(0, v) T_1(v), where the tail sum T_j(v) over the
+tuples (v > i_j > ... > i_{d-1} >= 0) is T_j(v-1) + factor(j, v-1)
+T_{j+1}(v-1) and T_d = 1 (`_tail_sum`); no degree tuple is enumerated.
+
+The precision argument, made here once for all three sums: every term of
+T_j has valuation at least floors[j], the bound of its least tuple
+(d-1-j, ..., 0), so the term factor(j, i) T_{j+1}(i) has valuation at least
+bound(j, i) + floors[j+1].  For the sum to O(z^prec), the degrees where that
+reaches prec add nothing (`_degree_cap`), and factor(j, i) is needed only
+to O(z^(prec - floors[j+1])) and T_{j+1}(i) only to O(z^(prec - bound(j, i))):
+a series of valuation >= a known to O(z^(prec - b)) times one of valuation
+>= b known to O(z^(prec - a)) is known to O(z^prec).  The context keeps the
+tails by absolute precision and each factor by its precision relative to
+its bound (`cached_to`), so a request below an entry is served by
+truncation, and the sums of one context that share a tail share its partial
+sums.  The value and the series keep theirs under different kinds, so
+neither serves the other.
 
 Power sums come in closed form, never by enumeration.  Write a monic of
 degree d as theta^d (1 + X) with u = 1/theta = -z^(q-1) and
@@ -59,9 +83,9 @@ from typing import Callable
 
 from .carlitz import CarlitzContext, carlitz_d, carlitz_factorial, monic_coeff_lists
 from .errors import BudgetError, ConventionError
-from .ffield import ops
+from .ffield import FieldSpec, ops
 from .laurent import LaurentSeries, compare_to_precision, from_rational, from_theta_poly, theta_pow
-from .laurent import one as ls_one, zero as ls_zero
+from .laurent import zero as ls_zero
 from .poly import BivarPoly, dense_theta_mul
 from .reports import CheckReport, IdentityReport
 from . import tate
@@ -219,15 +243,15 @@ def _decreasing_tuples(d: int, contrib, stop: int):
 
 
 class _NestedSum:
-    """A sum over strictly decreasing degree tuples (i_1 > ... > i_d >= 0) of
-    the products of one factor per index position.
+    """A sum over strictly decreasing degree tuples (i_0 > ... > i_{d-1} >= 0)
+    of the products of one factor per index position (module docstring).
 
     `factor(j, v, prec)` is position j's factor at degree v known to at
-    least O(z^prec), of valuation at least `bound(j, v)`, which is
-    nondecreasing in v.  Both read only parts[j], so the tail from position
-    j is named by (`kind`, parts[j:]) and shared by every sum that agrees
-    with it from j on.  floors[j] is the bound of the tail's least tuple
-    (d-j-1, ..., 0), a lower bound for the valuation of every term.
+    least O(z^prec), of valuation at least `bound(j, v)`.  Both read only
+    parts[j], so the tail from position j is named by (`kind`, parts[j:]) and
+    shared by every sum that agrees with it from j on.  floors[j] is the
+    bound of T_j's least tuple.  `zero(field, prec)` is the empty sum:
+    `laurent.zero` for series in z, `tate.zero` for Tate elements.
     """
 
     def __init__(
@@ -235,9 +259,10 @@ class _NestedSum:
         kind: str,
         parts: tuple,
         bound: Callable[[int, int], int],
-        factor: Callable[[int, int, int], LaurentSeries],
+        factor: Callable[[int, int, int], LaurentSeries | TateElement],
+        zero: Callable[[FieldSpec, int], LaurentSeries | TateElement],
     ):
-        self.kind, self.parts, self.bound, self.factor = kind, parts, bound, factor
+        self.kind, self.parts, self.bound, self.factor, self.zero = kind, parts, bound, factor, zero
         d = len(parts)
         self.floors = [0] * (d + 1)
         for j in reversed(range(d)):
@@ -255,47 +280,40 @@ def _degree_cap(ns: _NestedSum, j: int, v: float, prec: int) -> int:
     return top
 
 
-def _nested_sum(ctx: CarlitzContext, ns: _NestedSum, v: float, prec: int) -> LaurentSeries:
-    """The sum over the tuples (v > i_1 > ... > i_d >= 0), to O(z^prec):
-    sum_{i < v} factor(0, i) T_1(i), with the tail sums T_1 of `_tail_sum`.
+def _nested_sum(ctx: CarlitzContext, ns: _NestedSum, v: float, prec: int):
+    """The sum over the tuples (v > i_0 > ... > i_{d-1} >= 0) to O(z^prec),
+    sum_{i < v} factor(0, i) T_1(i) (module docstring).
 
-    A term's valuation is at least the sum of its factors' bounds, and that
-    of T_1 at least floors[1], so factor(0, i) is needed only to
-    O(z^(prec - floors[1])) and T_1(i) only to O(z^(prec - bound(0, i))).
     The sum itself is not kept: a whole index is asked for about once per
     context, and its partial sums would only be more cached objects for
     every garbage collection to traverse.
     """
-    acc = ls_zero(ctx.field, prec)
+    acc = ns.zero(ctx.field, prec)
     for i in range(len(ns.parts) - 1, _degree_cap(ns, 0, v, prec)):
-        tail = _tail_sum(ctx, ns, 1, i, prec - ns.bound(0, i))
-        acc = acc + ns.factor(0, i, prec - ns.floors[1]) * tail
+        acc = acc + _term(ctx, ns, 0, i, prec)
     return acc
 
 
-def _tail_sum(ctx: CarlitzContext, ns: _NestedSum, j: int, v: float, prec: int) -> LaurentSeries:
+def _term(ctx: CarlitzContext, ns: _NestedSum, j: int, i: int, prec: int):
+    """factor(j, i) T_{j+1}(i) to O(z^prec), each known to the precision the
+    module docstring gives; the last position's tail, 1, is not multiplied."""
+    if j + 1 == len(ns.parts):
+        return ns.factor(j, i, prec)
+    tail = _tail_sum(ctx, ns, j + 1, i, prec - ns.bound(j, i))
+    return ns.factor(j, i, prec - ns.floors[j + 1]) * tail
+
+
+def _tail_sum(ctx: CarlitzContext, ns: _NestedSum, j: int, v: float, prec: int):
     """T_j(v), the sum over the tuples (v > i_j > ... > i_{d-1} >= 0) of the
-    products of the factors from position j on, to O(z^prec), with the
-    precisions of `_nested_sum` one position further on.
-
-    T_j(v) = T_j(v-1) + factor(j, v-1) T_{j+1}(v-1), and T_d = 1.  Each
-    T_j(v) is kept in the context through `cached_to`, keyed by absolute
-    precision, so the sums of one context that share a tail share its
-    partial sums.
-    """
-    d = len(ns.parts)
-    if j == d:
-        return ls_one(ctx.field, prec)
+    products of the factors from position j on, to O(z^prec): T_j(v-1) plus
+    the term at v-1, kept in the context (module docstring)."""
     top = _degree_cap(ns, j, v, prec)
-    if top == d - 1 - j:
-        return ls_zero(ctx.field, prec)
+    if top == len(ns.parts) - 1 - j:
+        return ns.zero(ctx.field, prec)
 
-    def build(prec: int) -> LaurentSeries:
-        i = top - 1
-        # T_j(i) first: it asks for the T_{j+1} below i at higher precision
-        acc = _tail_sum(ctx, ns, j, i, prec)
-        tail = _tail_sum(ctx, ns, j + 1, i, prec - ns.bound(j, i))
-        return acc + ns.factor(j, i, prec - ns.floors[j + 1]) * tail
+    def build(prec: int):
+        # T_j(top - 1) first: it asks for the T_{j+1} below top - 1 at higher precision
+        return _tail_sum(ctx, ns, j, top - 1, prec) + _term(ctx, ns, j, top - 1, prec)
 
     return ctx.cached_to((ns.kind, ns.parts[j:], top), prec, build)
 
@@ -306,9 +324,8 @@ def mzv(
     prec: int,
     max_degree: int | None = None,
 ) -> LaurentSeries:
-    """zeta_l(s_1,...,s_d) = sum_v S_v(s_1) Z(s_2..s_d; < v), Z(tail; < v)
-    the sum over the tail's decreasing degree tuples below v, kept as in
-    `_tail_sum` under the kind "ztail"; it reads only the power sums.
+    """zeta_l(s_1,...,s_d), the nested sum (module docstring) over the power
+    sums, its tails kept under the kind "ztail"; it reads only the power sums.
 
     With `max_degree` set, returns the partial sum over all degree tuples
     with d_1 <= max_degree (the oracle comparison form); otherwise the degree
@@ -320,6 +337,7 @@ def mzv(
         entries,
         lambda j, v: power_sum_val_bound(q, v, entries[j]),
         lambda j, v, prec: monic_power_sum(ctx, v, entries[j], prec),
+        ls_zero,
     )
     return _nested_sum(ctx, ns, inf if max_degree is None else max_degree + 1, prec)
 
@@ -541,51 +559,24 @@ def _ell_inv_pow(ctx: CarlitzContext, i: int, e: int, rel: int) -> LaurentSeries
     return ctx.cached_to(("ellinv", i, e), rel, build)
 
 
-def _sum_plan(ctx: CarlitzContext, spec: CmplSpec, prec: int):
-    """(work, rel, terms) of the t-motivic polylogarithm sum for spec to
-    O(z^prec), or None when an argument, and with it the sum, is zero.
-
-    Each term is a degree tuple (i_1 > ... > i_d >= 0) with its certified
-    valuation bound sum_j (q^{i_j} delta_j - s_j q), delta_j = s_j q -
-    (q-1) deg_theta u_j > 0 under the convergence condition, so the dominant
-    q^{i_1} factor terminates the sum.  Every atomic factor is materialized
-    at rel relative z-digits, which gives every term absolute precision >=
-    work.
-    """
-    check_convergence(ctx, spec)
-    if any(ui.is_zero() for ui in spec.u):
-        return None
-    q, entries = ctx.q, spec.s.entries
-    deltas = _deltas(ctx, spec)
-    work = prec + 4
-
-    def contrib(j: int, v: int) -> int:
-        return q**v * deltas[j] - entries[j] * q
-
-    tuples = _decreasing_tuples(spec.s.dep, contrib, work)
-    terms = [(tup, sum(contrib(j, ij) for j, ij in enumerate(tup))) for tup in tuples]
-    bmin = min((bound for _, bound in terms), default=0)
-    return work, work - min(bmin, 0) + 6, terms
+def _parts(spec: CmplSpec) -> tuple:
+    """(s_j, the terms of u_j) per position: cache keys name an argument by
+    its terms, which hash much faster than a BivarPoly."""
+    return tuple((si, tuple(sorted(ui.terms.items()))) for si, ui in zip(spec.s.entries, spec.u))
 
 
 def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int) -> LaurentSeries:
-    """The polylogarithm value at t = theta, sum_v f_1(v) L(s_2.., u_2..; < v)
-    with f_j(i) = u_j^{(il)}(theta) ell_i^{-s_j} and L the tail sum below v,
-    kept as in `_tail_sum` under the kind "ltail"; it reads only the
-    arguments and the ell-inverses.
-
-    f_j(i) has the certified valuation bound q^i delta_j - s_j q -
-    (q-1) deg_t u_j, delta_j = s_j q - (q-1) deg_theta u_j > 0 under the
-    convergence condition; a factor below it raises ConventionError.
-    """
+    """The polylogarithm value at t = theta, the nested sum (module
+    docstring) over the factors u_j^{(il)}(theta) ell_i^{-s_j}, its tails
+    kept under the kind "ltail"; it reads only the arguments and the
+    ell-inverses.  A factor below its bound raises ConventionError."""
     check_convergence(ctx, spec)
     if any(ui.is_zero() for ui in spec.u):
         return ls_zero(ctx.field, prec)
     q, entries, u = ctx.q, spec.s.entries, spec.u
     deltas = _deltas(ctx, spec)
     tpen = [(q - 1) * ui.deg_t() for ui in u]
-    # keys name an argument by its terms, which hash much faster than a BivarPoly
-    parts = tuple((si, tuple(sorted(ui.terms.items()))) for si, ui in zip(entries, u))
+    parts = _parts(spec)
 
     def bound(j: int, v: int) -> int:
         return q**v * deltas[j] - entries[j] * q - tpen[j]
@@ -594,7 +585,7 @@ def cmpl_value(ctx: CarlitzContext, spec: CmplSpec, prec: int) -> LaurentSeries:
         b = bound(j, v)
         return _polylog_factor(ctx, parts[j], u[j], v, b, prec - b)
 
-    ns = _NestedSum("ltail", parts, bound, factor)
+    ns = _NestedSum("ltail", parts, bound, factor, ls_zero)
     return _nested_sum(ctx, ns, inf, prec)
 
 
@@ -624,64 +615,65 @@ def _polylog_factor(
 
 def cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> TateElement:
     """The t-motivic polylogarithm as a Tate element with certified tail,
-    cached in the context per (spec, tdeg, prec)."""
-    return ctx.cached(("cmpl", spec, tdeg, prec), lambda: _cmpl_series(ctx, spec, tdeg, prec))
+    cached in the context per (the terms of spec, tdeg, prec)."""
+    return ctx.cached(("cmpl", _parts(spec), tdeg, prec), lambda: _cmpl_series(ctx, spec, tdeg, prec))
 
 
 def _cmpl_series(ctx: CarlitzContext, spec: CmplSpec, tdeg: int, prec: int) -> TateElement:
-    """The polylogarithm series, summed over the degree tuples as one dot.
-
-    The tuple (i_1 > ... > i_d >= 0) contributes u_1^(i_1 l)...u_d^(i_d l)
-    times prod_{a <= i_1} (t - theta^(q^a))^(-e_a), e_a the sum of the s_j
-    with i_j >= a.  That product depends only on (e_1..e_(i_1)) and is a
-    cached prefix product, so the windows of one Psi share it.  Only
-    t-degrees <= tdeg of the numerator reach the dot, so its factors and
-    partial products are cut there; its theta-degree, which sets its
-    precision, is that of the whole product: the sum of its factors'.
-    """
-    q, fld = ctx.q, ctx.field
-    plan = _sum_plan(ctx, spec, prec)
-    if plan is None:
+    """The polylogarithm series to O(z^(prec+4)) at t-degrees <= tdeg, the
+    nested sum (module docstring) over the factors u_j^{(il)} P_i^{-s_j}, its
+    tails kept under the kind "stail"; it reads only the arguments and the
+    inverted linear factors.  Its tail certificate has slope (q-1) q."""
+    check_convergence(ctx, spec)
+    fld = ctx.field
+    if any(ui.is_zero() for ui in spec.u):
         return tate.zero(fld, prec, tdeg)
-    work, rel, terms = plan
-    entries = spec.s.entries
-    d = spec.s.dep
-    sigma = (q - 1) * q
-    pairs = []
-    for tup, _ in terms:
-        num = spec.u[0].twist(tup[0] * ctx.l).truncate_t(tdeg)
-        for j in range(1, d):
-            num = (num * spec.u[j].twist(tup[j] * ctx.l).truncate_t(tdeg)).truncate_t(tdeg)
-        deg_theta = sum(ui.deg_theta() * q**i for ui, i in zip(spec.u, tup))
-        exps = tuple(
-            sum(entries[j] for j in range(d) if tup[j] >= a) for a in range(1, tup[0] + 1)
-        )
-        prefix = _teinv_prefix(ctx, exps, tdeg, rel)
-        pairs.append((tate.from_poly(num, -(q - 1) * deg_theta + rel), prefix))
-    acc = tate.dot(pairs, tdeg) if pairs else tate.zero(fld, work, tdeg)
+    q, entries, u = ctx.q, spec.s.entries, spec.u
+    deltas = _deltas(ctx, spec)
+    # a factor is cut at tdeg, so its part names it
+    parts = tuple(part + (tdeg,) for part in _parts(spec))
+
+    def bound(j: int, v: int) -> int:
+        return q**v * deltas[j] - entries[j] * q
+
+    def factor(j: int, v: int, prec: int) -> TateElement:
+        b = bound(j, v)
+        return _series_factor(ctx, parts[j], u[j], v, prec - b)
+
+    work = prec + 4
+    acc = _nested_sum(ctx, _NestedSum("stail", parts, bound, factor, tate.zero), inf, work)
     coeffs = [c.truncate(work) for c in acc.coeffs]
-    while len(coeffs) < tdeg + 1:
-        coeffs.append(ls_zero(fld, work))
-    tau_min = sum(_deltas(ctx, spec)) - sigma * sum(ui.deg_t() for ui in spec.u) - q * spec.s.wt
-    return TateElement(fld, coeffs[: tdeg + 1], (sigma, tau_min), False)
+    coeffs += [ls_zero(fld, work) for _ in range(tdeg + 1 - len(coeffs))]
+    sigma = (q - 1) * q
+    tau_min = sum(deltas) - sigma * sum(ui.deg_t() for ui in u) - q * spec.s.wt
+    return TateElement(fld, coeffs, (sigma, tau_min), False)
 
 
-def _teinv_prefix(ctx: CarlitzContext, exps: tuple[int, ...], tdeg: int, rel: int) -> TateElement:
-    """prod_{a <= len(exps)} (t - theta^(q^a))^(-exps[a-1]) to t-degree tdeg,
-    cached per exponent sequence and built from the prefix one shorter.  The
-    empty product is the exact 1 known to rel z-digits, so that a numerator,
-    known to at most rel relative digits, keeps its precision times it."""
+def _series_factor(ctx: CarlitzContext, part: tuple, u: BivarPoly, i: int, rel: int) -> TateElement:
+    """u^{(il)} P_i^{-s}, part = (s, the terms of u, tdeg), cut at t-degree
+    tdeg and known to rel z-digits past its certified bound, cached by rel
+    under the kind "sfac"."""
+    s, _, tdeg = part
 
-    def build() -> TateElement:
-        if not exps:
-            return tate.one(ctx.field, rel, 0)
-        a, e = len(exps), exps[-1]
-        fac = ctx.cached(("teinv", a, e, tdeg, rel), lambda: _teinv(ctx, a, e, tdeg, rel))
-        if a == 1:
-            return fac
-        return (_teinv_prefix(ctx, exps[:-1], tdeg, rel) * fac).truncate_tdeg(tdeg)
+    def build(rel: int) -> TateElement:
+        q = ctx.q
+        low = -(q - 1) * u.deg_theta() * q**i  # u^{(il)}'s bound
+        num = tate.from_poly(u.truncate_t(tdeg).twist(i * ctx.l), low + rel)
+        return num * _p_inv_pow(ctx, i, s, tdeg, rel) if i else num
 
-    return ctx.cached(("teprod", exps, tdeg, rel), build)
+    return ctx.cached_to(("sfac", part, i), rel, build)
+
+
+def _p_inv_pow(ctx: CarlitzContext, i: int, e: int, tdeg: int, rel: int) -> TateElement:
+    """P_i^-e for P_i = (t - theta^q)...(t - theta^{q^i}), i >= 1, to t-degree
+    tdeg, known to rel z-digits past its valuation e q (q^i - 1): P_{i-1}^-e
+    times (t - theta^{q^i})^-e, cached by rel under the kind "tepow"."""
+
+    def build(rel: int) -> TateElement:
+        fac = _teinv(ctx, i, e, tdeg, rel)
+        return fac if i == 1 else _p_inv_pow(ctx, i - 1, e, tdeg, rel) * fac
+
+    return ctx.cached_to(("tepow", i, e, tdeg), rel, build)
 
 
 def _teinv(ctx: CarlitzContext, a: int, e: int, tdeg: int, rel: int) -> TateElement:

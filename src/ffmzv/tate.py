@@ -44,7 +44,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetError, CertificateError, PrecisionError
-from .ffield import FieldSpec, dense_sums, ops, power
+from .ffield import FieldSpec, dense_sums, ops
 from .laurent import LaurentSeries, from_theta_poly, theta_combination
 from .laurent import twist as ls_twist
 from .laurent import zero as ls_zero
@@ -100,20 +100,18 @@ class TateElement:
     def __neg__(self) -> "TateElement":
         return TateElement(self.field, [-c for c in self.coeffs], self.tail, self.exact)
 
-    def __sub__(self, other: "TateElement") -> "TateElement":
-        return self + (-other)
-
     def __mul__(self, other: "TateElement") -> "TateElement":
         self._compat(other)
         d, tail, exact = _combine(self, other, product=True)
         return TateElement(self.field, _convolve(self.field, [(self, other, d)], d), tail, exact)
 
-    def __pow__(self, e: int) -> "TateElement":
-        if e < 0:
-            raise ValueError("negative Tate power")
-        return power(self, e, one(self.field, self.coeffs[0].prec, 0))
+    @property
+    def prec(self) -> int:
+        """The least z-precision of the stored coefficients."""
+        return min(c.prec for c in self.coeffs)
 
-    def cap_precision(self, prec: int) -> "TateElement":
+    def truncate(self, prec: int) -> "TateElement":
+        """Every coefficient truncated to O(z^prec)."""
         return TateElement(
             self.field, [c.truncate(prec) for c in self.coeffs], self.tail, self.exact
         )
@@ -232,7 +230,7 @@ def twist(f: TateElement, n: int, cap: int | None = None) -> TateElement:
     if n < 0:
         raise ValueError("twist requires n >= 0")
     if n == 0:
-        return f if cap is None else f.cap_precision(cap)
+        return f if cap is None else f.truncate(cap)
     s = f.field.p**n
     tail = None if f.tail is None else (f.tail[0] * s, f.tail[1] * s)
     return TateElement(f.field, [ls_twist(c, n, cap) for c in f.coeffs], tail, f.exact)
@@ -245,10 +243,8 @@ def zero(field: FieldSpec, prec: int, tdeg: int = 0) -> TateElement:
     return TateElement(field, [ls_zero(field, prec) for _ in range(tdeg + 1)], None, True)
 
 
-def one(field: FieldSpec, prec: int, tdeg: int = 0) -> TateElement:
-    c = [ls_zero(field, prec) for _ in range(tdeg + 1)]
-    c[0] = LaurentSeries(field, 0, [1], prec)
-    return TateElement(field, c, None, True)
+def one(field: FieldSpec, prec: int) -> TateElement:
+    return TateElement(field, [LaurentSeries(field, 0, [1], prec)], None, True)
 
 
 def from_laurent(c: LaurentSeries) -> TateElement:
@@ -327,12 +323,11 @@ class ZeroCheck(NamedTuple):
 def zero_check(f: TateElement) -> ZeroCheck:
     """Is f zero to precision?  Reports the worst offending coefficient."""
     worst_k = worst_v = None
-    floor = min(c.prec for c in f.coeffs)
     for k, c in enumerate(f.coeffs):
         if not c.is_zero():
             if worst_v is None or c.val < worst_v:
                 worst_k, worst_v = k, c.val
-    return ZeroCheck(worst_v is None, worst_k, worst_v, floor)
+    return ZeroCheck(worst_v is None, worst_k, worst_v, f.prec)
 
 
 # -- the Frobenius residual -----------------------------------------------------
@@ -369,7 +364,7 @@ def residual_setup(phi, psi, n: int) -> Residual:
     matrices (rows) of exact (t, theta)-polynomials phi and Tate elements psi."""
     entries = [e for row in psi for e in row]
     q = entries[0].field.order
-    p0 = min(c.prec for e in entries for c in e.coeffs)  # least stored z-precision
+    p0 = min(e.prec for e in entries)  # least stored z-precision
     # exact entries (the 1s and 0s) are reliable at every t-degree
     tdeg = min((e.tdeg for e in entries if not e.exact), default=max(e.tdeg for e in entries))
     # the exact side has valuations down to -(q-1)*deg_theta; cap high enough

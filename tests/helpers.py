@@ -1,16 +1,18 @@
 """Assertion oracles and probes that only the tests use.
 
-`certificate_ok`, `t_var`, `theta` and `coeff` are small constructors and
-checks on the package's series types.  `counting` replaces a context's cache
-with a dict that counts its lookups and stores, so that tests can assert how
-often `CarlitzContext.cached` and `cached_to` found what they were asked for.
+`certificate_ok`, `t_var`, `theta`, `coeff` and `tate_pow` are small
+constructors, checks and operations on the package's series types.
+`counting` replaces a context's cache with a dict that counts its lookups
+and stores, so that tests can assert how often `CarlitzContext.cached` and
+`cached_to` found what they were asked for.
 """
 
 from typing import NamedTuple
 
 from ffmzv.carlitz import CarlitzContext
 from ffmzv.errors import PrecisionError
-from ffmzv.ffield import FieldSpec
+from ffmzv import tate
+from ffmzv.ffield import FieldSpec, power
 from ffmzv.laurent import LaurentSeries, theta_pow, zero as ls_zero
 from ffmzv.tate import TateElement
 
@@ -45,6 +47,12 @@ def coeff(f: LaurentSeries, k: int) -> int:
             raise PrecisionError(f"coefficient of z^{k} beyond O(z^{f.prec})")
         return 0
     return f.coeffs[k - f.val]
+
+
+def tate_pow(f: TateElement, e: int) -> TateElement:
+    """f^e (e >= 0) by square-and-multiply from the exact 1 known to the
+    precision of f's t^0 coefficient."""
+    return power(f, e, tate.one(f.field, f.coeffs[0].prec))
 
 
 class CacheStats(NamedTuple):

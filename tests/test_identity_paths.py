@@ -6,7 +6,10 @@ truncating a higher-precision entry must equal a fresh build, and the
 polylogarithm side and the zeta side may share no cache entry beyond the
 factorials the identity's statement puts on both: the zeta tails read only
 power sums, the polylogarithm factors and tails only the Anderson-Thakur
-arguments and the ell-inverses.
+arguments and the ell-inverses.  The polylogarithm series, the same nested
+sum over Tate elements, keeps its factors and tails under kinds of its own:
+it reads none of the value's entries or the zeta side's, and the value reads
+none of its.
 The product-formula pi-tilde and 1/Omega(theta) share no cache entry, and
 the brute-force Carlitz-tower oracle reads none of the recursion's D_i: the
 two sides of those checks share only the convention `laurent.theta_pow`.
@@ -24,11 +27,13 @@ from ffmzv.carlitz import (
     pi_omega_cross_check,
     pi_tilde,
 )
+from ffmzv.motive import psi_matrix
 from ffmzv.special import (
     CmplSpec,
     Index,
     _ell_inv_pow,
     at_arguments,
+    cmpl_series,
     cmpl_value,
     factorial_product,
     monic_power_sum,
@@ -43,6 +48,7 @@ LEVELS = [(2, 1), (3, 1), (2, 2), (5, 1)]
 SHARED_KINDS = {"D", "gamma"}
 ZETA_KINDS = {"S", "ztail"}
 POLYLOG_KINDS = {"AT", "ellinv", "lfactor", "ltail"}
+SERIES_KINDS = {"cmpl", "sfac", "tepow", "stail"}
 
 
 def _same(a, b):
@@ -111,9 +117,9 @@ def test_monotone_entries_count_truncations_as_hits():
     assert cache_stats(ctx) == (3, 2, 1)
 
 
-def _recording_context(p, l):
+def _recording_context(p, l, **sizes):
     """A fresh context and the set of cache-key kinds its lookups touch."""
-    ctx = counting(CarlitzContext(p, l))
+    ctx = counting(CarlitzContext(p, l, **sizes))
     kinds = set()
     for name in ("cached", "cached_to"):
         lookup = getattr(ctx, name)
@@ -154,6 +160,26 @@ def test_period_identity_sides_share_no_cache_entry(p, l):
             assert _same(z, zeta) and _same(y, polylog), (s, zeta_first)
     # at depth 3 and q >= 4 zeta vanishes to this precision and touches no S
     assert ZETA_KINDS | POLYLOG_KINDS <= touched
+
+
+@pytest.mark.parametrize("p,l", LEVELS)
+def test_polylog_series_shares_no_cache_entry_with_the_value_or_zeta(p, l):
+    s, prec, tdeg = Index((1, 2, 1)), 40, 8
+    sctx, skinds = _recording_context(p, l, prec=prec, tdeg=tdeg)
+    u = at_arguments(sctx, s)
+    psi_matrix(sctx, u, s)
+    series = cmpl_series(sctx, CmplSpec(s, u), tdeg, prec)
+    assert SERIES_KINDS <= skinds
+    assert not skinds & (ZETA_KINDS | POLYLOG_KINDS - {"AT"}), skinds
+    value = polylog_side(CarlitzContext(p, l), s, prec)
+    # each is the same on a shared context, whichever runs first there
+    for value_first in (True, False):
+        shared = CarlitzContext(p, l)
+        if value_first:
+            assert _same(polylog_side(shared, s, prec), value)
+        got = cmpl_series(shared, CmplSpec(s, at_arguments(shared, s)), tdeg, prec)
+        assert tate.to_text(got) == tate.to_text(series), value_first
+        assert _same(polylog_side(shared, s, prec), value)
 
 
 @pytest.mark.parametrize("p,l", LEVELS)

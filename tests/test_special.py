@@ -100,7 +100,7 @@ def cmpl_frobenius_residual(ctx, spec, tdeg=None, prec=None):
     d = spec.s.dep
     big = cmpl_series(ctx, spec, tdeg, prec)
     if d == 1:
-        prefix = tate.one(fld, prec + 4, 0)
+        prefix = tate.one(fld, prec + 4)
     else:
         prefix = cmpl_series(ctx, CmplSpec(Index(entries[:-1]), spec.u[:-1]), tdeg, prec)
     cap = min(c.prec for c in big.coeffs)
@@ -108,10 +108,10 @@ def cmpl_frobenius_residual(ctx, spec, tdeg=None, prec=None):
     lhs = tate.from_poly(lin ** spec.s.wt, cap + q * (q - 1) * spec.s.wt + 2) * big
     rhs1 = (
         tate.from_poly(lin ** entries[-1] * spec.u[-1], cap + q * (q - 1) * spec.s.wt + 2)
-        * tate.twist(prefix, ctx.l).cap_precision(cap)
+        * tate.twist(prefix, ctx.l).truncate(cap)
     )
-    rhs2 = tate.twist(big, ctx.l).cap_precision(cap)
-    resid = (lhs - rhs1 - rhs2).truncate_tdeg(tdeg)
+    rhs2 = tate.twist(big, ctx.l).truncate(cap)
+    resid = (lhs + -rhs1 + -rhs2).truncate_tdeg(tdeg)
     return ResidualReport.from_zero_check(tate.zero_check(resid), q)
 
 
@@ -405,9 +405,6 @@ def _at_polys_frac(ctx, s_max):
     one = BivarPoly.one(fld)
     neg = ops(fld).neg
 
-    def tpow(e):
-        return BivarPoly(fld, {(e, 0): 1})
-
     # generating coefficients a_i of x^{q^i}; a_0 = 1
     a = {0: _Frac(one, one)}
     i = 1
@@ -417,7 +414,7 @@ def _at_polys_frac(ctx, s_max):
         for j in range(1, i + 1):
             num = num * BivarPoly(fld, {(q**i, 0): 1, (0, q**j): neg[1]})
         for j in range(i):
-            den = den * (tpow(q**i) - tpow(q**j))
+            den = den * BivarPoly(fld, {(q**i, 0): 1, (q**j, 0): neg[1]})
         a[i] = _Frac(num, den)
         i += 1
     # series inversion: c_n = sum_i a_i c_{n - q^i}

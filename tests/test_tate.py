@@ -37,12 +37,12 @@ def _rand_te(rng, fld, tdeg=4, prec=20):
 
 
 def test_add_and_mul_basics():
-    o = one(F3, 20, 2)
+    o = one(F3, 20)
     z = zero(F3, 20, 2)
     a = _rand_te(random.Random(1), F3)
-    assert zero_check((a + z) - a).ok
+    assert zero_check((a + z) + -a).ok
     t = t_var(F3, 20)
-    prod = (o + t) * (o - t)  # 1 - t^2
+    prod = (o + t) * (o + -t)  # 1 - t^2
     assert prod.coeffs[1].is_zero()
     assert compare_to_precision(prod.coeffs[2], -(o.coeffs[0])).status == "equal"
 
@@ -63,7 +63,7 @@ def test_mul_matches_naive_convolution():
 
 def test_twist_examples():
     t = t_var(F3, 20)
-    assert zero_check(twist(t, 2) - t).ok  # coefficients in the prime field
+    assert zero_check(twist(t, 2) + -t).ok  # coefficients in the prime field
     th_t = from_poly(BivarPoly(F3, {(1, 1): 1}), 30)  # theta*t
     tw = twist(th_t, 1)
     assert compare_to_precision(tw.coeffs[1], theta_pow(F3, 3, 30)).status == "equal"
@@ -76,7 +76,7 @@ def test_twist_is_homomorphism():
         b = _rand_te(rng, F2)
         lhs = twist(a * b, 1)
         rhs = twist(a, 1) * twist(b, 1)
-        assert zero_check(lhs - rhs).ok
+        assert zero_check(lhs + -rhs).ok
 
 
 def test_invert_linear_factor():
@@ -88,10 +88,10 @@ def test_invert_linear_factor():
     assert certificate_ok(f)
     # square consistency
     f2 = invert_linear_factor(c, 2, 8)
-    assert zero_check(f2 - f * f).ok
+    assert zero_check(f2 + -(f * f)).ok
     # multiply back: (t - c) * (t - c)^{-1} = 1
     lin = TateElement(F3, [-c, LaurentSeries(F3, 0, [1], 60)], None, True)
-    assert zero_check(lin * f - one(F3, 40, 0)).ok
+    assert zero_check(lin * f + -one(F3, 40)).ok
 
 
 def test_invert_linear_factor_region():
@@ -108,10 +108,10 @@ def test_roundtrip_random_constants():
         s = rng.randrange(1, 4)
         f = invert_linear_factor(c, s, 6)
         lin = TateElement(F3, [-c, LaurentSeries(F3, 0, [1], 40)], None, True)
-        acc = one(F3, 40, 0)
+        acc = one(F3, 40)
         for _ in range(s):
             acc = acc * lin
-        assert zero_check(acc * f - one(F3, 30, 0)).ok
+        assert zero_check(acc * f + -one(F3, 30)).ok
 
 
 def test_eval_at_theta():
@@ -271,4 +271,4 @@ def test_mixed_fields_are_refused():
     c = LaurentSeries(twin, 0, [1], 10)
     assert compare_to_precision(b + c, b * c + b).status == "equal"
     tc = tate.from_laurent(c)
-    assert zero_check((tb + tc) - (tb * tc + tb)).ok
+    assert zero_check((tb + tc) + -(tb * tc + tb)).ok

@@ -61,7 +61,7 @@ def _residual_entry_loop(res, a, entry, col):
             continue
         term = _mul_loop(mat, tw).truncate_tdeg(res.tdeg)
         acc = term if acc is None else acc + term
-    resid = entry.truncate_tdeg(res.tdeg) - acc if acc is not None else entry
+    resid = entry.truncate_tdeg(res.tdeg) + -acc if acc is not None else entry
     return tate.zero_check(resid)
 
 
