@@ -17,7 +17,9 @@ with one polynomial product mod the modulus each, which gives exp[k] = g^k
 and its inverse permutation log.  Then mul[a, b] = exp[log a + log b],
 inverses, negatives and Frobenius powers are exp/log lookups, and each add
 row is a block rotation of an earlier row, because adding a single digit
-c*p^j rotates digit j.  The build costs O(n^2) list writes instead of one
+c*p^j rotates digit j.  Each mul row is one C-level gather
+(`operator.itemgetter` over the logs) from a slice of exp, so the build
+costs O(n) Python steps and O(n^2) element copies in C instead of one
 polynomial reduction per pair; tests/test_ffield.py keeps the pairwise
 reduction as the oracle every table is compared against.
 
@@ -36,9 +38,8 @@ each list is packed once per slot width in a call.  m = 2 with
 packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the table
 schoolbook, one row per nonzero coefficient, added into the output.  The
 oracle for every path is the double loop in tests/test_ffield.py.  The
-primitive-element search, which builds the tables the kernel reads, and
-F_p(t) fractions, whose short lists would spend more on the kernel's
-bookkeeping than on products, share the plain list product `fp_list_mul`.
+primitive-element search, which builds the tables the kernel reads, uses
+the plain list product `fp_list_mul`.
 `power` is the one square-and-multiply loop, for every ring that has one.
 
 Primality is a deterministic Miller-Rabin over the prime bases 2..41, exact
@@ -284,12 +285,16 @@ class FieldOps:
                 add[dst + chunk - shift : dst + chunk] = add[src : src + shift]
         self.add = add
 
+        # row a is exp2[log a + log b] over b >= 1: one C-level gather by the
+        # logs from a slice of exp2.  An itemgetter of one index returns the
+        # item, not a 1-tuple; F_2's one index is 0, where the gather is the slice
         exp2 = exp + exp
         logs = log[1:]
+        get = operator.itemgetter(*logs) if n > 2 else list
         mul = [0] * (n * n)
         for a in range(1, n):
             la = log[a]
-            mul[a * n + 1 : (a + 1) * n] = [exp2[la + lb] for lb in logs]
+            mul[a * n + 1 : (a + 1) * n] = get(exp2[la : la + n - 1])
         self.mul = mul
 
         self.neg = mul[(p - 1) * n : p * n]  # row of -1

@@ -45,12 +45,15 @@ law once over the product ring F^L whose L lanes are its trials (a domain's
 `lanes(L)`: each entry is a list of L values, and the unchanged kernels
 `_mat_mul` and `_mat_inv_lower` run over it), for each chunk of at most
 SAMPLE_LANES trials, and reads every result back lane by lane (`_read`, whose
-one-lane case is `BlockShape.parse`).  Over F_p(t) a lane
-holds None, or a `_Skipped` product, for a term the per-trial kernel would
-not add, so every lane computes the same unreduced fractions as a trial run
-alone.  The first trial also runs on the whole matrices as scalars (`realize`,
-the kernels, `BlockShape.parse`): that spot check certifies the zeros outside
-the blocks.  Failures come per trial in trial order, and an exception is the
+one-lane case is `BlockShape.parse`).  An F_p(t) element is an unreduced
+fraction of F_p[t] polynomials, each packed into one int, so a product of
+polynomials is one integer product and one reduction mod p
+(`RationalFunctionDomain`).  Over F_p(t) a lane holds None, or a `_Skipped`
+product, for a term the per-trial kernel would not add, so every lane
+computes the same unreduced fractions as a trial run alone.  The first
+trial also runs on the whole matrices as scalars (`realize`, the kernels,
+`BlockShape.parse`): that spot check certifies the zeros outside the
+blocks.  Failures come per trial in trial order, and an exception is the
 one the first failing trial raises alone.
 """
 
@@ -58,6 +61,8 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import combinations, count
@@ -66,7 +71,7 @@ from typing import NamedTuple
 
 from .carlitz import CarlitzContext, omega_power, omega_series
 from .errors import BudgetError, ConventionError, ShapeParseError
-from .ffield import FieldSpec, fp_list_mul, ops, power
+from .ffield import _SLOTS, FieldSpec, ops, power
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
 from .special import CmplSpec, Index, at_arguments, check_convergence, cmpl_series, is_subclosed, subclosure
@@ -480,6 +485,7 @@ class FiniteFieldDomain:
 MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degree <= 2
 MAX_POWER_DEGREE = 128  # F_p(t) refuses a power whose degree bound is larger
 SAMPLE_LANES = 32  # trials evaluated together: the lanes of one law evaluation
+_CODES = {bits: code for bits, code in _SLOTS}  # the `array` typecode of each slot width
 
 
 class _Skipped(NamedTuple):
@@ -490,52 +496,139 @@ class _Skipped(NamedTuple):
     term: tuple
 
 
-def _trimmed(out: list) -> tuple:
-    """The coefficient list out without trailing zeros (at least one entry)."""
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _width(bound: int) -> int:
+    """Bits of the narrowest byte-aligned slot that holds bound: an `array`
+    slot of 8 to 64 bits, else whole bytes."""
+    for bits, _ in _SLOTS:
+        if not bound >> bits:
+            return bits
+    return -(-bound.bit_length() // 8) * 8
+
+
+def _slots(x: int, bits: int):
+    """The slots of x, `bits` wide (a multiple of 8), lowest first."""
+    size = bits // 8
+    data = x.to_bytes(-(-x.bit_length() // bits) * size, "little")
+    code = _CODES.get(bits)
+    if code is None:
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    out = array(code, data)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _packed(values, bits: int) -> int:
+    """The int whose slots, `bits` wide (a multiple of 8), hold values, lowest first."""
+    code = _CODES.get(bits)
+    if code is None:
+        return int.from_bytes(b"".join(v.to_bytes(bits // 8, "little") for v in values), "little")
+    out = array(code, values)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return int.from_bytes(out.tobytes(), "little")
+
+
+def _clmul(x: int, y: int) -> int:
+    """The carry-less product of F_2[t] polynomials held one bit per
+    coefficient: y shifted to every set bit of the smaller factor, xor-ed."""
+    if x > y:
+        x, y = y, x
+    out = 0
+    while x:
+        low = x & -x
+        out ^= y * low
+        x ^= low
+    return out
 
 
 class RationalFunctionDomain:
-    """F_p(t) with unreduced fractions; equality by cross-multiplication."""
+    """F_p(t) with unreduced fractions; equality by cross-multiplication.
+
+    A fraction is a pair (num, den) of F_p[t] polynomials, each held as one
+    int (Kronecker substitution): the coefficient of t^i, in [0, p), fills
+    slot i, the bits [i*B, (i+1)*B).  So 0 is the zero polynomial, equal
+    polynomials are equal ints, and the degree is (bit_length - 1) // B.
+    The slot width B and the product kernel are fixed per domain.  Every
+    operation on polynomials is a product x*y or a sum of two, x*y + u*v,
+    reduced once (a negation is the product with the constant p - 1):
+
+    - p = 2: B = 1.  A product is carry-less (`_clmul`) and a sum is xor,
+      which add coefficients mod 2 with nothing to carry.
+    - odd p: B is the narrowest byte-aligned width that holds p - 1.  Slot k
+      of the integer product x*y sums x_i*y_j over i + j = k: at most
+      min(len x, len y) products of at most (p-1)^2 each.  So slots of W
+      bits hold x*y + u*v without a carry into the next slot when
+      (p-1)^2 * (min(len x, len y) + min(len u, len v)) < 2^W, and the
+      slot values are the coefficients before reduction mod p.  When that
+      holds for W = B (only B = 8 can: wider B have (p-1)^2 >= 2^B), the
+      ints are multiplied in place and each byte is reduced by one
+      `bytes.translate` through a table of v mod p.  Otherwise the factors
+      are spread to the narrowest byte-aligned W that holds the sum,
+      multiplied, reduced slot by slot and packed back to B.
+    """
 
     def __init__(self, p: int):
         self.p = p
         # distinct values of sample_nonzero: the nonzero n/d with deg n, deg d <= k
         # number exactly p^(2k+1) - 1
         self.draws = p ** (2 * MAX_SAMPLE_DEGREE + 1) - 1
+        if p == 2:
+            self._bits, self._mul, self._dot = 1, _clmul, lambda x, y, u, v: _clmul(x, y) ^ _clmul(u, v)
+        else:
+            self._bits, self._mul, self._dot = _width(p - 1), self._bytes_mul, self._bytes_dot
+            # how many products of (p-1)^2 a byte slot sums without a carry:
+            # 0 from p = 17 on, which takes in every B > 8
+            self._room = 255 // (p - 1) ** 2
+            self._mod = bytes(v % p for v in range(256))
 
     name = "rational-function"
 
-    def _pmul(self, x, y):
-        return _trimmed(fp_list_mul(x, y, self.p))
+    def _bytes_mul(self, x, y):
+        """x*y reduced mod p, for polynomials in B-bit slots (odd p)."""
+        if min(x.bit_length(), y.bit_length()) > 8 * self._room:
+            return self._spread_dot(x, y, 0, 0)
+        t = x * y
+        return int.from_bytes(t.to_bytes((t.bit_length() + 7) // 8, "little").translate(self._mod), "little")
 
-    def _padd(self, x, y):
-        out = [0] * max(len(x), len(y))
-        for i, a in enumerate(x):
-            out[i] = a
-        for i, b in enumerate(y):
-            out[i] = (out[i] + b) % self.p
-        return _trimmed(out)
+    def _bytes_dot(self, x, y, u, v):
+        """x*y + u*v reduced mod p, for polynomials in B-bit slots (odd p)."""
+        slots = (min(x.bit_length(), y.bit_length()) + 7) // 8 + (min(u.bit_length(), v.bit_length()) + 7) // 8
+        if slots > self._room:
+            return self._spread_dot(x, y, u, v)
+        t = x * y + u * v
+        return int.from_bytes(t.to_bytes((t.bit_length() + 7) // 8, "little").translate(self._mod), "little")
+
+    def _spread_dot(self, x, y, u, v):
+        """x*y + u*v reduced mod p, multiplied in the narrowest byte-aligned
+        slots that hold it."""
+        bits = self._bits
+        load = -(-min(x.bit_length(), y.bit_length()) // bits) - (-min(u.bit_length(), v.bit_length()) // bits)
+        wide = _width((self.p - 1) ** 2 * load)
+        x, y, u, v = (_packed(_slots(z, bits), wide) for z in (x, y, u, v))
+        return _packed([c % self.p for c in _slots(x * y + u * v, wide)], bits)
+
+    def encode(self, coeffs) -> int:
+        """The polynomial with coefficients coeffs, each in [0, p), lowest degree first."""
+        x = 0
+        for c in reversed(coeffs):
+            x = x << self._bits | c
+        return x
 
     def zero(self):
-        return ((0,), (1,))
+        return (0, 1)
 
     def one(self):
-        return ((1,), (1,))
+        return (1, 1)
 
     def add(self, a, b):
-        return (
-            self._padd(self._pmul(a[0], b[1]), self._pmul(b[0], a[1])),
-            self._pmul(a[1], b[1]),
-        )
+        return (self._dot(a[0], b[1], b[0], a[1]), self._mul(a[1], b[1]))
 
     def neg(self, a):
-        return (tuple((-c) % self.p for c in a[0]), a[1])
+        return (self._mul(a[0], self.p - 1), a[1])
 
     def mul(self, a, b):
-        return (self._pmul(a[0], b[0]), self._pmul(a[1], b[1]))
+        return (self._mul(a[0], b[0]), self._mul(a[1], b[1]))
 
     def inv(self, a):
         if self.is_zero(a):
@@ -544,9 +637,10 @@ class RationalFunctionDomain:
 
     def pow(self, a, e):
         """a^e; BudgetError up front when its degree bound |e| * deg(a) (deg a
-        the larger of numerator and denominator degree, trailing zero
-        coefficients not counted) exceeds MAX_POWER_DEGREE."""
-        bound = abs(e) * max(len(_trimmed(list(x))) - 1 for x in a)
+        the larger of numerator and denominator degree) exceeds
+        MAX_POWER_DEGREE."""
+        # the zero numerator reads as degree -1, below the nonzero denominator's
+        bound = abs(e) * max((x.bit_length() - 1) // self._bits for x in a)
         if bound > MAX_POWER_DEGREE:
             raise BudgetError(
                 f"a power a^{e} over F_p(t) of degree bound {bound} (|e| * deg a) "
@@ -557,22 +651,22 @@ class RationalFunctionDomain:
         return power(a, e, self.one(), self.mul)
 
     def eq(self, a, b):
-        return self._pmul(a[0], b[1]) == self._pmul(b[0], a[1])
+        return self._mul(a[0], b[1]) == self._mul(b[0], a[1])
 
     def is_zero(self, a):
-        return not any(a[0])
+        return not a[0]
 
     def lanes(self, width: int) -> SimpleNamespace:
         """F_p(t)^width, as for a finite field, but for the kernels a lane
         holds a fraction, or None or a _Skipped product (a zero product has a
         zero factor) for a term the per-trial kernel leaves out, so each lane
         adds the same terms in the same order; `values` reads such a lane as
-        ((0,), (1,)), the zero an untouched per-trial entry keeps."""
+        (0, 1), the zero an untouched per-trial entry keeps."""
         zero, one, add, mul, neg = self.zero(), self.one(), self.add, self.mul, self.neg
 
         def lane_mul(x, y):
             out = [mul(a, b) if type(a) is tuple and type(b) is tuple else None for a, b in zip(x, y)]
-            return [t if t is None or any(t[0]) else _Skipped(t) for t in out]
+            return [t if t is None or t[0] else _Skipped(t) for t in out]
 
         return SimpleNamespace(
             dom=self, zero=lambda: [None] * width, one=lambda: [one] * width, mul=lane_mul,
@@ -580,20 +674,21 @@ class RationalFunctionDomain:
                               for a, b in zip(x, y)],
             neg=lambda x: [neg(a) if type(a) is tuple else None if a is None else neg(a.term) for a in x],
             inv=lambda x: list(map(self.inv, x)), pow=lambda x, e: [self.pow(a, e) for a in x],
-            is_zero=lambda x: not any(type(a) is tuple and any(a[0]) for a in x),
+            is_zero=lambda x: not any(type(a) is tuple and a[0] for a in x),
             scale=lambda x, y: list(map(mul, x, y)), eq=lambda x, y: all(map(self.eq, x, y)),
             values=lambda x: [a if type(a) is tuple else zero for a in x], split=lambda x: x,
         )
 
     def sample(self, rng: random.Random):
-        num = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2)))
-        den = self._sample_nonzero_poly(rng)
-        return (num if any(num) else (0,), den)
+        return (self._sample_poly(rng), self._sample_nonzero_poly(rng))
+
+    def _sample_poly(self, rng):
+        return self.encode([rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2))])
 
     def _sample_nonzero_poly(self, rng):
         while True:
-            c = tuple(rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2)))
-            if any(c):
+            c = self._sample_poly(rng)
+            if c:
                 return c
 
     def sample_nonzero(self, rng: random.Random):

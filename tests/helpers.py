@@ -1,7 +1,8 @@
 """Assertion oracles and probes that only the tests use.
 
 `certificate_ok`, `t_var`, `theta`, `coeff` and `tate_pow` are small
-constructors, checks and operations on the package's series types.
+constructors, checks and operations on the package's series types, and
+`rf_coeffs` reads an F_p(t) domain's packed polynomial back as coefficients.
 `counting` replaces a context's cache with a dict that counts its lookups
 and stores, so that tests can assert how often `CarlitzContext.cached` and
 `cached_to` found what they were asked for.
@@ -53,6 +54,18 @@ def tate_pow(f: TateElement, e: int) -> TateElement:
     """f^e (e >= 0) by square-and-multiply from the exact 1 known to the
     precision of f's t^0 coefficient."""
     return power(f, e, tate.one(f.field, f.coeffs[0].prec))
+
+
+def rf_coeffs(dom, x: int) -> tuple:
+    """The coefficients, lowest degree first, of a polynomial that the F_p(t)
+    domain dom packs into the int x; (0,) for zero.  The slot width is read
+    off the packed t, which is 2^B."""
+    bits = dom.encode((0, 1)).bit_length() - 1
+    out = []
+    while x:
+        out.append(x & ((1 << bits) - 1))
+        x >>= bits
+    return tuple(out) or (0,)
 
 
 class CacheStats(NamedTuple):

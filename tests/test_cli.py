@@ -154,6 +154,16 @@ def test_rational_group_runs_over_f2_certify(capsys):
     assert check["detail"] == "degree bound 7 (Schwartz-Zippel); samples 30 exceed it"
 
 
+def test_rational_group_runs_past_64_bit_coefficient_slots(capsys):
+    # p - 1 needs 33 bits, so every F_p(t) product is spread to slots wider
+    # than the widest `array` type
+    code, out, _ = run_cli(
+        capsys, "group-commutator", "--indices", "1,2", "--gf", "4294967311,1", "--rational", "--samples", "12"
+    )
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["status"] == "pass"
+
+
 def test_group_exceptions_keep_the_per_trial_order(capsys):
     # the trials of a run share one law evaluation, and an error is still the
     # one the first failing trial raises: here the parse of its first result,

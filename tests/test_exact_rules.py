@@ -10,19 +10,21 @@ here as the oracle:
 * `_poly_mat_mul_oracle`: the derived system's own sparse matrix product;
 * repeated multiplication, for the one square-and-multiply loop behind the
   powers of Laurent series, (t, theta)-polynomials, Tate elements and F_p(t);
+* `_TupleRationalDomain`: F_p(t) fractions of coefficient tuples, for the
+  packed-int polynomials of `RationalFunctionDomain`;
 * the explicit parity formulas for the factors of Omega and pi-tilde.
 """
 
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 
 import pytest
-from helpers import tate_pow
-from hypothesis import given, settings, strategies as st
+from helpers import rf_coeffs, tate_pow
+from hypothesis import example, given, settings, strategies as st
 
 from ffmzv import tate
 from ffmzv.errors import BudgetError
-from ffmzv.ffield import field, ops
+from ffmzv.ffield import field, fp_list_mul, ops, power
 from ffmzv.laurent import LaurentSeries, monomial, one, theta_combination, theta_pow
 from ffmzv.motive import MAX_POWER_DEGREE, MotiveMatrix, RationalFunctionDomain, derived_matrix
 from ffmzv.poly import BivarPoly
@@ -221,8 +223,8 @@ def test_rational_function_power_matches_repeated_multiplication(p, num, den, e)
     den = tuple(c % p for c in den)
     if not any(den):
         den = (1,) + den[1:]
-    a = (num, den)
-    deg = max(max((i for i, c in enumerate(x) if c), default=0) for x in a)
+    deg = max(max((i for i, c in enumerate(x) if c), default=0) for x in (num, den))
+    a = (dom.encode(num), dom.encode(den))
     if abs(e) * deg > MAX_POWER_DEGREE:
         with pytest.raises(BudgetError, match="MAX_POWER_DEGREE"):
             dom.pow(a, e)
@@ -234,6 +236,130 @@ def test_rational_function_power_matches_repeated_multiplication(p, num, den, e)
     base = a if e >= 0 else dom.inv(a)
     want = reduce(dom.mul, [base] * abs(e), dom.one())
     assert dom.eq(dom.pow(a, e), want)
+
+
+# -- F_p(t): packed-int polynomials against coefficient tuples --------------------
+
+
+def _trimmed(out: list) -> tuple:
+    """The coefficient list out without trailing zeros (at least one entry)."""
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+class _TupleRationalDomain:
+    """F_p(t) with unreduced fractions of coefficient tuples (lowest degree
+    first, trimmed), the arithmetic RationalFunctionDomain had before its
+    polynomials were packed ints."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def _pmul(self, x, y):
+        return _trimmed(fp_list_mul(x, y, self.p))
+
+    def _padd(self, x, y):
+        out = [0] * max(len(x), len(y))
+        for i, a in enumerate(x):
+            out[i] = a
+        for i, b in enumerate(y):
+            out[i] = (out[i] + b) % self.p
+        return _trimmed(out)
+
+    def one(self):
+        return ((1,), (1,))
+
+    def add(self, a, b):
+        return (
+            self._padd(self._pmul(a[0], b[1]), self._pmul(b[0], a[1])),
+            self._pmul(a[1], b[1]),
+        )
+
+    def neg(self, a):
+        return (tuple((-c) % self.p for c in a[0]), a[1])
+
+    def mul(self, a, b):
+        return (self._pmul(a[0], b[0]), self._pmul(a[1], b[1]))
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of zero")
+        return (a[1], a[0])
+
+    def pow(self, a, e):
+        bound = abs(e) * max(len(_trimmed(list(x))) - 1 for x in a)
+        if bound > MAX_POWER_DEGREE:
+            raise BudgetError(
+                f"a power a^{e} over F_p(t) of degree bound {bound} (|e| * deg a) "
+                f"exceeds MAX_POWER_DEGREE = {MAX_POWER_DEGREE}"
+            )
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        return power(a, e, self.one(), self.mul)
+
+    def eq(self, a, b):
+        return self._pmul(a[0], b[1]) == self._pmul(b[0], a[1])
+
+    def is_zero(self, a):
+        return not any(a[0])
+
+
+# every slot kernel: p = 2 (one bit), 8-bit slots in place and spread (p = 5
+# holds 15 products of 4^2 in a byte), spread from 8 and from 16 bits, from
+# 32 to 64 bits, from 64 bits to whole bytes, and whole bytes throughout
+RATIONAL_PRIMES = (2, 3, 5, 7, 17, 251, 257, 65537, 4294967311, 2**64 + 13)
+
+
+@st.composite
+def _fractions(draw, p):
+    """A fraction of coefficient tuples of lengths 1 to 40 with trailing
+    zeros drawn on purpose, over a nonzero denominator."""
+
+    def poly():
+        cs = draw(st.lists(st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1)), min_size=1, max_size=40))
+        return tuple(cs + [0] * draw(st.integers(0, 40 - len(cs))))
+
+    num, den = poly(), poly()
+    return num, den if any(den) else (1,) + den[1:]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (BudgetError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_full = (4,) * 16  # p = 5: 16 products of 4^2 overflow a byte, 15 do not
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(RATIONAL_PRIMES).flatmap(lambda p: st.tuples(st.just(p), _fractions(p), _fractions(p))),
+    st.one_of(st.integers(-4, 4), st.integers(-70, 70)),
+)
+@example((5, (_full, _full[:15]), (_full[:15], _full)), 1)
+@example((5, (_full[:8], _full[:8]), (_full[:8], _full[:8] + (0,))), 2)
+@example((3, ((0, 0, 0), (1, 2, 0)), ((1, 0, 1, 0), (2,))), -43)
+def test_packed_rational_functions_equal_the_tuple_oracle(fractions, e):
+    p, a, b = fractions
+    dom, oracle = RationalFunctionDomain(p), _TupleRationalDomain(p)
+    enc = lambda f: (dom.encode(f[0]), dom.encode(f[1]))
+    x, y = enc(a), enc(b)
+    assert tuple(map(partial(rf_coeffs, dom), x)) == tuple(_trimmed(list(c)) for c in a)
+    # the same unreduced fractions, not only equal ones
+    assert dom.add(x, y) == enc(oracle.add(a, b))
+    assert dom.mul(x, y) == enc(oracle.mul(a, b))
+    assert dom.neg(x) == enc(oracle.neg(a))
+    assert dom.is_zero(x) == oracle.is_zero(a)
+    assert _outcome(dom.inv, x) == _outcome(lambda f: enc(oracle.inv(f)), a)
+    assert _outcome(dom.pow, x, e) == _outcome(lambda f, k: enc(oracle.pow(f, k)), a, e)
+    assert dom.eq(x, y) == oracle.eq(a, b)
+    # and equality by cross-multiplication where the terms differ
+    same = oracle.mul(a, (b[1], b[1]))
+    assert dom.eq(x, enc(same)) and oracle.eq(a, same)
+    assert dom.is_zero(dom.add(x, dom.neg(x)))
 
 
 # -- the factors of Omega and pi-tilde -----------------------------------------------------

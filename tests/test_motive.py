@@ -7,7 +7,7 @@ import re
 import time
 
 import pytest
-from helpers import cache_stats, certificate_ok, counting, tate_pow
+from helpers import cache_stats, certificate_ok, counting, rf_coeffs, tate_pow
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ffmzv import motive, tate
@@ -566,7 +566,7 @@ def test_rational_draws_count_the_distinct_reduced_values(p, draws):
     # the sampler reaches every one of them
     rng = random.Random(0)
     drawn = {dom.sample_nonzero(rng) for _ in range(draws)}
-    assert {_lowest_terms(p, n, d) for n, d in drawn} == values
+    assert {_lowest_terms(p, rf_coeffs(dom, n), rf_coeffs(dom, d)) for n, d in drawn} == values
 
 
 # -- sparse kernels against the dense loops they replaced ----------------------
@@ -688,16 +688,17 @@ def test_depth_three_rational_function_shapes_verify_quickly():
 
 def test_rational_function_powers_refuse_a_degree_bound_over_the_cap():
     dom = RationalFunctionDomain(3)
-    a = ((1, 2), (2, 0, 1))  # degree 2
+    frac = lambda num, den: (dom.encode(num), dom.encode(den))
+    a = frac((1, 2), (2, 0, 1))  # degree 2
     assert dom.eq(dom.pow(a, MAX_POWER_DEGREE // 2), dom.pow(dom.inv(a), -(MAX_POWER_DEGREE // 2)))
     for e in (MAX_POWER_DEGREE // 2 + 1, -(MAX_POWER_DEGREE // 2 + 1)):
         with pytest.raises(BudgetError, match="MAX_POWER_DEGREE"):
             dom.pow(a, e)
     assert dom.pow(dom.one(), 10**6) == dom.one()  # degree 0: nothing to refuse
     # trailing zero coefficients add no degree: (2 + 0t + 0t^2)^100 is 2^100 = 1
-    assert dom.pow(((2, 0, 0), (1,)), 100) == dom.one()
+    assert dom.pow(frac((2, 0, 0), (1,)), 100) == dom.one()
     with pytest.raises(BudgetError, match="degree bound 130"):
-        dom.pow(((1, 2, 0), (2, 0, 1, 0)), MAX_POWER_DEGREE // 2 + 1)
+        dom.pow(frac((1, 2, 0), (2, 0, 1, 0)), MAX_POWER_DEGREE // 2 + 1)
     # junk index text of weight 79700 used to run for minutes in realize
     start = time.perf_counter()
     iset = subclosure([Index((79700,))])
@@ -1051,7 +1052,7 @@ def test_lanes_keep_the_zero_a_cancelled_inverse_entry_leaves():
     # other lane does not cancel
     dom = RationalFunctionDomain(2)
     iset = subclosure([Index((1, 1))])
-    x, x2 = ((0, 1), (1, 1)), ((0, 0, 1), (1, 0, 1))
+    x, x2 = (dom.encode((0, 1)), dom.encode((1, 1))), (dom.encode((0, 0, 1)), dom.encode((1, 0, 1)))
     cancel = (dom.one(), {Index((1,)): x, Index((1, 1)): x2})
     other = (dom.one(), {Index((1,)): x, Index((1, 1)): x})
     lanes, trials = _lane_and_trial_entries(dom, iset, motive._closure_law, [(cancel, other), (other, cancel)])

@@ -340,6 +340,18 @@ def test_psi_matrix_makes_at_most_half_the_products(monkeypatch):
     assert 2 * new <= old, (new, old)
 
 
+def test_psi_matrix_reads_the_series_tails_from_the_cache(monkeypatch):
+    # the count README states; with the series' tails (`stail`) left
+    # uncached the same Psi makes 58, which the bound above still allows
+    calls = []
+    convolve = tate._convolve
+    monkeypatch.setattr(tate, "_convolve", lambda *a: calls.append(1) or convolve(*a))
+    ctx = CarlitzContext(2, 1, prec=72, tdeg=14)
+    s = Index((1, 2, 1))
+    psi_matrix(ctx, at_arguments(ctx, s), s)
+    assert len(calls) <= 53, len(calls)
+
+
 # -- mutation reports -----------------------------------------------------------------
 
 
