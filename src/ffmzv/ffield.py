@@ -33,7 +33,9 @@ m = 1 with `_PACKED_MIN` rows: the pair joins its output's packed sum,
 one big-int product per pair, shifted by s slots, added, and unpacked once
 per output, in byte-aligned `array` slots (8 to 64 bits) wide enough for
 (p-1)^2 times that output's sum of min(len a, len b), so no slot carries;
-each list is packed once per slot width in a call.  m = 2 with
+each list is packed once per slot width in a call.  `_pack` and `_unpack`
+are the one slot packing, little-endian on every host; the F_p(t) block
+shells in `motive` pack their polynomials with them too.  m = 2 with
 `_KARATSUBA_MIN` rows: the same over the two digits of each encoding, three
 packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the table
 schoolbook, one row per nonzero coefficient, added into the output.  The
@@ -64,7 +66,7 @@ _TABLE_CAP = 4096
 # fewest schoolbook rows at which the packed (m = 1) and Karatsuba (m = 2)
 # paths of dense_sums beat the table schoolbook (measured, see CHANGES.md)
 _PACKED_MIN, _KARATSUBA_MIN = 2, 10
-_SLOTS = tuple((array(c).itemsize * 8, c) for c in "BHIQ")  # (bits, typecode), narrowest first
+_CODES = {array(c).itemsize * 8: c for c in "BHIQ"}  # the `array` typecode of each slot width, narrowest first
 
 
 # Miller-Rabin over the primes 2..41 is exact below _PRIME_LIMIT, the least
@@ -331,40 +333,69 @@ def ops(spec: FieldSpec) -> FieldOps:
 # -- the dense product kernel ----------------------------------------------------
 
 
-def _slot(bound: int) -> tuple[int, str]:
-    """(bits, typecode) of the narrowest byte-aligned `array` slot, 8 to 64
-    bits, that holds bound.  A slot sums digit products below 2^24 each, so
-    64 bits hold any sum of products that fits in memory."""
-    for bits, code in _SLOTS:
+def _width(bound: int) -> int:
+    """Bits of the narrowest byte-aligned slot that holds bound: an `array`
+    slot of 8 to 64 bits, else whole bytes."""
+    for bits in _CODES:
         if not bound >> bits:
-            break
-    return bits, code
+            return bits
+    return -(-bound.bit_length() // 8) * 8
 
 
-def _packed_sum(terms: list, n: int, slot: tuple[int, str], packed: dict) -> array:
+def _pack(values, bits: int) -> int:
+    """The int whose slots, `bits` wide (a multiple of 8), hold values,
+    lowest first: slot i is the bits [i*bits, (i+1)*bits)."""
+    code = _CODES.get(bits)
+    if code is None:
+        return int.from_bytes(b"".join(v.to_bytes(bits // 8, "little") for v in values), "little")
+    out = array(code, values)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return int.from_bytes(out.tobytes(), "little")
+
+
+def _unpack(x: int, bits: int, n: int | None = None):
+    """The first n slots of x, `bits` wide (a multiple of 8), lowest first;
+    when n is None, those up to its highest nonzero slot.  It inverts _pack."""
+    size = bits // 8
+    if n is None:
+        n = -(-x.bit_length() // bits)
+    else:
+        x &= (1 << bits * n) - 1
+    data = x.to_bytes(size * n, "little")
+    code = _CODES.get(bits)
+    if code is None:
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    out = array(code, data)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _packed_sum(terms: list, n: int, bits: int, packed: dict) -> array:
     """The first n slots, unreduced, of the sum of z^s * a * b over terms
     (a, b, s, w) of digit lists: a no longer than b, w = n - s > 0.
 
-    The slots of `slot` must hold (p-1)^2 times the sum of min(len a, w) over
-    the terms: then no slot below n carries, and slots at or above n, which
-    may, are cut off.  `packed` keeps each list's packed form by (id, slot
-    type), for lists that stay alive while it is used.
+    Slots of `bits` (8 to 64) must hold (p-1)^2 times the sum of
+    min(len a, w) over the terms: then no slot below n carries, and slots at
+    or above n, which may, are cut off.  A slot sums digit products below
+    2^24 each, so 64 bits hold any sum of products that fits in memory.
+    `packed` keeps each list's packed form by (id, bits), for lists that stay
+    alive while it is used.
     """
-    bits, code = slot
-    size, order = bits // 8, sys.byteorder
     total = 0
     for a, b, s, w in terms:
-        ka, kb = (id(a), code), (id(b), code)
+        ka, kb = (id(a), bits), (id(b), bits)
         x, y = packed.get(ka), packed.get(kb)
         if x is None:
-            x = packed[ka] = int.from_bytes(array(code, a).tobytes(), order)
+            x = packed[ka] = _pack(a, bits)
         if y is None:
-            y = packed[kb] = int.from_bytes(array(code, b).tobytes(), order)
+            y = packed[kb] = _pack(b, bits)
         if len(b) > w:  # only the first w coefficients of a factor reach a slot below n
             mask = (1 << bits * w) - 1
             x, y = x & mask, y & mask
         total += x * y << bits * s
-    return array(code, (total & ((1 << bits * n) - 1)).to_bytes(size * n, order))
+    return _unpack(total, bits, n)
 
 
 def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
@@ -384,7 +415,7 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
     """
     p, m = spec.p, spec.m
     least = _PACKED_MIN if m == 1 else _KARATSUBA_MIN if m == 2 else math.inf
-    packed: dict = {}  # by (id, slot type): every list stays alive until the call returns
+    packed: dict = {}  # by (id, slot width): every list stays alive until the call returns
     split: dict[int, tuple] = {}  # m = 2: the digit lists, by id
 
     def digits(x):
@@ -417,11 +448,11 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
         if not fast:
             acc = [0] * n
         elif m == 1:
-            acc = [c % p for c in _packed_sum(fast, n, _slot((p - 1) ** 2 * load), packed)]
+            acc = [c % p for c in _packed_sum(fast, n, _width((p - 1) ** 2 * load), packed)]
         else:
-            slot = _slot((p - 1) ** 2 * load)
+            bits = _width((p - 1) ** 2 * load)
             fast = [(digits(a), digits(b), s, w) for a, b, s, w in fast]
-            lo, hi, mid = (_packed_sum([(x[i], y[i], s, w) for x, y, s, w in fast], n, slot, packed) for i in range(3))
+            lo, hi, mid = (_packed_sum([(x[i], y[i], s, w) for x, y, s, w in fast], n, bits, packed) for i in range(3))
             # a = a0 + a1*g digit-wise; the middle product gives the cross term
             mu0, mu1 = -spec.modulus[0] % p, -spec.modulus[1] % p  # g^2 = mu0 + mu1*g
             acc = [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(lo, mid, hi)]

@@ -44,13 +44,16 @@ multiply, invert and parse it block by block.  A sampled check evaluates its
 law once over the product ring F^L whose L lanes are its trials (a domain's
 `lanes(L)`: each entry is a list of L values, and the unchanged kernels
 `_mat_mul` and `_mat_inv_lower` run over it), for each chunk of at most
-SAMPLE_LANES trials, and reads every result back lane by lane (`_read`, whose
-one-lane case is `BlockShape.parse`).  An F_p(t) element is an unreduced
-fraction of F_p[t] polynomials, each packed into one int, so a product of
-polynomials is one integer product and one reduction mod p
-(`RationalFunctionDomain`).  Over F_p(t) a lane holds None, or a `_Skipped`
-product, for a term the per-trial kernel would not add, so every lane
-computes the same unreduced fractions as a trial run alone.  The first
+SAMPLE_LANES trials.  `_read` reads a result over all lanes at once; each
+lane is read alone, over the domain itself as `BlockShape.parse` reads, only
+when some lane's scalar is zero or some check fails.  An F_p(t) element is
+an unreduced fraction of F_p[t] polynomials, each packed into one int, so a
+product of polynomials is one integer product and one reduction mod p
+(`RationalFunctionDomain`).  F_p(t) has one zero, (0, 1): every operation
+whose result is zero returns it, and a zero operand makes a product zero
+and a sum the other operand.  So a product with a zero factor, which a lane
+computes where the per-trial kernel skips it, changes nothing, and every
+lane computes the same unreduced fractions as a trial run alone.  The first
 trial also runs on the whole matrices as scalars (`realize`, the kernels,
 `BlockShape.parse`): that spot check certifies the zeros outside the
 blocks.  Failures come per trial in trial order, and an exception is the
@@ -61,8 +64,6 @@ from __future__ import annotations
 
 import operator
 import random
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import combinations, count
@@ -71,7 +72,7 @@ from typing import NamedTuple
 
 from .carlitz import CarlitzContext, omega_power, omega_series
 from .errors import BudgetError, ConventionError, ShapeParseError
-from .ffield import _SLOTS, FieldSpec, ops, power
+from .ffield import FieldSpec, _pack, _unpack, _width, ops, power
 from .poly import BivarPoly, t_minus_theta_frob, to_text as poly_text
 from .reports import CheckReport, ResidualReport
 from .special import CmplSpec, Index, at_arguments, check_convergence, cmpl_series, is_subclosed, subclosure
@@ -459,20 +460,17 @@ class FiniteFieldDomain:
     is_zero = staticmethod(operator.not_)
 
     def lanes(self, width: int) -> SimpleNamespace:
-        """F^width, componentwise: table lookups over lists of `width` encodings.
-
-        The kernels use zero, one, add, mul, neg, inv and is_zero (every lane
-        zero); `_read` takes values (an entry's values, here the entry itself),
-        split (a value's lanes), eq (every lane equal), scale (the product of
-        values) and pow."""
+        """F^width, componentwise: table lookups over lists of `width`
+        encodings, with is_zero and eq true when they hold in every lane and
+        dom the domain of one lane."""
         o, n = self._o, self._o.n
         add, mul, neg, inv = o.add, o.mul, o.neg, o.inv
-        lane_mul = lambda x, y: [mul[a * n + b] for a, b in zip(x, y)]
         return SimpleNamespace(
-            dom=self, zero=lambda: [0] * width, one=lambda: [1] * width, mul=lane_mul, scale=lane_mul,
-            add=lambda x, y: [add[a * n + b] for a, b in zip(x, y)], neg=lambda x: [neg[a] for a in x],
+            dom=self, zero=lambda: [0] * width, one=lambda: [1] * width,
+            add=lambda x, y: [add[a * n + b] for a, b in zip(x, y)],
+            mul=lambda x, y: [mul[a * n + b] for a, b in zip(x, y)], neg=lambda x: [neg[a] for a in x],
             inv=lambda x: [inv[a] for a in x], pow=lambda x, e: [o.pow(a, e) for a in x],
-            is_zero=lambda x: not any(x), values=lambda x: x, split=lambda x: x, eq=operator.eq,
+            is_zero=lambda x: not any(x), eq=operator.eq,
         )
 
     def sample(self, rng: random.Random):
@@ -485,48 +483,6 @@ class FiniteFieldDomain:
 MAX_SAMPLE_DEGREE = 2  # F_p(t) samples have numerators and denominators of degree <= 2
 MAX_POWER_DEGREE = 128  # F_p(t) refuses a power whose degree bound is larger
 SAMPLE_LANES = 32  # trials evaluated together: the lanes of one law evaluation
-_CODES = {bits: code for bits, code in _SLOTS}  # the `array` typecode of each slot width
-
-
-class _Skipped(NamedTuple):
-    """A product with a zero factor, a term the per-trial kernels never add;
-    but forward substitution negates a quotient whose sum cancelled to zero,
-    so `neg` gives that product back."""
-
-    term: tuple
-
-
-def _width(bound: int) -> int:
-    """Bits of the narrowest byte-aligned slot that holds bound: an `array`
-    slot of 8 to 64 bits, else whole bytes."""
-    for bits, _ in _SLOTS:
-        if not bound >> bits:
-            return bits
-    return -(-bound.bit_length() // 8) * 8
-
-
-def _slots(x: int, bits: int):
-    """The slots of x, `bits` wide (a multiple of 8), lowest first."""
-    size = bits // 8
-    data = x.to_bytes(-(-x.bit_length() // bits) * size, "little")
-    code = _CODES.get(bits)
-    if code is None:
-        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-    out = array(code, data)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
-
-
-def _packed(values, bits: int) -> int:
-    """The int whose slots, `bits` wide (a multiple of 8), hold values, lowest first."""
-    code = _CODES.get(bits)
-    if code is None:
-        return int.from_bytes(b"".join(v.to_bytes(bits // 8, "little") for v in values), "little")
-    out = array(code, values)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return int.from_bytes(out.tobytes(), "little")
 
 
 def _clmul(x: int, y: int) -> int:
@@ -566,6 +522,11 @@ class RationalFunctionDomain:
       `bytes.translate` through a table of v mod p.  Otherwise the factors
       are spread to the narrowest byte-aligned W that holds the sum,
       multiplied, reduced slot by slot and packed back to B.
+
+    There is one zero, (0, 1), and every operation whose result is zero
+    returns it: a zero operand makes a product zero and a sum the other
+    operand, and a sum that cancels is (0, 1).  So adding a product with a
+    zero factor leaves a sum exactly as skipping that product would.
     """
 
     def __init__(self, p: int):
@@ -605,8 +566,8 @@ class RationalFunctionDomain:
         bits = self._bits
         load = -(-min(x.bit_length(), y.bit_length()) // bits) - (-min(u.bit_length(), v.bit_length()) // bits)
         wide = _width((self.p - 1) ** 2 * load)
-        x, y, u, v = (_packed(_slots(z, bits), wide) for z in (x, y, u, v))
-        return _packed([c % self.p for c in _slots(x * y + u * v, wide)], bits)
+        x, y, u, v = (_pack(_unpack(z, bits), wide) for z in (x, y, u, v))
+        return _pack([c % self.p for c in _unpack(x * y + u * v, wide)], bits)
 
     def encode(self, coeffs) -> int:
         """The polynomial with coefficients coeffs, each in [0, p), lowest degree first."""
@@ -622,12 +583,19 @@ class RationalFunctionDomain:
         return (1, 1)
 
     def add(self, a, b):
-        return (self._dot(a[0], b[1], b[0], a[1]), self._mul(a[1], b[1]))
+        if not a[0]:
+            return b if b[0] else (0, 1)
+        if not b[0]:
+            return a
+        num = self._dot(a[0], b[1], b[0], a[1])
+        return (num, self._mul(a[1], b[1])) if num else (0, 1)
 
     def neg(self, a):
-        return (self._mul(a[0], self.p - 1), a[1])
+        return (self._mul(a[0], self.p - 1), a[1]) if a[0] else (0, 1)
 
     def mul(self, a, b):
+        if not (a[0] and b[0]):
+            return (0, 1)
         return (self._mul(a[0], b[0]), self._mul(a[1], b[1]))
 
     def inv(self, a):
@@ -657,30 +625,21 @@ class RationalFunctionDomain:
         return not a[0]
 
     def lanes(self, width: int) -> SimpleNamespace:
-        """F_p(t)^width, as for a finite field, but for the kernels a lane
-        holds a fraction, or None or a _Skipped product (a zero product has a
-        zero factor) for a term the per-trial kernel leaves out, so each lane
-        adds the same terms in the same order; `values` reads such a lane as
-        (0, 1), the zero an untouched per-trial entry keeps."""
-        zero, one, add, mul, neg = self.zero(), self.one(), self.add, self.mul, self.neg
-
-        def lane_mul(x, y):
-            out = [mul(a, b) if type(a) is tuple and type(b) is tuple else None for a, b in zip(x, y)]
-            return [t if t is None or t[0] else _Skipped(t) for t in out]
-
+        """F_p(t)^width, as for a finite field: each operation maps over lists
+        of `width` fractions."""
+        zero, one = self.zero(), self.one()
+        add, mul, neg, inv, eq = self.add, self.mul, self.neg, self.inv, self.eq
         return SimpleNamespace(
-            dom=self, zero=lambda: [None] * width, one=lambda: [one] * width, mul=lane_mul,
-            add=lambda x, y: [a if type(b) is not tuple else b if type(a) is not tuple else add(a, b)
-                              for a, b in zip(x, y)],
-            neg=lambda x: [neg(a) if type(a) is tuple else None if a is None else neg(a.term) for a in x],
-            inv=lambda x: list(map(self.inv, x)), pow=lambda x, e: [self.pow(a, e) for a in x],
-            is_zero=lambda x: not any(type(a) is tuple and a[0] for a in x),
-            scale=lambda x, y: list(map(mul, x, y)), eq=lambda x, y: all(map(self.eq, x, y)),
-            values=lambda x: [a if type(a) is tuple else zero for a in x], split=lambda x: x,
+            dom=self, zero=lambda: [zero] * width, one=lambda: [one] * width,
+            add=lambda x, y: list(map(add, x, y)), mul=lambda x, y: list(map(mul, x, y)),
+            neg=lambda x: list(map(neg, x)), inv=lambda x: list(map(inv, x)),
+            pow=lambda x, e: [self.pow(a, e) for a in x],
+            is_zero=lambda x: not any(num for num, _ in x), eq=lambda x, y: all(map(eq, x, y)),
         )
 
     def sample(self, rng: random.Random):
-        return (self._sample_poly(rng), self._sample_nonzero_poly(rng))
+        num, den = self._sample_poly(rng), self._sample_nonzero_poly(rng)
+        return (num, den) if num else (0, 1)
 
     def _sample_poly(self, rng):
         return self.encode([rng.randrange(self.p) for _ in range(rng.randrange(1, MAX_SAMPLE_DEGREE + 2))])
@@ -730,13 +689,6 @@ def _shape_layout(index_set: tuple[Index, ...]) -> _ShapeLayout:
     return _ShapeLayout(spans[-1][1], tuple(spans), tuple(diagonals), tuple(entries), tuple(ids), exponents, error)
 
 
-@lru_cache(maxsize=64)
-def _scalar_lane(domain) -> SimpleNamespace:
-    """What _read asks of lanes, for the domain's own elements as one lane."""
-    return SimpleNamespace(dom=domain, split=lambda x: [x], eq=domain.eq, is_zero=domain.is_zero,
-                           pow=domain.pow, inv=domain.inv, scale=domain.mul)
-
-
 def _blocks(ring, lay: _ShapeLayout, a, xs: list) -> list:
     """The diagonal blocks of the shape with scalar a and window values xs
     (in the layout's window order), over a domain or over its lanes."""
@@ -751,57 +703,61 @@ def _blocks(ring, lay: _ShapeLayout, a, xs: list) -> list:
     return out
 
 
-def _read(ring, lay: _ShapeLayout, rows, whole: bool) -> list:
-    """Per lane (`ring.split` gives the lanes of an entry), (a, window values
-    in layout order) of the shape whose k-th diagonal block is rows[k], or
-    (whole) the span of the whole matrix rows[k] holds; or else the text of
-    the lane's first ShapeParseError, which names the first entry off the
-    shape in row-major order.
+def _read(ring, lay: _ShapeLayout, rows, whole: bool) -> tuple:
+    """(a, window values in layout order) of the shape whose k-th diagonal
+    block is rows[k], or (whole) the span of the whole matrix rows[k] holds,
+    over a domain or over its lanes; else a ShapeParseError that names the
+    first entry off the shape in row-major order (over lanes, in some lane).
 
     In exact arithmetic an entry below a diagonal is a^e times the value
     extracted from it, so only recurring windows, the diagonals and the
-    zeros around the blocks are compared, all lanes at once; a lane is
-    looked at alone only where some lane fails.
+    zeros around the blocks are compared.
     """
-    dom, split, eq, is_zero = ring.dom, ring.split, ring.eq, ring.is_zero
+    eq, is_zero = ring.eq, ring.is_zero
     a = rows[0][0][0]
-    found = ["scalar parameter is zero" if z else None for z in map(dom.is_zero, split(a))]
-    if any(found):
-        if all(found):
-            return found
-        a = [dom.one() if f else x for f, x in zip(found, a)]  # those lanes read on with a = 1
+    if is_zero(a):
+        raise ShapeParseError("scalar parameter is zero")
     pw = {e: ring.pow(a, e) for e in lay.exponents}
     ainv = {e: ring.inv(x) for e, x in pw.items()}
     starts = [lo if whole else 0 for lo, _ in lay.spans]
     xs = [None] * len(lay.windows)
     for o, entries, block in zip(starts[1:], lay.entries, rows[1:]):
         for r, c, e, w in entries:
-            x = ring.scale(block[r][o + c], ainv[e])
+            x = ring.mul(block[r][o + c], ainv[e])
             if xs[w] is None:
                 xs[w] = x
             elif not eq(xs[w], x):
-                why = f"window {lay.windows[w]} extracted twice with different values"
-                found = [f or (None if ok else why) for f, ok in zip(found, map(dom.eq, split(xs[w]), split(x)))]
-                if all(found):
-                    return found
+                raise ShapeParseError(f"window {lay.windows[w]} extracted twice with different values")
     diagonals = [(a,)] + [[pw[e] for e in diag] for diag in lay.diagonals]
     for (lo, _), o, diag, block in zip(lay.spans, starts, diagonals, rows):
         for r, (x, row) in enumerate(zip(diag, block)):
             d = o + r  # row r holds x in column d and zeros outside columns o..d
-            if all(map(is_zero, row[d + 1 :])) and all(map(is_zero, row[:o])) and eq(row[d], x):
-                continue
-            fixed = (*range(o), *range(d, len(row)))
-            for lane, y in enumerate(split(x)):
-                if not found[lane]:
-                    cells = (split(row[j])[lane] for j in fixed)
-                    off = (j for j, v in zip(fixed, cells) if not (dom.eq(y, v) if j == d else dom.is_zero(v)))
-                    j = next(off, None)
-                    if j is not None:
-                        found[lane] = f"entry ({lo + r}, {lo - o + j}) off the parameterized shape"
-            if all(found):
-                return found
-    a, xs = split(a), [split(x) for x in xs]
-    return [f or (a[lane], [x[lane] for x in xs]) for lane, f in enumerate(found)]
+            if not (all(map(is_zero, row[d + 1 :])) and all(map(is_zero, row[:o])) and eq(row[d], x)):
+                fixed = (*range(o), *range(d, len(row)))
+                j = next(j for j in fixed if not (eq(row[j], x) if j == d else is_zero(row[j])))
+                raise ShapeParseError(f"entry ({lo + r}, {lo - o + j}) off the parameterized shape")
+    return a, xs
+
+
+def _read_lanes(ring, lay: _ShapeLayout, blocks) -> list:
+    """Per lane of the diagonal blocks over a domain's lanes, (a, window
+    values) or the text of the ShapeParseError its _read raises: all lanes
+    at once, or each lane alone over the domain when some lane's a is zero
+    or some check fails."""
+    dom, scalars = ring.dom, blocks[0][0][0]
+    if not any(map(dom.is_zero, scalars)):
+        try:
+            a, xs = _read(ring, lay, blocks, False)
+            return [(x, [v[lane] for v in xs]) for lane, x in enumerate(a)]
+        except ShapeParseError:
+            pass
+    out = []
+    for lane in range(len(scalars)):
+        try:
+            out.append(_read(dom, lay, [[[v[lane] for v in row] for row in block] for block in blocks], False))
+        except ShapeParseError as exc:
+            out.append(str(exc))
+    return out
 
 
 @dataclass
@@ -849,16 +805,6 @@ class BlockShape:
         ]
 
     @classmethod
-    def _read_one(cls, domain, index_set, lay: _ShapeLayout, rows, whole: bool) -> "BlockShape":
-        """_read with the domain's elements as its one lane; ShapeParseError
-        instead of the text."""
-        got = _read(_scalar_lane(domain), lay, rows, whole)[0]
-        if isinstance(got, str):
-            raise ShapeParseError(got)
-        a, xs = got
-        return cls(domain, index_set, a, dict(zip(lay.windows, xs)))
-
-    @classmethod
     def parse(cls, domain, index_set, matrix) -> "BlockShape":
         """Inverse of realize; raises ShapeParseError on any mismatch."""
         index_set = tuple(index_set)
@@ -866,7 +812,8 @@ class BlockShape:
         n = lay.size
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ShapeParseError(f"expected a {n}x{n} matrix")
-        return cls._read_one(domain, index_set, lay, [matrix[lo:hi] for lo, hi in lay.spans], True)
+        a, xs = _read(domain, lay, [matrix[lo:hi] for lo, hi in lay.spans], True)
+        return cls(domain, index_set, a, dict(zip(lay.windows, xs)))
 
 
 def _mat_mul(dom, a, b):
@@ -970,9 +917,7 @@ def _sampled_failures(domain, index_set, law, draws: list, check, *where) -> lis
         if lay.error:
             raise ValueError(lay.error)
         ring = domain.lanes(len(chunk))
-        values = ring.values
-        parsed = (_read(ring, lay, [[list(map(values, row)) for row in block] for block in m], False)
-                  for m in _lane_law(ring, lay, law, chunk))
+        parsed = (_read_lanes(ring, lay, m) for m in _lane_law(ring, lay, law, chunk))
         out = []
         for trial, draw, got in zip(count(first), chunk, zip(*parsed)):
             why = next((g for g in got if isinstance(g, str)), None)

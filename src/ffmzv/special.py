@@ -78,6 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, inf
 from typing import Callable
 
@@ -220,28 +221,6 @@ def _monic_power_sum_dp(ctx: CarlitzContext, d: int, s: int, prec: int) -> Laure
     return LaurentSeries(ctx.field, 0, [c % p for c in coeffs], prec)
 
 
-def _decreasing_tuples(d: int, contrib, stop: int):
-    """Strictly decreasing tuples (i_0 > ... > i_{d-1} >= 0) with total
-    contribution below `stop`; contrib(j, v) must be nondecreasing in v."""
-    chosen = [0] * d
-
-    def rec(pos: int, lo: int, acc: int):
-        v = lo
-        while True:
-            c = contrib(pos, v)
-            rest = sum(contrib(k, v + pos - k) for k in range(pos))
-            if acc + c + rest >= stop:
-                return
-            chosen[pos] = v
-            if pos == 0:
-                yield tuple(chosen)
-            else:
-                yield from rec(pos - 1, v + 1, acc + c)
-            v += 1
-
-    yield from rec(d - 1, 0, 0)
-
-
 class _NestedSum:
     """A sum over strictly decreasing degree tuples (i_0 > ... > i_{d-1} >= 0)
     of the products of one factor per index position (module docstring).
@@ -379,15 +358,16 @@ def mzv_bruteforce(ctx: CarlitzContext, s: Index, max_degree: int, prec: int) ->
     d = len(entries)
     # a degree tuple holds q^(sum of degrees) monic tuples; stop counting at the cap
     count = 0
-    for tup in _decreasing_tuples(d, lambda j, v: v > max_degree, 1):
+    for tup in combinations(range(max_degree + 1), d):
         count += q ** sum(tup)
         if count > ctx.enum_budget:
             raise BudgetError(
                 f"more than {ctx.enum_budget} monic tuples up to degree {max_degree}"
             )
     acc = ls_zero(fld, prec + 2)
-    for tup in _decreasing_tuples(d, lambda j, v: v > max_degree, 1):
-        pools = [list(monic_coeff_lists(q, dv)) for dv in tup]
+    for tup in combinations(range(max_degree + 1), d):
+        # deg a_1 > ... > deg a_d: the increasing degrees reversed
+        pools = [list(monic_coeff_lists(q, dv)) for dv in reversed(tup)]
         stack = [(0, [1])]  # (position, accumulated denominator poly)
         while stack:
             pos, den = stack.pop()

@@ -5,7 +5,8 @@ constructors, checks and operations on the package's series types, and
 `rf_coeffs` reads an F_p(t) domain's packed polynomial back as coefficients.
 `counting` replaces a context's cache with a dict that counts its lookups
 and stores, so that tests can assert how often `CarlitzContext.cached` and
-`cached_to` found what they were asked for.
+`cached_to` found what they were asked for.  `decreasing_tuples` enumerates
+the degree tuples that the per-tuple zeta and polylogarithm oracles sum over.
 """
 
 from typing import NamedTuple
@@ -54,6 +55,28 @@ def tate_pow(f: TateElement, e: int) -> TateElement:
     """f^e (e >= 0) by square-and-multiply from the exact 1 known to the
     precision of f's t^0 coefficient."""
     return power(f, e, tate.one(f.field, f.coeffs[0].prec))
+
+
+def decreasing_tuples(d: int, contrib, stop: int):
+    """Strictly decreasing tuples (i_0 > ... > i_{d-1} >= 0) with total
+    contribution below `stop`; contrib(j, v) must be nondecreasing in v."""
+    chosen = [0] * d
+
+    def rec(pos: int, lo: int, acc: int):
+        v = lo
+        while True:
+            c = contrib(pos, v)
+            rest = sum(contrib(k, v + pos - k) for k in range(pos))
+            if acc + c + rest >= stop:
+                return
+            chosen[pos] = v
+            if pos == 0:
+                yield tuple(chosen)
+            else:
+                yield from rec(pos - 1, v + 1, acc + c)
+            v += 1
+
+    yield from rec(d - 1, 0, 0)
 
 
 def rf_coeffs(dom, x: int) -> tuple:

@@ -251,7 +251,11 @@ def _trimmed(out: list) -> tuple:
 class _TupleRationalDomain:
     """F_p(t) with unreduced fractions of coefficient tuples (lowest degree
     first, trimmed), the arithmetic RationalFunctionDomain had before its
-    polynomials were packed ints."""
+    polynomials were packed ints, with its one zero ((0,), (1,)): a zero
+    operand makes a product zero and a sum the other operand, and every
+    zero result is that zero."""
+
+    ZERO = ((0,), (1,))
 
     def __init__(self, p: int):
         self.p = p
@@ -271,15 +275,19 @@ class _TupleRationalDomain:
         return ((1,), (1,))
 
     def add(self, a, b):
-        return (
-            self._padd(self._pmul(a[0], b[1]), self._pmul(b[0], a[1])),
-            self._pmul(a[1], b[1]),
-        )
+        if self.is_zero(a):
+            return self.ZERO if self.is_zero(b) else b
+        if self.is_zero(b):
+            return a
+        num = self._padd(self._pmul(a[0], b[1]), self._pmul(b[0], a[1]))
+        return self.ZERO if not any(num) else (num, self._pmul(a[1], b[1]))
 
     def neg(self, a):
-        return (tuple((-c) % self.p for c in a[0]), a[1])
+        return self.ZERO if self.is_zero(a) else (tuple((-c) % self.p for c in a[0]), a[1])
 
     def mul(self, a, b):
+        if self.is_zero(a) or self.is_zero(b):
+            return self.ZERO
         return (self._pmul(a[0], b[0]), self._pmul(a[1], b[1]))
 
     def inv(self, a):
@@ -314,13 +322,16 @@ RATIONAL_PRIMES = (2, 3, 5, 7, 17, 251, 257, 65537, 4294967311, 2**64 + 13)
 @st.composite
 def _fractions(draw, p):
     """A fraction of coefficient tuples of lengths 1 to 40 with trailing
-    zeros drawn on purpose, over a nonzero denominator."""
+    zeros drawn on purpose, over a nonzero denominator; one in four has a
+    zero numerator, as `sample` draws before it returns the one zero."""
 
     def poly():
         cs = draw(st.lists(st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1)), min_size=1, max_size=40))
         return tuple(cs + [0] * draw(st.integers(0, 40 - len(cs))))
 
     num, den = poly(), poly()
+    if draw(st.integers(0, 3)) == 0:
+        num = (0,) * len(num)
     return num, den if any(den) else (1,) + den[1:]
 
 
@@ -359,7 +370,10 @@ def test_packed_rational_functions_equal_the_tuple_oracle(fractions, e):
     # and equality by cross-multiplication where the terms differ
     same = oracle.mul(a, (b[1], b[1]))
     assert dom.eq(x, enc(same)) and oracle.eq(a, same)
-    assert dom.is_zero(dom.add(x, dom.neg(x)))
+    # every zero result is the one zero
+    assert dom.add(x, dom.neg(x)) == dom.zero() == (0, 1)
+    for got in (dom.add(x, y), dom.mul(x, y), dom.neg(x), dom.mul(x, dom.zero()), dom.add(dom.zero(), dom.zero())):
+        assert got == dom.zero() or not dom.is_zero(got)
 
 
 # -- the factors of Omega and pi-tilde -----------------------------------------------------

@@ -1,6 +1,8 @@
 """Field layer: canonical moduli, arithmetic axioms, Frobenius, the tables."""
 
 import random
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from ffmzv import ffield
 from ffmzv.cli import main
 from ffmzv.errors import ConventionError, FieldSizeError
-from ffmzv.ffield import FieldSpec, field, ops
+from ffmzv.ffield import FieldSpec, field, fp_list_mul, ops
+from ffmzv.motive import RationalFunctionDomain
 
 
 def _product_by_reduction(spec, a, b):
@@ -325,8 +328,9 @@ def test_packed_slots_hold_the_largest_coefficient_sums(p, short, bits):
     a, b = [p - 1] * short, [p - 1] * (short + 3)
     n = len(a) + len(b) - 1
     # the slot dense_sums picks: (p-1)^2 times min(len a, len b) terms per slot
-    prod = ffield._packed_sum([(a, b, 0, n)], n, ffield._slot((p - 1) ** 2 * short), {})
-    assert prod.itemsize * 8 == bits
+    width = ffield._width((p - 1) ** 2 * short)
+    prod = ffield._packed_sum([(a, b, 0, n)], n, width, {})
+    assert width == bits == prod.itemsize * 8
     terms = [min(k, short - 1) - max(0, k - len(b) + 1) + 1 for k in range(len(a) + len(b) - 1)]
     assert list(prod) == [(p - 1) ** 2 * t for t in terms]
     # random digits against an integer schoolbook (F_4093 has no tables)
@@ -396,3 +400,43 @@ def test_huge_degrees_are_refused_without_building_the_order(capsys):
             field(2, m)
     assert main(["omega", "--l", "20000"]) == 1
     assert "error: FieldSizeError: field order 2^20000" in capsys.readouterr().err
+
+
+_LITTLE_HOST = sys.byteorder == "little"  # read before any test patches it
+
+
+class _BigEndianArray(array):
+    """An `array` whose bytes are laid out as a big-endian host lays them
+    out: each item most significant byte first."""
+
+    def __new__(cls, code, init=()):
+        out = super().__new__(cls, code, init)
+        if isinstance(init, bytes) and _LITTLE_HOST:
+            out.byteswap()
+        return out
+
+    def tobytes(self):
+        out = array(self.typecode, self)
+        if _LITTLE_HOST:
+            out.byteswap()
+        return out.tobytes()
+
+
+@pytest.mark.parametrize("p,short,bits", [(3, 7, 8), (3, 64, 16), (251, 2, 32)])
+def test_packed_products_are_exact_on_a_big_endian_host(monkeypatch, p, short, bits):
+    # the slot packing is little-endian whatever the host: with the host's
+    # byte order and its `array` layout both big-endian, a packed dense_mul
+    # (slots of `bits`) and an F_3(t) product spread to 16-bit slots (63
+    # products of 2^2 fill a byte) equal the integer schoolbook
+    rng = random.Random(bits)
+    a = [rng.randrange(1, p) for _ in range(short)]
+    b = [rng.randrange(1, p) for _ in range(short + 3)]
+    n = len(a) + len(b) - 1
+    assert ffield._width((p - 1) ** 2 * short) == bits
+    dom = RationalFunctionDomain(3)
+    x, y = ([rng.randrange(3) for _ in range(70)] + [1] for _ in range(2))
+    frac = lambda num: (dom.encode(num), dom.encode([1]))  # noqa: E731
+    monkeypatch.setattr(sys, "byteorder", "big")
+    monkeypatch.setattr(ffield, "array", _BigEndianArray)
+    assert ffield.dense_mul(field(p, 1), a, b, n - 1) == fp_list_mul(a, b, p)[: n - 1]
+    assert dom.mul(frac(x), frac(y)) == frac(fp_list_mul(x, y, 3))

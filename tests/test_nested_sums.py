@@ -14,6 +14,7 @@ result must equal its oracle on a fresh context.
 """
 
 import pytest
+from helpers import decreasing_tuples
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import special
@@ -34,7 +35,7 @@ def _key(f):
 def _mzv_oracle(ctx, s, prec):
     work = prec + 2
     entries = s.entries
-    tuples = special._decreasing_tuples(
+    tuples = decreasing_tuples(
         s.dep, lambda j, v: special.power_sum_val_bound(ctx.q, v, entries[j]), work
     )
     acc = ls_zero(ctx.field, work)
@@ -67,7 +68,7 @@ def _cmpl_value_oracle(ctx, spec, prec):
     def contrib(j, v):
         return q**v * deltas[j] - entries[j] * q - tpen[j]
 
-    tuples = list(special._decreasing_tuples(spec.s.dep, contrib, work))
+    tuples = list(decreasing_tuples(spec.s.dep, contrib, work))
     bounds = [sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples]
     rel = work - min(min(bounds, default=0), 0) + 6
     acc = ls_zero(fld, work)

@@ -26,6 +26,7 @@ a dropped-factor control the oracle passes, and must agree everywhere else.
 from itertools import combinations
 
 import pytest
+from helpers import decreasing_tuples
 from hypothesis import example, given, settings, strategies as st
 
 from ffmzv import motive, special, tate
@@ -71,7 +72,7 @@ def _cmpl_series_oracle(ctx, spec, tdeg, prec):
     def contrib(j, v):
         return q**v * deltas[j] - entries[j] * q
 
-    tuples = list(special._decreasing_tuples(d, contrib, work))
+    tuples = list(decreasing_tuples(d, contrib, work))
     bmin = min((sum(contrib(j, ij) for j, ij in enumerate(tup)) for tup in tuples), default=0)
     rel = work - min(bmin, 0) + 6
     acc = tate.zero(fld, work, tdeg)
@@ -106,7 +107,7 @@ def _sum_plan(ctx, spec, prec):
     def contrib(j, v):
         return q**v * deltas[j] - entries[j] * q
 
-    tuples = special._decreasing_tuples(spec.s.dep, contrib, work)
+    tuples = decreasing_tuples(spec.s.dep, contrib, work)
     terms = [(tup, sum(contrib(j, ij) for j, ij in enumerate(tup))) for tup in tuples]
     bmin = min((bound for _, bound in terms), default=0)
     return work, work - min(bmin, 0) + 6, terms

@@ -42,3 +42,22 @@ def test_shell_sampling(monkeypatch, capsys):
     code, lines = run_script(monkeypatch, capsys, "shell_sampling.py", "--fields", "2,1", "--rational")
     assert code == 1
     assert [line.split()[2] for line in lines[1:]] == ["incomparable", "incomparable", "pass", "pass"]
+
+
+def test_src_lines(monkeypatch, capsys):
+    code, lines = run_script(monkeypatch, capsys, "src_lines.py")
+    rows = [line.split() for line in lines[1:]]
+    package = SCRIPTS.parent / "src" / "ffmzv"
+    assert code == 0 and [row[0] for row in rows] == sorted(p.name for p in package.glob("*.py")) + ["total"]
+    # blank, docstring-and-comment and code lines add up to each module's
+    # lines, and the total row is the sum of the module rows
+    for row in rows[:-1]:
+        assert sum(map(int, row[1:4])) == int(row[4]) == len((package / row[0]).read_text().splitlines())
+    assert [sum(int(row[k]) for row in rows[:-1]) for k in range(1, 5)] == [int(x) for x in rows[-1][1:]]
+    # a line of a string continued inside code counts with the docstrings
+    counts = runpy.run_path(str(SCRIPTS / "src_lines.py"))["counts"]
+    text = (
+        '"""Doc."""\n\nx = 1  # code\n# comment\n'
+        'def f():\n    """Two\n    lines."""\n    return ("a"\n            "b"\n    )\n'
+    )
+    assert counts(text) == (1, 5, 4)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers import certificate_ok
+from helpers import certificate_ok, decreasing_tuples
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import tate
@@ -23,7 +23,6 @@ from ffmzv.special import (
     CmplSpec,
     Index,
     _binom_mod_p,
-    _decreasing_tuples,
     _monic_power_sum_dp,
     anderson_thakur_polynomials,
     at_arguments,
@@ -342,9 +341,7 @@ def test_mzv_term_order_independence():
     s = Index((2, 1))
     prec = 26
     terms = []
-    from ffmzv.special import _decreasing_tuples
-
-    for tup in _decreasing_tuples(2, lambda j, v: v > 3, 1):
+    for tup in decreasing_tuples(2, lambda j, v: v > 3, 1):
         t = monic_power_sum(ctx, tup[0], 2, prec) * monic_power_sum(ctx, tup[1], 1, prec)
         terms.append(t.truncate(prec))
     rng = random.Random(13)
@@ -611,7 +608,7 @@ def test_mzv_tuple_count_positive():
 def test_mzv_tuple_count_equals_the_enumeration(level, entries, prec):
     ctx, s = CarlitzContext(*level), Index(tuple(entries))
     bound = lambda j, v: power_sum_val_bound(ctx.q, v, entries[j])  # noqa: E731
-    assert mzv_tuple_count(ctx, s, prec) == sum(1 for _ in _decreasing_tuples(s.dep, bound, prec + 2))
+    assert mzv_tuple_count(ctx, s, prec) == sum(1 for _ in decreasing_tuples(s.dep, bound, prec + 2))
 
 
 def test_cmpl_series_certificates():
