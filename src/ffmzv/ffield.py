@@ -8,20 +8,20 @@ same (p, m) always yields the same field, bit for bit.  `field(p, m)` returns
 one shared FieldSpec per (p, m), so compatibility checks can test identity
 before equality.
 
-For fields with p^m <= 4096 full add/mul tables are precomputed by
-:class:`FieldOps`, and callers work on raw encodings through the cached
-FieldOps object.  Larger fields raise FieldSizeError, in `field(p, m)`
-before the modulus search.  The tables come from discrete logarithms: the
-least primitive element g (in encoding order) is found by stepping powers
-with one polynomial product mod the modulus each, which gives exp[k] = g^k
-and its inverse permutation log.  Then mul[a, b] = exp[log a + log b],
-inverses, negatives and Frobenius powers are exp/log lookups, and each add
-row is a block rotation of an earlier row, because adding a single digit
-c*p^j rotates digit j.  Each mul row is one C-level gather
-(`operator.itemgetter` over the logs) from a slice of exp, so the build
-costs O(n) Python steps and O(n^2) element copies in C instead of one
-polynomial reduction per pair; tests/test_ffield.py keeps the pairwise
-reduction as the oracle every table is compared against.
+For fields with p^m <= 4096 :class:`FieldOps` holds the arithmetic, and
+callers work on raw encodings through the cached FieldOps object.  Larger
+fields raise FieldSizeError, in `field(p, m)` before the modulus search.
+Products come from discrete logarithms: the least primitive element g (in
+encoding order) is found by stepping powers with one polynomial product mod
+the modulus each, which gives exp[k] = g^k and its inverse permutation log.
+A product is exp[log a + log b], where log 0 is a sentinel whose sums read
+zeros past the end of exp, so no factor needs a test for zero; inverses,
+negatives and Frobenius powers are O(n) lists read off exp/log.  Addition
+is the one n^2 table: each row is a block rotation of an earlier row,
+because adding a single digit c*p^j rotates digit j, so the build costs
+O(n) Python steps and O(n^2) element copies in C instead of one polynomial
+reduction per pair; tests/test_ffield.py keeps the pairwise reduction as the
+oracle every sum and product is compared against.
 
 `dense_sums(spec, sums)` is the one dense product kernel, used by Laurent
 series, Tate products and theta-polynomials: for each output it sums the
@@ -37,11 +37,11 @@ each list is packed once per slot width in a call.  `_pack` and `_unpack`
 are the one slot packing, little-endian on every host; the F_p(t) block
 shells in `motive` pack their polynomials with them too.  m = 2 with
 `_KARATSUBA_MIN` rows: the same over the two digits of each encoding, three
-packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the table
-schoolbook, one row per nonzero coefficient, added into the output.  The
-oracle for every path is the double loop in tests/test_ffield.py.  The
-primitive-element search, which builds the tables the kernel reads, uses
-the plain list product `fp_list_mul`.
+packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the schoolbook,
+one row per nonzero coefficient, each product an exp/log lookup and each sum
+an add-table lookup.  The oracle for every path is the double loop in
+tests/test_ffield.py.  The primitive-element search, which builds the
+exp/log lists the kernel reads, uses the plain list product `fp_list_mul`.
 `power` is the one square-and-multiply loop, for every ring that has one.
 
 Primality is a deterministic Miller-Rabin over the prime bases 2..41, exact
@@ -64,7 +64,7 @@ from .errors import ConventionError, FieldSizeError
 _TABLE_CAP = 4096
 
 # fewest schoolbook rows at which the packed (m = 1) and Karatsuba (m = 2)
-# paths of dense_sums beat the table schoolbook (measured, see CHANGES.md)
+# paths of dense_sums beat the schoolbook (measured, see CHANGES.md)
 _PACKED_MIN, _KARATSUBA_MIN = 2, 10
 _CODES = {array(c).itemsize * 8: c for c in "BHIQ"}  # the `array` typecode of each slot width, narrowest first
 
@@ -249,14 +249,17 @@ def _primitive_powers(spec: FieldSpec) -> list[int]:
 
 
 class FieldOps:
-    """Precomputed arithmetic tables for one FieldSpec (internal fast path).
+    """Arithmetic of one FieldSpec on raw encodings (internal fast path).
 
-    add/mul are row-major n*n tables; exp[k] = g^k for the primitive element
-    g and log inverts it on nonzero encodings (log[0] is a placeholder);
+    add is the row-major n*n addition table.  exp[k] = g^k for the primitive
+    element g, over two periods and then a tail of zeros, and log inverts it
+    on nonzero encodings; log[0] is the sentinel 2(n-1), so a product is
+    exp[log a + log b] for any a, b, and reads a zero of the tail when a
+    factor is 0.  neg, inv and frob are lists by encoding, and
     frobs[k][a] = a^(p^k) for 0 <= k < m.
     """
 
-    __slots__ = ("spec", "n", "p", "m", "add", "mul", "neg", "inv", "frob", "exp", "log", "frobs")
+    __slots__ = ("spec", "n", "p", "m", "add", "neg", "inv", "frob", "exp", "log", "frobs")
 
     def __init__(self, spec: FieldSpec):
         p, m = spec.p, spec.m
@@ -265,10 +268,12 @@ class FieldOps:
         self.spec = spec
         self.n, self.p, self.m = n, p, m
         exp = _primitive_powers(spec)
-        log = [0] * n
+        log = [2 * (n - 1)] * n
         for k, x in enumerate(exp):
             log[x] = k
-        self.exp, self.log = exp, log
+        # log a + log b < 2(n-1) when a, b != 0; a sum with the sentinel is
+        # 2(n-1) to 4(n-1)
+        self.exp, self.log = exp + exp + [0] * (2 * n - 1), log
 
         # row 0 is the identity; writing a = c*w + r with c*w the leading
         # digit of a (w = p^j), a + b rotates digit j of b by c, so in every
@@ -287,19 +292,9 @@ class FieldOps:
                 add[dst + chunk - shift : dst + chunk] = add[src : src + shift]
         self.add = add
 
-        # row a is exp2[log a + log b] over b >= 1: one C-level gather by the
-        # logs from a slice of exp2.  An itemgetter of one index returns the
-        # item, not a 1-tuple; F_2's one index is 0, where the gather is the slice
-        exp2 = exp + exp
         logs = log[1:]
-        get = operator.itemgetter(*logs) if n > 2 else list
-        mul = [0] * (n * n)
-        for a in range(1, n):
-            la = log[a]
-            mul[a * n + 1 : (a + 1) * n] = get(exp2[la : la + n - 1])
-        self.mul = mul
-
-        self.neg = mul[(p - 1) * n : p * n]  # row of -1
+        minus = log[p - 1]  # -1 is the integer p - 1
+        self.neg = [self.exp[minus + la] for la in log]
         self.inv = [0] + [exp[-lb] for lb in logs]  # g^(-lb)
         self.frob = [0] + [exp[p * lb % (n - 1)] for lb in logs]
         frobs = [list(range(n))]
@@ -407,7 +402,7 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
     A pair whose shorter factor has `_PACKED_MIN` (m = 1) or
     `_KARATSUBA_MIN` (m = 2) nonzero coefficients below the cut joins its
     sum's packed big-int sum, shifted by v - base slots, in slots sized for
-    that sum; every other pair, and every pair when m >= 3, runs the table
+    that sum; every other pair, and every pair when m >= 3, runs the
     schoolbook, one row per nonzero coefficient of its shorter factor.  Each
     list is packed once per slot width in a call; for m = 2 it is split once
     into its digits d0, d1 and d0 + d1 mod p, and three packed sums give the
@@ -458,7 +453,7 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
             acc = [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(lo, mid, hi)]
         if slow:
             o = ops(spec)
-            mul, add, q = o.mul, o.add, o.n
+            exp, log, add, q = o.exp, o.log, o.add, o.n
             fresh = not fast  # acc is all zeros: its first row is written, not added
             for a, b, s, w in slow:
                 lb = len(b)
@@ -466,11 +461,11 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
                     a, b, lb = a[:w], b[:w], w
                 for i, x in enumerate(a):
                     if x:
-                        xq, at = x * q, s + i
+                        lx, at = log[x], s + i
                         if fresh and at + lb <= n:
-                            acc[at : at + lb] = [mul[xq + y] for y in b]
+                            acc[at : at + lb] = [exp[lx + log[y]] for y in b]
                         else:
-                            acc[at : at + lb] = [add[c * q + mul[xq + y]] for c, y in zip(acc[at : at + lb], b)]
+                            acc[at : at + lb] = [add[c * q + exp[lx + log[y]]] for c, y in zip(acc[at : at + lb], b)]
                         fresh = False
         out.append(acc)
     return out

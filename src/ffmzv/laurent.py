@@ -110,8 +110,8 @@ class LaurentSeries:
         if c == 0:
             return LaurentSeries(self.field, self.prec, [], self.prec)
         o = ops(self.field)
-        mul, n = o.mul, o.n
-        return LaurentSeries(self.field, self.val, [mul[c * n + x] for x in self.coeffs], self.prec)
+        exp, log, lc = o.exp, o.log, o.log[c]
+        return LaurentSeries(self.field, self.val, [exp[lc + log[x]] for x in self.coeffs], self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Exact multiplication by z^k."""
@@ -143,13 +143,16 @@ class LaurentSeries:
             for k in range(top + 1, stop):
                 buf.append(neg_c0inv * sum(a * buf[k - j] for j, a in terms) % p)
         else:
-            mul, add, n = o.mul, o.add, o.n
-            row = o.neg[c0inv] * n
+            exp, log, add, n = o.exp, o.log, o.add, o.n
+            row = log[o.neg[c0inv]]
+            terms = [(j, log[a]) for j, a in terms]
+            buf = [log[x] for x in buf]  # held as logs, so a product is one exp lookup
             for k in range(top + 1, stop):
                 acc = 0
-                for j, a in terms:
-                    acc = add[acc * n + mul[a * n + buf[k - j]]]
-                buf.append(mul[row + acc])
+                for j, la in terms:
+                    acc = add[acc * n + exp[la + buf[k - j]]]
+                buf.append(log[exp[row + log[acc]]])
+            buf = [exp[x] for x in buf]
         out = [0] * ((stop - top - 1) * g + 1)
         out[::g] = buf[top:]
         return LaurentSeries(self.field, -v, out, self.prec - 2 * v)
@@ -251,7 +254,7 @@ def from_theta_poly(field: FieldSpec, poly: dict[int, int], prec: int) -> Lauren
     out = [0] * (deg * step + 1)
     for k, c in poly.items():
         if c:
-            out[(deg - k) * step] = c if k % 2 == 0 else o.mul[o.neg[1] * o.n + c]
+            out[(deg - k) * step] = c if k % 2 == 0 else o.neg[c]
     return LaurentSeries(field, -deg * step, out, prec)
 
 

@@ -297,18 +297,18 @@ def _mutation_checks(values: list, corr: dict[int, TateElement]) -> dict[int, ta
     return {a: tate.zero_check(values[a] + c) for a, c in corr.items()}
 
 
-def _mutation_reports(
+def _mutation_moves(
     phi: MotiveMatrix, psi: MotiveMatrix, res: tate.Residual
-) -> tuple[list[list[tate.ZeroCheck]], dict[tuple[int, int], ResidualReport]]:
-    """The entry checks of the unmutated residual, and the report of
-    frobenius_residual(phi, perturb_entry(psi, i, j)) for every (i, j).
+) -> tuple[list[list[tate.ZeroCheck]], dict[tuple[int, int], dict[int, tate.ZeroCheck]]]:
+    """The entry checks of the unmutated residual, and for every mutation
+    (i, j), row-major, the checks of column j that
+    frobenius_residual(phi, perturb_entry(psi, i, j)) moves, by row.
 
     Column by column, the base entry values are held while the mutations of
-    that column add their corrections; only the moved checks are kept.  The
-    sums are known exactly as far as a full recomputation knows them, except
-    where theta^{(n)} cancels the leading term of a twisted entry: there the
-    full recomputation's twisted entry has a higher valuation, and its
-    products a higher precision.
+    that column add their corrections.  The sums are known exactly as far as
+    a full recomputation knows them, except where theta^{(n)} cancels the
+    leading term of a twisted entry: there the full recomputation's twisted
+    entry has a higher valuation, and its products a higher precision.
     """
     th = _theta_mutation(psi)
     thn = tate.twist(th, phi.level, res.cap)
@@ -322,14 +322,16 @@ def _mutation_reports(
             checks[a][j] = tate.zero_check(v)
         for i in range(r):
             moved[i, j] = _mutation_checks(values, corr[i])
-    reports = {}
-    for i in range(r):
-        for j in range(r):
-            out = [row[:] for row in checks]
-            for a, chk in moved[i, j].items():
-                out[a][j] = chk
-            reports[i, j] = ResidualReport.from_checks(out, res.q)
-    return checks, reports
+    return checks, {(i, j): moved[i, j] for i in range(r) for j in range(r)}
+
+
+def _mutated_report(checks: list[list[tate.ZeroCheck]], j: int, moved: dict, q: int) -> ResidualReport:
+    """The report of the residual whose entry checks are checks with those
+    of column j replaced by moved's, by row."""
+    out = [row[:] for row in checks]
+    for a, chk in moved.items():
+        out[a][j] = chk
+    return ResidualReport.from_checks(out, q)
 
 
 def residual_and_kill(phi: MotiveMatrix, psi: MotiveMatrix) -> tuple[ResidualReport, CheckReport]:
@@ -341,19 +343,25 @@ def residual_and_kill(phi: MotiveMatrix, psi: MotiveMatrix) -> tuple[ResidualRep
     residual must fail.  A mutated residual entry is the unmutated one plus
     a correction that depends only on the mutated row and the entry's row
     (see _corrections), so the r^2 mutations cost r sets of corrections and
-    one addition per moved entry instead of full entry dots; the (r-2, 0)
-    mutation ((0, 0) when r == 1) is also recomputed in full, and a mismatch
-    raises ConventionError.
+    one addition per moved entry instead of full entry dots.  A mutation
+    survives when its moved checks pass and every failing base check is one
+    of them; only the (r-2, 0) mutation ((0, 0) when r == 1) gets a full
+    report, which is also recomputed in full, and a mismatch raises
+    ConventionError.
     """
     res = _residual_setup(phi, psi)
-    checks, reports = _mutation_reports(phi, psi, res)
+    checks, moved = _mutation_moves(phi, psi, res)
     r = psi.size
     spot = (max(r - 2, 0), 0)
-    if frobenius_residual(phi, perturb_entry(psi, *spot)) != reports[spot]:
+    if frobenius_residual(phi, perturb_entry(psi, *spot)) != _mutated_report(checks, spot[1], moved[spot], res.q):
         raise ConventionError(
             f"incremental residual of mutation {spot} differs from full recomputation"
         )
-    survivors = [ij for ij, rep in reports.items() if rep.passed]
+    bad = [(a, j) for a, row in enumerate(checks) for j, chk in enumerate(row) if not chk.ok]
+    survivors = [
+        (i, j) for (i, j), mv in moved.items()
+        if all(chk.ok for chk in mv.values()) and all(b == j and a in mv for a, b in bad)
+    ]
     kill = CheckReport(
         passed=not survivors,
         checked=r * r,
@@ -443,7 +451,7 @@ class FiniteFieldDomain:
         return self._o.add[a * self._o.n + b]
 
     def mul(self, a, b):
-        return self._o.mul[a * self._o.n + b]
+        return self._o.exp[self._o.log[a] + self._o.log[b]]
 
     def neg(self, a):
         return self._o.neg[a]
@@ -460,15 +468,15 @@ class FiniteFieldDomain:
     is_zero = staticmethod(operator.not_)
 
     def lanes(self, width: int) -> SimpleNamespace:
-        """F^width, componentwise: table lookups over lists of `width`
-        encodings, with is_zero and eq true when they hold in every lane and
-        dom the domain of one lane."""
+        """F^width, componentwise: list lookups over lists of `width`
+        encodings, products by exp/log, with is_zero and eq true when they
+        hold in every lane and dom the domain of one lane."""
         o, n = self._o, self._o.n
-        add, mul, neg, inv = o.add, o.mul, o.neg, o.inv
+        add, exp, log, neg, inv = o.add, o.exp, o.log, o.neg, o.inv
         return SimpleNamespace(
             dom=self, zero=lambda: [0] * width, one=lambda: [1] * width,
             add=lambda x, y: [add[a * n + b] for a, b in zip(x, y)],
-            mul=lambda x, y: [mul[a * n + b] for a, b in zip(x, y)], neg=lambda x: [neg[a] for a in x],
+            mul=lambda x, y: [exp[log[a] + log[b]] for a, b in zip(x, y)], neg=lambda x: [neg[a] for a in x],
             inv=lambda x: [inv[a] for a in x], pow=lambda x, e: [o.pow(a, e) for a in x],
             is_zero=lambda x: not any(x), eq=operator.eq,
         )

@@ -78,13 +78,13 @@ class BivarPoly:
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         o = ops(self.field)
-        mul, add, n = o.mul, o.add, o.n
+        exp, log, add, n = o.exp, o.log, o.add, o.n
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
-            base = c1 * n
+            l1 = log[c1]
             for (a2, b2), c2 in other.terms.items():
                 e = (a1 + a2, b1 + b2)
-                out[e] = add[out.get(e, 0) * n + mul[base + c2]]
+                out[e] = add[out.get(e, 0) * n + exp[l1 + log[c2]]]
         return BivarPoly(self.field, out)
 
     def truncate_t(self, d: int) -> "BivarPoly":
@@ -150,7 +150,7 @@ class BivarPoly:
                 quot[(a - dd, b)] = c
                 for (da, db), dc in div_terms:
                     e = (a - dd + da, b + db)
-                    v = o.sub(rem.get(e, 0), o.mul[c * o.n + dc])
+                    v = o.sub(rem.get(e, 0), o.exp[o.log[c] + o.log[dc]])
                     if v:
                         rem[e] = v
                     else:

@@ -23,7 +23,7 @@ x_i * y_(k-i) with a factor that is zero to precision is skipped, but its
 precision min(val_x + prec_y, val_y + prec_x) still bounds degree k's, as
 the Laurent product would.  The nonzero pairs go to one `ffield.dense_sums`
 call over all degrees, each shifted by its valuation above the degree's
-least one; there a pair stays sparse (table schoolbook) when its shorter
+least one; there a pair stays sparse (exp/log schoolbook) when its shorter
 factor has fewer nonzero coefficients than the packed or Karatsuba
 threshold, or when m >= 3, which keeps the very sparse twisted columns off
 the big-int path.  `dot(pairs, tdeg)` does the same for a sum of products,
@@ -282,12 +282,10 @@ def invert_linear_factor(c: LaurentSeries, s: int, tdeg: int) -> TateElement:
     o = ops(c.field)
     inv_c = c.inv()
     w = inv_c**s
-    sign = 1 if s % 2 == 0 else o.neg[1]
     out = []
     for k in range(tdeg + 1):
-        b = math.comb(s + k - 1, k) % c.field.p
-        scal = o.mul[sign * o.n + b] if b else 0
-        out.append(w.scalar_mul(scal))
+        b = math.comb(s + k - 1, k) % c.field.p  # an F_p integer, its own encoding
+        out.append(w.scalar_mul(b if s % 2 == 0 else o.neg[b]))
         if k < tdeg:
             w = w * inv_c
     slope = -c.val

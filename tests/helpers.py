@@ -2,7 +2,10 @@
 
 `certificate_ok`, `t_var`, `theta`, `coeff` and `tate_pow` are small
 constructors, checks and operations on the package's series types, and
-`rf_coeffs` reads an F_p(t) domain's packed polynomial back as coefficients.
+`rf_coeffs` reads an F_p(t) domain's packed polynomial back as coefficients,
+and `field_product` is the one place the tests read a product of two field
+encodings off a FieldOps.  `mutation_reports` builds the report of every
+mutation of a residual from the moved checks that the mutation kill reads.
 `counting` replaces a context's cache with a dict that counts its lookups
 and stores, so that tests can assert how often `CarlitzContext.cached` and
 `cached_to` found what they were asked for.  `decreasing_tuples` enumerates
@@ -13,8 +16,8 @@ from typing import NamedTuple
 
 from ffmzv.carlitz import CarlitzContext
 from ffmzv.errors import PrecisionError
-from ffmzv import tate
-from ffmzv.ffield import FieldSpec, power
+from ffmzv import motive, tate
+from ffmzv.ffield import FieldOps, FieldSpec, power
 from ffmzv.laurent import LaurentSeries, theta_pow, zero as ls_zero
 from ffmzv.tate import TateElement
 
@@ -77,6 +80,20 @@ def decreasing_tuples(d: int, contrib, stop: int):
             v += 1
 
     yield from rec(d - 1, 0, 0)
+
+
+def field_product(o: FieldOps, a: int, b: int) -> int:
+    """a * b for encodings a, b as o computes it: exp[log a + log b], where
+    the log of 0 is a sentinel whose sums read zeros."""
+    return o.exp[o.log[a] + o.log[b]]
+
+
+def mutation_reports(phi, psi, res) -> tuple[list, dict]:
+    """The entry checks of the unmutated residual, and the report of
+    frobenius_residual(phi, perturb_entry(psi, i, j)) for every (i, j),
+    row-major, as the mutation kill would build it from its moved checks."""
+    checks, moved = motive._mutation_moves(phi, psi, res)
+    return checks, {(i, j): motive._mutated_report(checks, j, mv, res.q) for (i, j), mv in moved.items()}
 
 
 def rf_coeffs(dom, x: int) -> tuple:

@@ -5,13 +5,14 @@ import sys
 from array import array
 
 import pytest
+from helpers import field_product
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import ffield
 from ffmzv.cli import main
 from ffmzv.errors import ConventionError, FieldSizeError
 from ffmzv.ffield import FieldSpec, field, fp_list_mul, ops
-from ffmzv.motive import RationalFunctionDomain
+from ffmzv.motive import FiniteFieldDomain, RationalFunctionDomain
 
 
 def _product_by_reduction(spec, a, b):
@@ -28,7 +29,7 @@ def _product_by_reduction(spec, a, b):
 
 
 def _pow_by_squaring(mul, n, a, e):
-    # square-and-multiply over a mul table, negative e through a^(n-2)
+    # square-and-multiply by the product mul(x, y), negative e through a^(n-2)
     if e < 0:
         if a == 0:
             raise ZeroDivisionError
@@ -39,8 +40,8 @@ def _pow_by_squaring(mul, n, a, e):
     result = 1
     while e:
         if e & 1:
-            result = mul[result * n + a]
-        a = mul[a * n + a]
+            result = mul(result, a)
+        a = mul(a, a)
         e >>= 1
     return result
 
@@ -57,9 +58,15 @@ def _tables_by_reduction(spec):
             add[a * n + b] = add[b * n + a] = ffield._encode([x + y for x, y in zip(da, db)], p)
             mul[a * n + b] = mul[b * n + a] = _product_by_reduction(spec, a, b)
     neg = [ffield._encode([-c for c in ffield._decode(a, m, p)], p) for a in range(n)]
-    inv = [0] + [_pow_by_squaring(mul, n, a, n - 2) for a in range(1, n)]
-    frob = [_pow_by_squaring(mul, n, a, p) for a in range(n)]
+    by_table = lambda x, y: mul[x * n + y]  # noqa: E731
+    inv = [0] + [_pow_by_squaring(by_table, n, a, n - 2) for a in range(1, n)]
+    frob = [_pow_by_squaring(by_table, n, a, p) for a in range(n)]
     return {"add": add, "mul": mul, "neg": neg, "inv": inv, "frob": frob}
+
+
+def _product_table(o):
+    """Every product of o, row-major: entry a*n + b is a * b."""
+    return [field_product(o, a, b) for a in range(o.n) for b in range(o.n)]
 
 
 _PRIMES_TO_256 = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
@@ -109,16 +116,16 @@ def test_create_errors():
 
 def test_f3_arithmetic():
     o = ops(field(3, 1))
-    assert o.mul[2 * 3 + 2] == 1
+    assert field_product(o, 2, 2) == 1
     assert o.add[2 * 3 + 2] == 1
-    assert o.mul[2 * 3 + o.inv[2]] == 1
+    assert field_product(o, 2, o.inv[2]) == 1
 
 
 def test_f4_multiplication_example():
     o = ops(field(2, 2))
     w = ffield._encode((0, 1), 2)
     w1 = ffield._encode((1, 1), 2)
-    assert o.mul[w * 4 + w1] == 1  # w*(w+1) = w^2 + w = 1 under w^2 = w+1
+    assert field_product(o, w, w1) == 1  # w*(w+1) = w^2 + w = 1 under w^2 = w+1
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)])
@@ -155,7 +162,7 @@ def test_field_axioms_on_1000_random_pairs(p, m):
         return o.add[a * n + b]
 
     def mul(a, b):
-        return o.mul[a * n + b]
+        return field_product(o, a, b)
 
     rng = random.Random(20240915)
     for _ in range(1000):
@@ -173,13 +180,13 @@ def test_frobenius_is_ring_endomorphism_on_samples():
     for _ in range(300):
         a, b = rng.randrange(9), rng.randrange(9)
         assert o.frob_n(o.add[a * 9 + b], 1) == o.add[o.frob_n(a, 1) * 9 + o.frob_n(b, 1)]
-        assert o.frob_n(o.mul[a * 9 + b], 1) == o.mul[o.frob_n(a, 1) * 9 + o.frob_n(b, 1)]
+        assert o.frob_n(field_product(o, a, b), 1) == field_product(o, o.frob_n(a, 1), o.frob_n(b, 1))
 
 
 @given(st.integers(0, 8), st.integers(0, 30), st.integers(0, 30))
 def test_pow_additivity(v, i, j):
     o = ops(field(3, 2))
-    assert o.pow(v, i + j) == o.mul[o.pow(v, i) * 9 + o.pow(v, j)]
+    assert o.pow(v, i + j) == field_product(o, o.pow(v, i), o.pow(v, j))
 
 
 @pytest.mark.parametrize("p,m", _FIELDS_TO_256)
@@ -187,7 +194,7 @@ def test_tables_equal_the_reduction_oracle(p, m):
     spec = field(p, m)
     o = ffield.FieldOps(spec)
     for name, table in _tables_by_reduction(spec).items():
-        assert getattr(o, name) == table, name
+        assert (_product_table(o) if name == "mul" else getattr(o, name)) == table, name
 
 
 @pytest.mark.parametrize("p,m", [(3, 6), (2, 10), (3, 7)])
@@ -197,15 +204,56 @@ def test_large_field_products_equal_the_oracle_on_random_pairs(p, m):
     rng = random.Random(p * 100 + m)
     for _ in range(400):
         a, b = rng.randrange(o.n), rng.randrange(o.n)
-        assert o.mul[a * o.n + b] == _product_by_reduction(spec, a, b)
+        assert field_product(o, a, b) == _product_by_reduction(spec, a, b)
         if a:
-            assert o.mul[a * o.n + o.inv[a]] == 1
+            assert field_product(o, a, o.inv[a]) == 1
+
+
+@pytest.mark.parametrize("p,m", _FIELDS_TO_256)
+def test_products_with_zero_read_the_zero_tail(p, m):
+    # the log of 0 is a sentinel: every sum that holds it reads 0, F_2 too
+    o = ops(field(p, m))
+    assert o.log[0] == 2 * (o.n - 1)
+    for a in range(o.n):
+        assert field_product(o, 0, a) == field_product(o, a, 0) == 0, a
+
+
+def test_largest_field_products_equal_the_oracle_on_random_pairs():
+    spec = field(2, 12)
+    o = ffield.FieldOps(spec)  # not ops(): keep the large tables out of the cache
+    rng = random.Random(4096)
+    draws = [rng.randrange(o.n) for _ in range(800)] + [0, 1, o.n - 1]
+    for a, b in zip(draws, reversed(draws)):
+        assert field_product(o, a, b) == _product_by_reduction(spec, a, b), (a, b)
+    for a in (0, 1, o.n - 1):
+        assert field_product(o, 0, a) == field_product(o, a, 0) == 0
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 4), (2, 8)])
+def test_lane_products_with_zeros_equal_the_scalar_products(p, m):
+    dom = FiniteFieldDomain(field(p, m))
+    lanes = dom.lanes(32)
+    rng = random.Random(p * 10 + m)
+    for _ in range(20):
+        x, y = ([rng.choice([0, rng.randrange(dom.spec.order)]) for _ in range(32)] for _ in range(2))
+        assert lanes.mul(x, y) == [dom.mul(a, b) for a, b in zip(x, y)]
+    zero = lanes.zero()
+    assert lanes.mul(zero, x) == lanes.mul(x, zero) == lanes.mul(zero, zero) == zero
+
+
+def test_addition_is_the_only_quadratic_table():
+    o = ffield.FieldOps(field(3, 6))
+    sizes = {name: len(getattr(o, name)) for name in o.__slots__ if hasattr(getattr(o, name), "__len__")}
+    assert [name for name, size in sizes.items() if size == o.n**2] == ["add"]
+    assert all(size <= 4 * o.n for name, size in sizes.items() if name != "add"), sizes
+    assert not hasattr(o, "mul")
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2)])
 def test_pow_and_frob_n_equal_square_and_multiply(p, m):
     o = ffield.ops(field(p, m))
     n = o.n
+    mul = lambda x, y: field_product(o, x, y)  # noqa: E731
     exponents = [-(3 * n + 1), -n, -2, -1, 0, 1, 2, n - 2, n - 1, n, n + 1, 5 * n + 3, 3**40]
     for a in range(n):
         for e in exponents:
@@ -213,9 +261,9 @@ def test_pow_and_frob_n_equal_square_and_multiply(p, m):
                 with pytest.raises(ZeroDivisionError):
                     o.pow(a, e)
             else:
-                assert o.pow(a, e) == _pow_by_squaring(o.mul, n, a, e), (a, e)
+                assert o.pow(a, e) == _pow_by_squaring(mul, n, a, e), (a, e)
         for k in (-7 * m - 1, -m, -1, 0, 1, m, m + 1, 10**6 + 1):
-            assert o.frob_n(a, k) == _pow_by_squaring(o.mul, n, a, p ** (k % m)), (a, k)
+            assert o.frob_n(a, k) == _pow_by_squaring(mul, n, a, p ** (k % m)), (a, k)
 
 
 def test_reducible_modulus_has_no_primitive_element():
@@ -258,12 +306,12 @@ def test_ops_looks_up_directly_built_specs_by_identity():
     canonical = field(3, 2)  # modulus x^2 + 1
     twin = FieldSpec(3, 2, canonical.modulus)
     assert ffield.ops(twin) is ffield.ops(twin)
-    assert ffield.ops(twin).mul == ffield.ops(canonical).mul
+    assert _product_table(ffield.ops(twin)) == _product_table(ffield.ops(canonical))
     # other moduli get their own tables, even where a dropped spec's id comes back
     for modulus in [(2, 1, 1), (2, 2, 1)]:
         spec = FieldSpec(3, 2, modulus)
         assert ffield.ops(spec).spec == spec
-        assert ffield.ops(spec).mul == _tables_by_reduction(spec)["mul"]
+        assert _product_table(ffield.ops(spec)) == _tables_by_reduction(spec)["mul"]
         del spec
 
 
@@ -271,16 +319,15 @@ def test_ops_looks_up_directly_built_specs_by_identity():
 
 
 def schoolbook_product(spec, a, b):
-    """The table schoolbook every dense_mul path is compared against (oracle)."""
+    """The pairwise schoolbook every dense_mul path is compared against (oracle)."""
     o = ffield.ops(spec)
-    mul, add, n = o.mul, o.add, o.n
+    add, n = o.add, o.n
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
-            base = x * n
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = add[out[i + j] * n + mul[base + y]]
+                    out[i + j] = add[out[i + j] * n + field_product(o, x, y)]
     return out
 
 

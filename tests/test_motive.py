@@ -7,7 +7,7 @@ import re
 import time
 
 import pytest
-from helpers import cache_stats, certificate_ok, counting, rf_coeffs, tate_pow
+from helpers import cache_stats, certificate_ok, counting, mutation_reports, rf_coeffs, tate_pow
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ffmzv import motive, tate
@@ -131,7 +131,7 @@ def _mutation_systems(p, l):
 
 def _assert_incremental_equals_full(phi, psi):
     res = motive._residual_setup(phi, psi)
-    checks, reports = motive._mutation_reports(phi, psi, res)
+    checks, reports = mutation_reports(phi, psi, res)
     assert ResidualReport.from_checks(checks, res.q) == frobenius_residual(phi, psi)
     assert sorted(reports) == [(i, j) for i in range(psi.size) for j in range(psi.size)]
     for (i, j), got in reports.items():
@@ -175,6 +175,40 @@ def test_mutation_kill_recomputes_one_residual_in_full(monkeypatch):
     assert len(calls) == 1  # the spot check
 
 
+@st.composite
+def _zero_checks(draw):
+    if draw(st.sampled_from([True, True, True, False])):
+        return tate.ZeroCheck(True, None, None, draw(st.integers(10, 40)))
+    return tate.ZeroCheck(False, draw(st.integers(0, 6)), draw(st.integers(-5, 30)), draw(st.integers(10, 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutation_survivors_are_the_mutated_residuals_that_pass(data):
+    # synthetic base and moved checks, a few of them failing: the kill
+    # decides each mutation without its report, and must agree with it
+    ctx = CarlitzContext(3, 1, prec=40, tdeg=6)
+    s = Index((1, 2))
+    u = at_arguments(ctx, s)
+    phi, psi = phi_matrix(ctx, u, s), psi_matrix(ctx, u, s)
+    r, q = psi.size, ctx.q
+    checks = [[data.draw(_zero_checks()) for _ in range(r)] for _ in range(r)]
+    moved = {}
+    for i in range(r):
+        for j in range(r):
+            rows = data.draw(st.sets(st.integers(0, r - 1)))
+            moved[i, j] = {a: data.draw(_zero_checks()) for a in sorted(rows)}
+    reports = {(i, j): motive._mutated_report(checks, j, mv, q) for (i, j), mv in moved.items()}
+    spot = (r - 2, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motive, "_mutation_moves", lambda *args: (checks, moved))
+        mp.setattr(motive, "frobenius_residual", lambda *args: reports[spot])
+        base, kill = motive.residual_and_kill(phi, psi)
+    assert base == ResidualReport.from_checks(checks, q)
+    assert kill.failures == [ij for ij, rep in reports.items() if rep.passed]
+    assert kill.passed == (not kill.failures) and kill.checked == r * r
+
+
 def _spot_check_system():
     # s = q + 1 gives an argument of positive theta-degree, so that the entry
     # below a mutated one changes the report
@@ -187,7 +221,7 @@ def _spot_check_system():
 def _assert_only_the_spot_check_sees(ctx, phi, psi):
     # every mutation of the mutant still fails, so only the spot check can
     # see it
-    _, reports = motive._mutation_reports(phi, psi, motive._residual_setup(phi, psi))
+    _, reports = mutation_reports(phi, psi, motive._residual_setup(phi, psi))
     assert not any(rep.passed for rep in reports.values())
     r = psi.size
     with pytest.raises(ConventionError, match=rf"mutation \({r - 2}, 0\)"):

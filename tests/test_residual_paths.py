@@ -26,7 +26,7 @@ a dropped-factor control the oracle passes, and must agree everywhere else.
 from itertools import combinations
 
 import pytest
-from helpers import decreasing_tuples
+from helpers import decreasing_tuples, mutation_reports
 from hypothesis import example, given, settings, strategies as st
 
 from ffmzv import motive, special, tate
@@ -371,7 +371,7 @@ def test_every_mutation_report_equals_full_recomputation(system, derive):
     if derive > 1:
         phi = derived_matrix(phi, derive)
     res = motive._residual_setup(phi, psi)
-    checks, reports = motive._mutation_reports(phi, psi, res)
+    checks, reports = mutation_reports(phi, psi, res)
     assert checks == tate.residual_checks(res, psi.entries)
     th = motive._theta_mutation(psi)
     r = psi.size
