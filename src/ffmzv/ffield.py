@@ -11,17 +11,19 @@ before equality.
 For fields with p^m <= 4096 :class:`FieldOps` holds the arithmetic, and
 callers work on raw encodings through the cached FieldOps object.  Larger
 fields raise FieldSizeError, in `field(p, m)` before the modulus search.
-Products come from discrete logarithms: the least primitive element g (in
+All arithmetic reads discrete logarithms: the least primitive element g (in
 encoding order) is found by stepping powers with one polynomial product mod
 the modulus each, which gives exp[k] = g^k and its inverse permutation log.
-A product is exp[log a + log b], where log 0 is a sentinel whose sums read
-zeros past the end of exp, so no factor needs a test for zero; inverses,
-negatives and Frobenius powers are O(n) lists read off exp/log.  Addition
-is the one n^2 table: each row is a block rotation of an earlier row,
-because adding a single digit c*p^j rotates digit j, so the build costs
-O(n) Python steps and O(n^2) element copies in C instead of one polynomial
-reduction per pair; tests/test_ffield.py keeps the pairwise reduction as the
-oracle every sum and product is compared against.
+A product is exp[log a + log b] and a sum exp[log a + zech[log b - log a]],
+where zech[d] = log(1 + g^d) is the Zech logarithm; log 0 is a sentinel
+whose sums read zeros past the end of exp, and zech holds the values that
+make a zero summand come out right, so no operand needs a test for zero
+(FieldOps gives the index ranges).  Every list is O(n): exp, log, zech,
+inverses, negatives and Frobenius powers.  The cap stays at 4096 because
+the build is Python steps per element (the trial-division modulus search
+and the primitive-element search) with no up-front estimate of its cost;
+tests/test_ffield.py keeps the pairwise reduction as the oracle every sum
+and product is compared against.
 
 `dense_sums(spec, sums)` is the one dense product kernel, used by Laurent
 series, Tate products and theta-polynomials: for each output it sums the
@@ -38,8 +40,8 @@ are the one slot packing, little-endian on every host; the F_p(t) block
 shells in `motive` pack their polynomials with them too.  m = 2 with
 `_KARATSUBA_MIN` rows: the same over the two digits of each encoding, three
 packed sums combined by Karatsuba.  Fewer rows, or m >= 3: the schoolbook,
-one row per nonzero coefficient, each product an exp/log lookup and each sum
-an add-table lookup.  The oracle for every path is the double loop in
+one row per nonzero coefficient x, each step c + x*y of a row one Zech
+lookup.  The oracle for every path is the double loop in
 tests/test_ffield.py.  The primitive-element search, which builds the
 exp/log lists the kernel reads, uses the plain list product `fp_list_mul`.
 `power` is the one square-and-multiply loop, for every ring that has one.
@@ -251,59 +253,64 @@ def _primitive_powers(spec: FieldSpec) -> list[int]:
 class FieldOps:
     """Arithmetic of one FieldSpec on raw encodings (internal fast path).
 
-    add is the row-major n*n addition table.  exp[k] = g^k for the primitive
-    element g, over two periods and then a tail of zeros, and log inverts it
-    on nonzero encodings; log[0] is the sentinel 2(n-1), so a product is
-    exp[log a + log b] for any a, b, and reads a zero of the tail when a
-    factor is 0.  neg, inv and frob are lists by encoding, and
-    frobs[k][a] = a^(p^k) for 0 <= k < m.
+    With N = n - 1, exp[k] = g^k for the primitive element g over two
+    periods, then zeros up to index 6N, and log inverts it on nonzero
+    encodings; log[0] is the sentinel 3N.  A product is exp[log a + log b]
+    for any a, b: with a zero factor it reads a zero of the tail.  zech is a
+    list of 7N entries, indexed from -3N to 4N - 1 (negative d from the end):
+
+    * zech[d] = log(1 + g^(d mod N)) for -(N-1) <= d <= 2N - 2, which is the
+      sentinel 3N where 1 + g^d = 0;
+    * zech[d] = d for -3N <= d <= -N - 2;
+    * zech[d] = 0 everywhere else.
+
+    Then a + b = exp[la + zech[lb - la]] (la = log a, lb = log b) for any
+    a, b: a zero a makes lb - la at most -2N - 1, where zech[d] = d gives
+    exp[lb]; a zero b makes it at least 2N + 1, where zech = 0 gives exp[la];
+    a zero sum reads the tail.  The same index ranges give c + x*y as
+    exp[lc + zech[lx + ly - lc]] without the log of x*y, for x and y not
+    both 0: lx + ly is then at most 2N - 2 or between 3N and 4N - 1.  The
+    sentinel must be at least 3N - 2 for the ranges to stay disjoint.  neg,
+    inv and frob are lists by encoding, and frobs[k][a] = a^(p^k) for
+    0 <= k < m.
     """
 
-    __slots__ = ("spec", "n", "p", "m", "add", "neg", "inv", "frob", "exp", "log", "frobs")
+    __slots__ = ("spec", "n", "p", "m", "neg", "inv", "frob", "exp", "log", "zech", "frobs")
 
     def __init__(self, spec: FieldSpec):
         p, m = spec.p, spec.m
         _check_table_cap(p, m)
         n = p**m
+        N = n - 1
         self.spec = spec
         self.n, self.p, self.m = n, p, m
         exp = _primitive_powers(spec)
-        log = [2 * (n - 1)] * n
+        log = [3 * N] * n
         for k, x in enumerate(exp):
             log[x] = k
-        # log a + log b < 2(n-1) when a, b != 0; a sum with the sentinel is
-        # 2(n-1) to 4(n-1)
-        self.exp, self.log = exp + exp + [0] * (2 * n - 1), log
-
-        # row 0 is the identity; writing a = c*w + r with c*w the leading
-        # digit of a (w = p^j), a + b rotates digit j of b by c, so in every
-        # chunk of p*w entries row a is row r rotated left by c*w
-        add = [0] * (n * n)
-        add[:n] = range(n)
-        w = 1
-        for a in range(1, n):
-            if a == w * p:
-                w = a
-            c, r = divmod(a, w)
-            chunk, shift = p * w, c * w
-            for base in range(0, n, chunk):
-                src, dst = r * n + base, a * n + base
-                add[dst : dst + chunk - shift] = add[src + shift : src + chunk]
-                add[dst + chunk - shift : dst + chunk] = add[src : src + shift]
-        self.add = add
+        self.exp, self.log = exp + exp + [0] * (4 * N + 1), log
+        # 1 + x adds 1 to the lowest base-p digit of x; zech is d = 0..2N-2,
+        # zeros up to 4N - 1, then from the end d = -3N..-N-2, two zeros and
+        # d = -(N-1)..-1
+        z = [log[x - x % p + (x + 1) % p] for x in exp]
+        self.zech = z + z[:-1] + [0] * (2 * N + 1) + list(range(-3 * N, -N - 1)) + [0, 0] + z[1:]
 
         logs = log[1:]
         minus = log[p - 1]  # -1 is the integer p - 1
         self.neg = [self.exp[minus + la] for la in log]
         self.inv = [0] + [exp[-lb] for lb in logs]  # g^(-lb)
-        self.frob = [0] + [exp[p * lb % (n - 1)] for lb in logs]
+        self.frob = [0] + [exp[p * lb % N] for lb in logs]
         frobs = [list(range(n))]
         for _ in range(1, m):
             frobs.append([self.frob[x] for x in frobs[-1]])
         self.frobs = frobs
 
+    def add(self, a: int, b: int) -> int:
+        la = self.log[a]
+        return self.exp[la + self.zech[self.log[b] - la]]
+
     def sub(self, a: int, b: int) -> int:
-        return self.add[a * self.n + self.neg[b]]
+        return self.add(a, self.neg[b])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -453,7 +460,7 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
             acc = [(u + mu0 * w) % p + p * ((v - u - w + mu1 * w) % p) for u, v, w in zip(lo, mid, hi)]
         if slow:
             o = ops(spec)
-            exp, log, add, q = o.exp, o.log, o.add, o.n
+            exp, log, zech = o.exp, o.log, o.zech
             fresh = not fast  # acc is all zeros: its first row is written, not added
             for a, b, s, w in slow:
                 lb = len(b)
@@ -465,7 +472,10 @@ def dense_sums(spec: FieldSpec, sums: list) -> list[list[int]]:
                         if fresh and at + lb <= n:
                             acc[at : at + lb] = [exp[lx + log[y]] for y in b]
                         else:
-                            acc[at : at + lb] = [add[c * q + exp[lx + log[y]]] for c, y in zip(acc[at : at + lb], b)]
+                            # c + x*y by Zech logarithms: x != 0 (FieldOps)
+                            acc[at : at + lb] = [
+                                exp[(lc := log[c]) + zech[lx + log[y] - lc]] for c, y in zip(acc[at : at + lb], b)
+                            ]
                         fresh = False
         out.append(acc)
     return out

@@ -83,13 +83,13 @@ class LaurentSeries:
         if not other.coeffs:
             return LaurentSeries(self.field, self.val, self.coeffs[:], prec)
         o = ops(self.field)
-        add, n = o.add, o.n
+        exp, log, zech = o.exp, o.log, o.zech
         val = min(self.val, other.val)
         out = [0] * (max(self.val + len(self.coeffs), other.val + len(other.coeffs)) - val)
         lo, hi = self.val - val, self.val - val + len(self.coeffs)
         out[lo:hi] = self.coeffs
         lo, hi = other.val - val, other.val - val + len(other.coeffs)
-        out[lo:hi] = [add[x * n + c] for x, c in zip(out[lo:hi], other.coeffs)]
+        out[lo:hi] = [exp[(lx := log[x]) + zech[log[c] - lx]] for x, c in zip(out[lo:hi], other.coeffs)]
         return LaurentSeries(self.field, val, out, prec)
 
     def __neg__(self) -> "LaurentSeries":
@@ -143,15 +143,15 @@ class LaurentSeries:
             for k in range(top + 1, stop):
                 buf.append(neg_c0inv * sum(a * buf[k - j] for j, a in terms) % p)
         else:
-            exp, log, add, n = o.exp, o.log, o.add, o.n
+            exp, log, zech = o.exp, o.log, o.zech
             row = log[o.neg[c0inv]]
             terms = [(j, log[a]) for j, a in terms]
             buf = [log[x] for x in buf]  # held as logs, so a product is one exp lookup
             for k in range(top + 1, stop):
-                acc = 0
-                for j, la in terms:
-                    acc = add[acc * n + exp[la + buf[k - j]]]
-                buf.append(log[exp[row + log[acc]]])
+                lc = log[0]
+                for j, la in terms:  # c + a*y by Zech logarithms: a != 0 (ffield.FieldOps)
+                    lc = log[exp[lc + zech[la + buf[k - j] - lc]]]
+                buf.append(log[exp[row + lc]])
             buf = [exp[x] for x in buf]
         out = [0] * ((stop - top - 1) * g + 1)
         out[::g] = buf[top:]

@@ -448,7 +448,7 @@ class FiniteFieldDomain:
         return 1
 
     def add(self, a, b):
-        return self._o.add[a * self._o.n + b]
+        return self._o.add(a, b)
 
     def mul(self, a, b):
         return self._o.exp[self._o.log[a] + self._o.log[b]]
@@ -469,13 +469,14 @@ class FiniteFieldDomain:
 
     def lanes(self, width: int) -> SimpleNamespace:
         """F^width, componentwise: list lookups over lists of `width`
-        encodings, products by exp/log, with is_zero and eq true when they
-        hold in every lane and dom the domain of one lane."""
-        o, n = self._o, self._o.n
-        add, exp, log, neg, inv = o.add, o.exp, o.log, o.neg, o.inv
+        encodings, products by exp/log and sums by Zech logarithms, with
+        is_zero and eq true when they hold in every lane and dom the domain
+        of one lane."""
+        o = self._o
+        exp, log, zech, neg, inv = o.exp, o.log, o.zech, o.neg, o.inv
         return SimpleNamespace(
             dom=self, zero=lambda: [0] * width, one=lambda: [1] * width,
-            add=lambda x, y: [add[a * n + b] for a, b in zip(x, y)],
+            add=lambda x, y: [exp[(la := log[a]) + zech[log[b] - la]] for a, b in zip(x, y)],
             mul=lambda x, y: [exp[log[a] + log[b]] for a, b in zip(x, y)], neg=lambda x: [neg[a] for a in x],
             inv=lambda x: [inv[a] for a in x], pow=lambda x, e: [o.pow(a, e) for a in x],
             is_zero=lambda x: not any(x), eq=operator.eq,

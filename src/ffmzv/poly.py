@@ -73,18 +73,19 @@ class BivarPoly:
         o = ops(self.field)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = o.add[out.get(e, 0) * o.n + c]
+            out[e] = o.add(out.get(e, 0), c)
         return BivarPoly(self.field, out)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         o = ops(self.field)
-        exp, log, add, n = o.exp, o.log, o.add, o.n
+        exp, log, zech = o.exp, o.log, o.zech
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
             l1 = log[c1]
             for (a2, b2), c2 in other.terms.items():
                 e = (a1 + a2, b1 + b2)
-                out[e] = add[out.get(e, 0) * n + exp[l1 + log[c2]]]
+                lc = log[out.get(e, 0)]  # c + c1*c2 by Zech logarithms, c1 != 0 (ffield.FieldOps)
+                out[e] = exp[lc + zech[l1 + log[c2] - lc]]
         return BivarPoly(self.field, out)
 
     def truncate_t(self, d: int) -> "BivarPoly":
@@ -122,7 +123,7 @@ class BivarPoly:
             k = a + b * s
             cc = o.frob_n(c, n) if n else c
             prev = acc.get(k)
-            acc[k] = cc if prev is None else o.add[prev * o.n + cc]
+            acc[k] = cc if prev is None else o.add(prev, cc)
         return from_theta_poly(self.field, acc, prec)
 
     def subs_theta_to_t(self) -> "BivarPoly":

@@ -2,10 +2,12 @@
 
 `certificate_ok`, `t_var`, `theta`, `coeff` and `tate_pow` are small
 constructors, checks and operations on the package's series types, and
-`rf_coeffs` reads an F_p(t) domain's packed polynomial back as coefficients,
-and `field_product` is the one place the tests read a product of two field
-encodings off a FieldOps.  `mutation_reports` builds the report of every
-mutation of a residual from the moved checks that the mutation kill reads.
+`rf_coeffs` reads an F_p(t) domain's packed polynomial back as coefficients.
+`field_product` is the one place the tests read a product of two field
+encodings off a FieldOps, and `field_sum` adds two encodings digit by digit,
+independently of the Zech logarithms the package adds by.
+`mutation_reports` builds the report of every mutation of a residual from
+the moved checks that the mutation kill reads.
 `counting` replaces a context's cache with a dict that counts its lookups
 and stores, so that tests can assert how often `CarlitzContext.cached` and
 `cached_to` found what they were asked for.  `decreasing_tuples` enumerates
@@ -17,7 +19,7 @@ from typing import NamedTuple
 from ffmzv.carlitz import CarlitzContext
 from ffmzv.errors import PrecisionError
 from ffmzv import motive, tate
-from ffmzv.ffield import FieldOps, FieldSpec, power
+from ffmzv.ffield import FieldOps, FieldSpec, _decode, _encode, power
 from ffmzv.laurent import LaurentSeries, theta_pow, zero as ls_zero
 from ffmzv.tate import TateElement
 
@@ -86,6 +88,11 @@ def field_product(o: FieldOps, a: int, b: int) -> int:
     """a * b for encodings a, b as o computes it: exp[log a + log b], where
     the log of 0 is a sentinel whose sums read zeros."""
     return o.exp[o.log[a] + o.log[b]]
+
+
+def field_sum(o: FieldOps, a: int, b: int) -> int:
+    """a + b for encodings a, b: the base-p digits added mod p (oracle)."""
+    return _encode([x + y for x, y in zip(_decode(a, o.m, o.p), _decode(b, o.m, o.p))], o.p)
 
 
 def mutation_reports(phi, psi, res) -> tuple[list, dict]:

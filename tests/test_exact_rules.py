@@ -19,7 +19,7 @@ from functools import partial, reduce
 from operator import mul
 
 import pytest
-from helpers import rf_coeffs, tate_pow
+from helpers import field_sum, rf_coeffs, tate_pow
 from hypothesis import example, given, settings, strategies as st
 
 from ffmzv import tate
@@ -78,7 +78,7 @@ def _eval_theta_twisted_oracle(f: BivarPoly, n: int, prec: int) -> LaurentSeries
             cc = o.neg[cc]
         z = -k * step
         prev = acc.get(z, 0)
-        acc[z] = o.add[prev * o.n + cc] if prev else cc
+        acc[z] = field_sum(o, prev, cc) if prev else cc
     val = min(acc)
     out = [0] * (max(acc) - val + 1)
     for z, c in acc.items():

@@ -5,7 +5,7 @@ import sys
 from array import array
 
 import pytest
-from helpers import field_product
+from helpers import field_product, field_sum
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import ffield
@@ -69,8 +69,20 @@ def _product_table(o):
     return [field_product(o, a, b) for a in range(o.n) for b in range(o.n)]
 
 
+def _sum_table(o):
+    """Every sum of o, row-major: entry a*n + b is a + b."""
+    return [o.add(a, b) for a in range(o.n) for b in range(o.n)]
+
+
+def _zech_row(o, c, x, y):
+    """c + x*y as a schoolbook row computes it, without the log of x*y."""
+    lc = o.log[c]
+    return o.exp[lc + o.zech[o.log[x] + o.log[y] - lc]]
+
+
 _PRIMES_TO_256 = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
 _FIELDS_TO_256 = [(p, m) for p in _PRIMES_TO_256 for m in range(1, 9) if p**m <= 256]
+_FIELDS_TO_64 = [(p, m) for p, m in _FIELDS_TO_256 if p**m <= 64]
 
 
 def _poly_divides(den, num, p):
@@ -117,7 +129,7 @@ def test_create_errors():
 def test_f3_arithmetic():
     o = ops(field(3, 1))
     assert field_product(o, 2, 2) == 1
-    assert o.add[2 * 3 + 2] == 1
+    assert o.add(2, 2) == field_sum(o, 2, 2) == 1
     assert field_product(o, 2, o.inv[2]) == 1
 
 
@@ -159,7 +171,7 @@ def test_field_axioms_on_1000_random_pairs(p, m):
     n = o.n
 
     def add(a, b):
-        return o.add[a * n + b]
+        return field_sum(o, a, b)
 
     def mul(a, b):
         return field_product(o, a, b)
@@ -179,7 +191,7 @@ def test_frobenius_is_ring_endomorphism_on_samples():
     rng = random.Random(7)
     for _ in range(300):
         a, b = rng.randrange(9), rng.randrange(9)
-        assert o.frob_n(o.add[a * 9 + b], 1) == o.add[o.frob_n(a, 1) * 9 + o.frob_n(b, 1)]
+        assert o.frob_n(field_sum(o, a, b), 1) == field_sum(o, o.frob_n(a, 1), o.frob_n(b, 1))
         assert o.frob_n(field_product(o, a, b), 1) == field_product(o, o.frob_n(a, 1), o.frob_n(b, 1))
 
 
@@ -193,8 +205,9 @@ def test_pow_additivity(v, i, j):
 def test_tables_equal_the_reduction_oracle(p, m):
     spec = field(p, m)
     o = ffield.FieldOps(spec)
+    computed = {"add": _sum_table(o), "mul": _product_table(o)}
     for name, table in _tables_by_reduction(spec).items():
-        assert (_product_table(o) if name == "mul" else getattr(o, name)) == table, name
+        assert computed.get(name, getattr(o, name, None)) == table, name
 
 
 @pytest.mark.parametrize("p,m", [(3, 6), (2, 10), (3, 7)])
@@ -213,7 +226,6 @@ def test_large_field_products_equal_the_oracle_on_random_pairs(p, m):
 def test_products_with_zero_read_the_zero_tail(p, m):
     # the log of 0 is a sentinel: every sum that holds it reads 0, F_2 too
     o = ops(field(p, m))
-    assert o.log[0] == 2 * (o.n - 1)
     for a in range(o.n):
         assert field_product(o, 0, a) == field_product(o, a, 0) == 0, a
 
@@ -241,12 +253,66 @@ def test_lane_products_with_zeros_equal_the_scalar_products(p, m):
     assert lanes.mul(zero, x) == lanes.mul(x, zero) == lanes.mul(zero, zero) == zero
 
 
-def test_addition_is_the_only_quadratic_table():
-    o = ffield.FieldOps(field(3, 6))
-    sizes = {name: len(getattr(o, name)) for name in o.__slots__ if hasattr(getattr(o, name), "__len__")}
-    assert [name for name, size in sizes.items() if size == o.n**2] == ["add"]
-    assert all(size <= 4 * o.n for name, size in sizes.items() if name != "add"), sizes
-    assert not hasattr(o, "mul")
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 4), (2, 8)])
+def test_lane_sums_with_zeros_equal_the_scalar_sums(p, m):
+    dom = FiniteFieldDomain(field(p, m))
+    o, lanes = ops(dom.spec), dom.lanes(32)
+    rng = random.Random(p * 10 + m)
+    for _ in range(20):
+        x, y = ([rng.choice([0, rng.randrange(dom.spec.order)]) for _ in range(32)] for _ in range(2))
+        want = [field_sum(o, a, b) for a, b in zip(x, y)]
+        assert lanes.add(x, y) == [dom.add(a, b) for a, b in zip(x, y)] == want
+        assert lanes.add(x, lanes.neg(x)) == lanes.zero()
+    zero = lanes.zero()
+    assert lanes.add(zero, x) == lanes.add(x, zero) == x and lanes.add(zero, zero) == zero
+
+
+@pytest.mark.parametrize("p,m", _FIELDS_TO_64)
+def test_zech_sums_and_rows_equal_the_digit_sums(p, m):
+    o = ffield.FieldOps(field(p, m))
+    for c in range(o.n):
+        for x in range(o.n):
+            assert o.add(c, x) == field_sum(o, c, x), (c, x)
+            for y in range(o.n):
+                if x or y:  # a row never has x = y = 0: FieldOps excludes it
+                    assert _zech_row(o, c, x, y) == field_sum(o, c, field_product(o, x, y)), (c, x, y)
+
+
+@pytest.mark.parametrize("p,m", [(2, 7), (2, 8), (3, 5), (5, 3), (3, 6), (2, 12)])
+def test_zech_rows_equal_the_digit_sums_on_random_triples(p, m):
+    o = ffield.FieldOps(field(p, m))  # not ops(): keep the large tables out of the cache
+    rng = random.Random(p * 100 + m)
+    for k in range(1200):
+        c, x, y = (rng.randrange(o.n) for _ in range(3))
+        if k % 4 == 1:
+            c = 0
+        elif k % 4 == 2:
+            x = 0
+        elif k % 4 == 3:
+            y = 0
+        assert o.add(c, x) == field_sum(o, c, x) and o.add(x, c) == field_sum(o, x, c), (c, x)
+        if x or y:
+            assert _zech_row(o, c, x, y) == field_sum(o, c, field_product(o, x, y)), (c, x, y)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2), (2, 12)])
+def test_sums_that_cancel_read_the_zero_tail(p, m):
+    # a + (-a) = 0: 1 + g^d = 0 at d = log(-a) - log(a), where zech holds the sentinel
+    o = ffield.FieldOps(field(p, m))
+    sentinel = o.log[0]
+    for a in range(1, o.n):
+        assert o.add(a, o.neg[a]) == o.add(o.neg[a], a) == o.sub(a, a) == 0, a
+        assert o.zech[o.log[o.neg[a]] - o.log[a]] == sentinel
+        # a row whose product cancels c: c + (-1)*c
+        assert _zech_row(o, a, o.neg[1], a) == _zech_row(o, a, a, o.neg[1]) == 0, a
+
+
+def test_no_field_list_exceeds_8n():
+    for p, m in [(3, 6), (2, 12)]:
+        o = ffield.FieldOps(field(p, m))
+        sizes = {name: len(getattr(o, name)) for name in o.__slots__ if hasattr(getattr(o, name), "__len__")}
+        assert "add" not in sizes and "mul" not in sizes
+        assert max(sizes.values()) <= 8 * o.n, sizes
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2)])
@@ -299,7 +365,7 @@ def test_field_spec_is_interned():
     # a spec built directly still works wherever an equal interned one does
     twin = FieldSpec(3, 4, field(3, 4).modulus)
     assert twin is not field(3, 4)
-    assert ops(twin).add[5 * 81 + 7] == ops(field(3, 4)).add[5 * 81 + 7]
+    assert ops(twin).add(5, 7) == field_sum(ops(field(3, 4)), 5, 7)
 
 
 def test_ops_looks_up_directly_built_specs_by_identity():
@@ -321,13 +387,12 @@ def test_ops_looks_up_directly_built_specs_by_identity():
 def schoolbook_product(spec, a, b):
     """The pairwise schoolbook every dense_mul path is compared against (oracle)."""
     o = ffield.ops(spec)
-    add, n = o.add, o.n
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = add[out[i + j] * n + field_product(o, x, y)]
+                    out[i + j] = field_sum(o, out[i + j], field_product(o, x, y))
     return out
 
 

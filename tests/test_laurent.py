@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers import field_product, theta
+from helpers import field_product, field_sum, theta
 
 from ffmzv.errors import PrecisionError
 from ffmzv.ffield import field, ops
@@ -177,13 +177,13 @@ def _dense_inv(f):
     c0inv = o.inv[fa[0]]
     out = [0] * rel
     out[0] = c0inv
-    add, neg, n = o.add, o.neg, o.n
+    neg = o.neg
     for k in range(1, rel):
         acc = 0
         for j in range(1, min(k, la - 1) + 1):
             aj = fa[j]
             if aj:
-                acc = add[acc * n + field_product(o, aj, out[k - j])]
+                acc = field_sum(o, acc, field_product(o, aj, out[k - j]))
         out[k] = field_product(o, c0inv, neg[acc])
     return LaurentSeries(f.field, -v, out, f.prec - 2 * v)
 
